@@ -175,12 +175,13 @@ def _json_dump(doc, path: Path) -> None:
 def load_manifest(path: Path) -> list:
     with open(_require_file(path)) as fh:
         doc = json.load(fh)
-    entries = doc["targets"] if isinstance(doc, dict) else doc
-    needed = {"target_id", "crystal_ligand", "actives", "decoys"}
-    for e in entries:
-        missing = needed - set(e)
-        if missing:
-            raise ValidationError(f"manifest entry missing {sorted(missing)}")
+    entries = ref_nn.require_fields(doc, ("targets",), path)["targets"] \
+        if isinstance(doc, dict) else doc
+    if not isinstance(entries, list):
+        raise ValidationError(f"{path}: targets must be a list of target entries")
+    for i, e in enumerate(entries):
+        ref_nn.require_fields(e, ("target_id", "crystal_ligand", "actives", "decoys"),
+                              path, f"manifest entry {i} ")
     return entries
 
 
@@ -205,7 +206,7 @@ def load_targets(manifest_path: Path, cache: dict | None, k: float):
 
 def load_model(path: Path):
     with open(_require_file(path)) as fh:
-        kind = json.load(fh).get("kind")
+        kind = ref_nn.require_fields(json.load(fh), (), path).get("kind")
     if kind == "mlp":
         return ref_nn.load_mlp(path)
     if kind == "sc_network":

@@ -330,17 +330,39 @@ def save_mlp(mlp: Mlp, path) -> None:
         fh.write("\n")
 
 
+def require_fields(doc, fields, path, where: str = "") -> dict:
+    """``doc`` itself when it is a JSON object holding every name in
+    ``fields``; otherwise a ValueError naming the file, ``where`` in it and
+    the missing field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {where or 'document '}is not a JSON object")
+    for name in fields:
+        if name not in doc:
+            raise ValueError(f"{path}: {where}missing field {name!r}")
+    return doc
+
+
+def model_layers(doc, fields, path) -> list:
+    """The schema-checked layer objects of a model file."""
+    layers = require_fields(doc, ("layers",), path)["layers"]
+    if not isinstance(layers, list) or not layers:
+        raise ValueError(f"{path}: field 'layers' must be a non-empty list")
+    return [require_fields(l, fields, path, f"layer {i} ") for i, l in enumerate(layers)]
+
+
 def load_mlp(path) -> Mlp:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("kind") != "mlp":
+    if require_fields(doc, ("kind",), path)["kind"] != "mlp":
         raise ValueError(f"{path}: not a float-network file (kind={doc.get('kind')!r})")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {doc.get('version')!r}")
-    shape = [doc["layers"][0]["fan_in"]] + [l["fan_out"] for l in doc["layers"]]
+    require_fields(doc, ("activation",), path)
+    layers = model_layers(doc, ("fan_in", "fan_out", "weights", "bias"), path)
+    shape = [layers[0]["fan_in"]] + [l["fan_out"] for l in layers]
     weights = [
         np.array(l["weights"], dtype=np.float64).reshape(l["fan_out"], l["fan_in"])
-        for l in doc["layers"]
+        for l in layers
     ]
-    biases = [np.array(l["bias"], dtype=np.float64) for l in doc["layers"]]
+    biases = [np.array(l["bias"], dtype=np.float64) for l in layers]
     return Mlp(shape, doc["activation"], weights, biases, trained=bool(doc.get("trained", True)))

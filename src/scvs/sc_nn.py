@@ -9,10 +9,21 @@ domain and applies ReLU as a single OR gate against the correlated zero(t)
 signal.  The final neuron's shifted counter word, read in the binary domain,
 is the score.
 
-Exactly two generators serve the whole network.  The simulator is bit-true
-and deterministic; a real-arithmetic fixed-point reference with the same
-quantization and shifts is provided to separate stochastic noise from
-quantization error.
+Window layout: the network inputs ride R_x from phase 0, reconversions and
+zero(t) ride it from the reconversion phase, and layer l's weights ride R_w
+from phase l*N.  The bias line is the word 2^(b-1), above every generator
+word, i.e. a constant all-ones stream.
+
+Every model of the network runs one word-domain forward path: per layer a
+product model yields the APC values, which are floored by the layer's shift,
+saturated to b bits and passed on as max(word, 0), the OR-ReLU of fully
+correlated streams.  Two product models plug into it.  The bit-true one
+(``ScSimulator``) takes the packed XNOR popcount of the actual streams; the
+ideal one (``fixed_point_reference`` and the shift calibration in
+``quantize_weights``) multiplies the exact window values of the same words in
+real arithmetic, which separates stochastic noise from quantization error.
+Exactly two generators serve the whole network, and repeat runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import math
 import numpy as np
 
 from . import sc_core as sc
-from .ref_nn import Mlp, MODEL_FORMAT_VERSION
+from .ref_nn import Mlp, MODEL_FORMAT_VERSION, model_layers, require_fields
 from .sc_core import BitStream, GateKind, Lfsr, WordSequence
 
 
@@ -111,7 +122,7 @@ class ScNetwork:
         return a
 
     def simulator(self, recon_phase: int = 0) -> "ScSimulator":
-        if self._sim is None or self._sim.recon_phase != recon_phase:
+        if self._sim is None or self._sim.recon_phase != recon_phase % self.lfsr1.period:
             self._sim = ScSimulator(self, recon_phase=recon_phase)
         return self._sim
 
@@ -123,7 +134,7 @@ def min_norm_shift(n_inputs: int, stream_len: int, width: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per-stream exact values over a finite RNG window
+# Generator windows and the shared word-domain forward path
 
 
 def _window_value_fn(words: np.ndarray):
@@ -137,6 +148,66 @@ def _window_value_fn(words: np.ndarray):
         return (2.0 * below - n) / n
 
     return value
+
+
+def _windows(lfsr1: Lfsr, lfsr2: Lfsr, n: int, n_layers: int,
+             recon_phase: int = 0) -> list[tuple[WordSequence, WordSequence]]:
+    """(input window, weight window) of every layer.
+
+    The network inputs ride R1 from phase 0.  Every later layer's inputs are
+    reconversions, which ride R1 from ``recon_phase`` together with zero(t).
+    Layer ``li``'s weights ride R2 from phase li*N, so consecutive layers use
+    consecutive stretches of the weight generator.
+    """
+    recon = lfsr1.word_sequence(n, recon_phase)
+    return [(lfsr1.word_sequence(n) if li == 0 else recon,
+             lfsr2.word_sequence(n, (li * n) % lfsr2.period)) for li in range(n_layers)]
+
+
+def _input_rows(net: "ScNetwork", x) -> np.ndarray:
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != net.input_width:
+        raise ValueError(f"input width {x.shape[1]} != {net.input_width}")
+    return x
+
+
+def _forward(x: np.ndarray, n_layers: int, width: int, layer_apc):
+    """The word-domain datapath every model of the network shares.
+
+    ``layer_apc(li, words)`` is the product model: it returns the APC values
+    of layer ``li`` for the layer's (k, fan_in) input words, and the layer's
+    normalization shift.  Each layer floors the APC by that shift, saturates
+    it to b bits and hands max(word, 0) on: the OR with zero(t), which rides
+    the same window, keeps exactly the larger of two comparator streams.
+    Returns the decoded final words, the saturated words of every layer and
+    the number of words that saturated.
+    """
+    half = 1 << (width - 1)
+    words = sc.encode_array(x, width)
+    layer_words, saturations = [], 0
+    for li in range(n_layers):
+        apc, shift = layer_apc(li, words)
+        # exact for integer APCs, so it is the hardware's arithmetic shift
+        shifted = np.floor(apc / (1 << shift))
+        saturations += int(np.count_nonzero((shifted < -half) | (shifted > half - 1)))
+        layer_words.append(np.clip(shifted, -half, half - 1).astype(np.int64))
+        words = np.maximum(layer_words[-1], 0)
+    return layer_words[-1][:, 0] / half, layer_words, saturations
+
+
+def _ideal_apc(words: np.ndarray, windows, weights_q: np.ndarray,
+               bias_q: np.ndarray | None) -> np.ndarray:
+    """Ideal product model: exact window values times real products.
+
+    The bias line (word 2^(b-1), above every generator word) decodes to
+    exactly 1, so its products are the bias words' own values.
+    """
+    x_window, w_window = windows
+    w_value = _window_value_fn(w_window.words)
+    dot = _window_value_fn(x_window.words)(words) @ w_value(weights_q).T
+    if bias_q is not None:
+        dot = dot + w_value(bias_q)
+    return dot * len(w_window)
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +293,14 @@ def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH, clip_quantile: flo
     lfsr2 = lfsr2 or default_lfsr2(width)
     half = 1 << (width - 1)
     n = stream_len
-
-    zero_val = _window_value_fn(lfsr1.word_sequence(n).words)(0)
-    x_hat = None
-    if calib is not None:
-        calib = np.atleast_2d(np.asarray(calib, dtype=np.float64))
-        x_hat = _window_value_fn(lfsr1.word_sequence(n).words)(sc.encode_array(calib, width))
-
-    attenuation = 1.0
+    windows = _windows(lfsr1, lfsr2, n, mlp.n_layers)
     layers = []
-    for li in range(mlp.n_layers):
+    attenuation = 1.0
+
+    def quantize_layer(li, words):
+        # Quantize layer li; its APC over the calibration rows (none when
+        # uncalibrated) picks the shift before the forward pass applies it.
+        nonlocal attenuation
         w = mlp.weights[li]
         bias = mlp.biases[li] if use_bias else None
         pool = np.abs(w).reshape(-1)
@@ -245,25 +314,20 @@ def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH, clip_quantile: flo
 
         n_inputs = w.shape[1] + (1 if bias_q is not None else 0)
         shift = min_norm_shift(n_inputs, n, width)
-        if x_hat is not None:
-            w_hat = _window_value_fn(lfsr2.word_sequence(n, phase=(li * n) % lfsr2.period).words)
-            dot = x_hat @ w_hat(w_q).T
-            if bias_q is not None:
-                dot = dot + w_hat(bias_q)
-            peak = float(np.max(np.abs(dot))) * n
+        apc = _ideal_apc(words, windows[li], w_q, bias_q)
+        peak = float(np.max(np.abs(apc), initial=0.0))
+        if peak > 0:
             cap_floor = max(0, math.ceil(math.log2(n / (gain_cap * half))))
-            if peak > 0:
-                needed = max(cap_floor, math.ceil(math.log2(peak / (margin * (half - 1)))))
-                shift = min(shift, needed)
+            needed = max(cap_floor, math.ceil(math.log2(peak / (margin * (half - 1)))))
+            shift = min(shift, needed)
         gain = n / ((1 << shift) * half)
         layers.append(ScLayer(w.shape[1], w.shape[0], shift, s, w_q, bias_q))
-        if x_hat is not None:
-            words = np.clip(np.floor(dot * n / (1 << shift)), -half, half - 1)
-            r1 = _window_value_fn(lfsr1.word_sequence(n).words)
-            if li < mlp.n_layers - 1:
-                x_hat = np.maximum(r1(words.astype(np.int64)), zero_val)
         attenuation *= gain / s
+        return apc, shift
 
+    rows = np.empty((0, mlp.shape[0])) if calib is None else calib
+    _forward(np.atleast_2d(np.asarray(rows, dtype=np.float64)), mlp.n_layers, width,
+             quantize_layer)
     return ScNetwork(layers, lfsr1, lfsr2, stream_len=n, width=width)
 
 
@@ -271,15 +335,11 @@ def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH, clip_quantile: flo
 # Bit-true simulator
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """(..., N) bools -> (..., ceil(N/64)) uint64, little-endian bit order."""
-    return sc._pack(bits)
-
-
 class ScSimulator:
-    """Materialized word sequences and packed weight streams for one network.
+    """Bit-true product model of one network: packed weight streams, and the
+    XNOR popcount of packed input streams against them.
 
-    Counts generator materializations (two for any network) and saturation
+    Counts generator instantiations (two for any network) and saturation
     events.  Inference is a pure function of (network, input, phase); repeat
     runs are bit-identical.
     """
@@ -288,113 +348,63 @@ class ScSimulator:
         self.net = net
         self.recon_phase = recon_phase % net.lfsr1.period
         self.saturation_count = 0
-        self.rng_instantiations = 0
-        self._seen: set = set()
-        n = net.stream_len
-
-        self._r1 = self._materialize(net.lfsr1, n, 0)
-        self._r1_recon = self._r1 if self.recon_phase == 0 else \
-            net.lfsr1.word_sequence(n, self.recon_phase)
+        self.rng_instantiations = len({(g.width, g.taps, g.seed) for g in (net.lfsr1, net.lfsr2)})
+        self._windows = _windows(net.lfsr1, net.lfsr2, net.stream_len, len(net.layers),
+                                 self.recon_phase)
         self._w_packs = []
-        for li, layer in enumerate(net.layers):
-            seq = self._materialize(net.lfsr2, n, (li * n) % net.lfsr2.period)
+        for layer, (_, w_window) in zip(net.layers, self._windows):
             wq = layer.weights_q
             if layer.bias_q is not None:
                 wq = np.concatenate([wq, layer.bias_q[:, None]], axis=1)
-            bits = wq[:, :, None] > seq.words[None, None, :]
-            self._w_packs.append(_pack_rows(bits))
-        # zero(t) and the constant +1 line ride the reconversion words
-        zero_bits = 0 > self._r1_recon.words
-        self._zero_pack = _pack_rows(zero_bits)
-        self._ones_pack = _pack_rows(np.ones(n, dtype=bool))
-        self._r1_value = _window_value_fn(self._r1.words)
-        self._r1_recon_value = _window_value_fn(self._r1_recon.words)
+            self._w_packs.append(sc._pack(wq[:, :, None] > w_window.words))
 
-    def _materialize(self, lfsr: Lfsr, count: int, phase: int) -> WordSequence:
-        key = (lfsr.width, lfsr.taps, lfsr.seed)
-        if key not in self._seen:
-            self._seen.add(key)
-            self.rng_instantiations += 1
-        return lfsr.word_sequence(count, phase)
-
-    # -- core layer math ----------------------------------------------------
-
-    def _convert(self, words: np.ndarray, seq_words: np.ndarray) -> np.ndarray:
-        """(k, m) words -> (k, m, W) packed comparator streams."""
-        bits = words[..., None] > seq_words[None, None, :]
-        return _pack_rows(bits)
-
-    def _layer_words(self, li: int, in_packs: np.ndarray) -> np.ndarray:
-        """(k, n_eff, W) packed inputs -> (k, fan_out) saturated APC words."""
+    def _layer_apc(self, li: int, words: np.ndarray, products: list | None = None):
+        """APC of layer ``li`` by XNOR popcount; appends the (k, fan_out,
+        n_inputs) product stream values to ``products`` when given."""
         net = self.net
         layer = net.layers[li]
         n = net.stream_len
-        half = 1 << (net.width - 1)
-        w = self._w_packs[li]                      # (fan_out, n_eff, W)
-        k = in_packs.shape[0]
-        flat_w = w.reshape(w.shape[0], -1)
-        flat_x = in_packs.reshape(k, 1, -1)
-        pc = sc._popcount(flat_x ^ flat_w[None, :, :]).sum(axis=2, dtype=np.int64)
-        apc = layer.n_inputs * n - 2 * pc          # (k, fan_out)
-        words = apc >> layer.norm_shift
-        over = (words < -half) | (words > half - 1)
-        self.saturation_count += int(over.sum())
-        return np.clip(words, -half, half - 1)
+        if layer.bias_q is not None:
+            bias_line = np.full((len(words), 1), 1 << (net.width - 1))
+            words = np.concatenate([words, bias_line], axis=1)
+        x_packs = sc._pack(words[:, :, None] > self._windows[li][0].words)
+        mismatches = sc._popcount(x_packs[:, None] ^ self._w_packs[li][None])
+        if products is not None:
+            products.append((n - 2 * mismatches.sum(axis=3, dtype=np.int64)) / n)
+        apc = layer.n_inputs * n - 2 * mismatches.sum(axis=(2, 3), dtype=np.int64)
+        return apc, layer.norm_shift
 
-    def _run(self, x: np.ndarray, trace: bool = False):
+    def _run(self, x, layer_apc):
         net = self.net
-        n = net.stream_len
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != net.input_width:
-            raise ValueError(f"input width {x.shape[1]} != {net.input_width}")
-        k = x.shape[0]
-        in_words = sc.encode_array(x, net.width)
-        in_packs = self._convert(in_words, self._r1.words)
-        traces = []
-        scores = None
-        for li, layer in enumerate(net.layers):
-            if layer.bias_q is not None:
-                ones = np.broadcast_to(self._ones_pack, (k, 1) + self._ones_pack.shape)
-                in_packs = np.concatenate([in_packs, ones], axis=1)
-            if trace:
-                flat_w = self._w_packs[li].reshape(self._w_packs[li].shape[0], -1)
-                flat_x = in_packs.reshape(k, 1, -1)
-                pc = sc._popcount(flat_x ^ flat_w[None, :, :]) \
-                    .reshape(k, layer.fan_out, layer.n_inputs, -1).sum(axis=3, dtype=np.int64)
-                product_values = (n - 2 * pc) / n   # (k, fan_out, n_eff)
-            words = self._layer_words(li, in_packs)
-            if li < len(net.layers) - 1:
-                s_packs = self._convert(words, self._r1_recon.words)
-                out_packs = s_packs | self._zero_pack[None, None, :]
-                if trace:
-                    traces.append({
-                        "products": product_values,
-                        "words": words,
-                        "out_values": np.maximum(self._r1_recon_value(words),
-                                                 self._r1_recon_value(np.zeros_like(words))),
-                    })
-                in_packs = out_packs
-            else:
-                scores = words[:, 0] / (1 << (net.width - 1))
-                if trace:
-                    traces.append({"products": product_values, "words": words,
-                                   "out_values": scores})
-        return (scores, traces) if trace else scores
+        scores, words, saturations = _forward(_input_rows(net, x), len(net.layers), net.width,
+                                              layer_apc)
+        self.saturation_count += saturations
+        return scores, words
 
     def infer(self, x) -> float:
-        return float(self._run(np.asarray(x, dtype=np.float64)[None, :])[0])
+        return float(self._run(np.asarray(x, dtype=np.float64)[None, :], self._layer_apc)[0][0])
 
     def infer_many(self, x: np.ndarray, chunk: int = 16) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = np.empty(len(x))
         for i in range(0, len(x), chunk):
-            out[i:i + chunk] = self._run(x[i:i + chunk])
+            out[i:i + chunk] = self._run(x[i:i + chunk], self._layer_apc)[0]
         return out
 
     def trace(self, x):
         """Per-layer product stream values, APC words and decoded outputs."""
-        scores, traces = self._run(np.asarray(x, dtype=np.float64)[None, :], trace=True)
-        return float(scores[0]), traces
+        inputs, products = [], []
+
+        def layer_apc(li, words):
+            inputs.append(words)
+            return self._layer_apc(li, words, products)
+
+        scores, words = self._run(np.asarray(x, dtype=np.float64)[None, :], layer_apc)
+        # a hidden layer's output is the next layer's input, read on its window
+        outs = [_window_value_fn(x_window.words)(v)
+                for (x_window, _), v in zip(self._windows[1:], inputs[1:])] + [scores]
+        return float(scores[0]), [{"products": p, "words": w, "out_values": o}
+                                  for p, w, o in zip(products, words, outs)]
 
 
 def sc_network_infer(net: ScNetwork, x, recon_phase: int = 0) -> float:
@@ -410,30 +420,16 @@ def fixed_point_reference(net: ScNetwork, x, recon_phase: int = 0):
     """Ideal-product reference: exact stream values for every conversion, real
     products, real accumulation with the same floor shift and saturation.
     The difference between this and the bit-true simulator is the stochastic
-    multiplication noise alone."""
-    n = net.stream_len
-    half = 1 << (net.width - 1)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != net.input_width:
-        raise ValueError(f"input width {x.shape[1]} != {net.input_width}")
-    r1_value = _window_value_fn(net.lfsr1.word_sequence(n).words)
-    recon_value = _window_value_fn(net.lfsr1.word_sequence(n, recon_phase % net.lfsr1.period).words)
-    zero_val = float(recon_value(0))
+    multiplication noise alone.  A 1-D input gives a float, a batch an array."""
+    x = np.asarray(x, dtype=np.float64)
+    windows = _windows(net.lfsr1, net.lfsr2, net.stream_len, len(net.layers), recon_phase)
 
-    v = r1_value(sc.encode_array(x, net.width))
-    for li, layer in enumerate(net.layers):
-        w_value = _window_value_fn(
-            net.lfsr2.word_sequence(n, phase=(li * n) % net.lfsr2.period).words)
-        w_hat = w_value(layer.weights_q)
-        dot = v @ w_hat.T
-        if layer.bias_q is not None:
-            dot = dot + w_value(layer.bias_q)
-        words = np.clip(np.floor(dot * n / (1 << layer.norm_shift)), -half, half - 1)
-        if li < len(net.layers) - 1:
-            v = np.maximum(recon_value(words.astype(np.int64)), zero_val)
-        else:
-            out = words[:, 0] / half
-    return out if out.size > 1 else float(out[0])
+    def layer_apc(li, words):
+        layer = net.layers[li]
+        return _ideal_apc(words, windows[li], layer.weights_q, layer.bias_q), layer.norm_shift
+
+    scores = _forward(_input_rows(net, x), len(net.layers), net.width, layer_apc)[0]
+    return float(scores[0]) if x.ndim == 1 else scores
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +464,11 @@ def save_sc_network(net: ScNetwork, path) -> None:
 def load_sc_network(path) -> ScNetwork:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("kind") != "sc_network":
+    if require_fields(doc, ("kind",), path)["kind"] != "sc_network":
         raise ValueError(f"{path}: not a hardware-network file (kind={doc.get('kind')!r})")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {doc.get('version')!r}")
+    require_fields(doc, ("width", "stream_len", "lfsr1", "lfsr2"), path)
     width = int(doc["width"])
     layers = [
         ScLayer(
@@ -479,8 +476,9 @@ def load_sc_network(path) -> ScNetwork:
             np.array(l["weights"], dtype=np.int32).reshape(l["fan_out"], l["fan_in"]),
             None if l["bias"] is None else np.array(l["bias"], dtype=np.int32),
         )
-        for l in doc["layers"]
+        for l in model_layers(doc, ("fan_in", "fan_out", "norm_shift", "scale", "weights", "bias"),
+                              path)
     ]
-    lfsr1 = Lfsr(width, tuple(doc["lfsr1"]["taps"]), doc["lfsr1"]["seed"])
-    lfsr2 = Lfsr(width, tuple(doc["lfsr2"]["taps"]), doc["lfsr2"]["seed"])
+    gens = [require_fields(doc[k], ("taps", "seed"), path, f"{k} ") for k in ("lfsr1", "lfsr2")]
+    lfsr1, lfsr2 = (Lfsr(width, tuple(g["taps"]), g["seed"]) for g in gens)
     return ScNetwork(layers, lfsr1, lfsr2, stream_len=int(doc["stream_len"]), width=width)

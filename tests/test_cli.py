@@ -168,6 +168,30 @@ class TestEvaluate:
                    "--scaler", tmp_path / "missing.json", "--report", tmp_path / "r.json") == 2
         assert "missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,path", [
+        ("hw48.json", ("layers", 0, "norm_shift")),
+        ("hw48.json", ("width",)),
+        ("relu48.json", ("activation",)),
+        ("manifest.json", ("targets",)),
+    ])
+    def test_malformed_file_exit_1_names_field(self, workspace, tmp_path, capsys, name, path):
+        ws, manifest = workspace
+        is_manifest = name == "manifest.json"
+        doc = json.loads((manifest if is_manifest else ws / name).read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        bad = tmp_path / name
+        bad.write_text(json.dumps(doc))
+        model, manifest = (ws / "hw48.json", bad) if is_manifest else (bad, manifest)
+        assert run("evaluate", "--model", model, "--manifest", manifest,
+                   "--cache", ws / "cache.csv", "--scaler", ws / "scaler.json",
+                   "--report", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(path[-1]) in err
+        assert "Traceback" not in err
+
 
 class TestCompare:
     def test_fig8_layout_sorted_by_first_report(self, workspace, tmp_path):

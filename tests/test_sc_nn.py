@@ -3,6 +3,8 @@ whole-network inference and the fixed-point reference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scvs import ref_nn, sc_core as sc, sc_nn
 from scvs.sc_core import GateKind, Lfsr
@@ -214,6 +216,17 @@ class TestScNetwork:
         offset = sc_network_infer(net, x, recon_phase=137)
         assert lockstep == pytest.approx(offset, abs=0.1)
 
+    def test_simulator_cached_across_equivalent_phases(self):
+        rng = np.random.default_rng(9)
+        _, net = _random_net([24, 12, 6, 1], 21, rng)
+        period = net.lfsr1.period
+        sim = net.simulator(5)
+        assert net.simulator(5 + period) is sim
+        last = net.simulator(-1)
+        assert last.recon_phase == period - 1
+        assert net.simulator(period - 1) is last
+        assert net.simulator(-1) is last
+
     def test_mismatched_generators_rejected(self):
         layer = ScLayer(1, 1, 1, 1.0, np.array([[100]]), None)
         with pytest.raises(ValueError, match="differ"):
@@ -270,6 +283,18 @@ class TestReferenceFidelity:
         e = np.concatenate(errs)
         assert e.mean() <= 0.05
         assert e.max() <= 0.15
+
+    def test_reference_returns_scalar_only_for_1d_input(self):
+        rng = np.random.default_rng(16)
+        _, net = _random_net([24, 12, 6, 1], 5, rng)
+        X = rng.uniform(-1, 1, (3, 24))
+        batch = fixed_point_reference(net, X)
+        assert batch.shape == (3,)
+        one = fixed_point_reference(net, X[:1])
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        single = fixed_point_reference(net, X[0])
+        assert isinstance(single, float)
+        assert one[0] == single == batch[0]
 
     def test_trained_hw48_tracks_reference_on_1000_pairs(self):
         # A 48-24-1 hardware model built from an actually trained ReLU net.
@@ -333,6 +358,77 @@ class TestSimulatorAgainstNeuronOp:
             ws = [int(v) for v in layer.weights_q[i]] + [int(layer.bias_q[i])]
             out = sc_neuron_forward(xs, ws, r1, w_seq, layer.norm_shift)
             assert out.value == pytest.approx(traces[0]["out_values"].reshape(-1)[i], abs=1e-12)
+
+
+def _gate_level_scores(net, X, recon_phase):
+    """Scores and saturation count composed neuron by neuron from the spec ops.
+
+    Inputs ride LFSR1 from phase 0, reconversion and zero(t) ride it from
+    ``recon_phase``, layer ``li``'s weights ride LFSR2 from phase li*N and
+    the bias line is a constant all-ones stream.
+    """
+    n, width = net.stream_len, net.width
+    half = 1 << (width - 1)
+    r1 = net.lfsr1.word_sequence(n)
+    recon = net.lfsr1.word_sequence(n, recon_phase)
+    ones = sc.constant_stream(True, n)
+    diag = {"saturations": 0}
+    scores = []
+    for x in X:
+        streams = [sc.to_stochastic(sc.FixedWord(int(w), width), r1)
+                   for w in sc.encode_array(x, width)]
+        for li, layer in enumerate(net.layers):
+            r2 = net.lfsr2.word_sequence(n, (li * n) % net.lfsr2.period)
+            rows = [[int(w) for w in row] for row in layer.weights_q]
+            inputs = list(streams)
+            if layer.bias_q is not None:
+                rows = [row + [int(b)] for row, b in zip(rows, layer.bias_q)]
+                inputs.append(ones)
+            if li < len(net.layers) - 1:
+                streams = [sc_neuron_forward(inputs, row, recon, r2, layer.norm_shift,
+                                             width, diagnostics=diag) for row in rows]
+                continue
+            products = [sc.gate_eval(GateKind.XNOR, s, sc.to_stochastic(sc.FixedWord(w, width), r2))
+                        for s, w in zip(inputs, rows[0])]
+            word = sc.apc_accumulate(products) >> layer.norm_shift
+            if not -half <= word <= half - 1:
+                diag["saturations"] += 1
+            scores.append(max(-half, min(half - 1, word)) / half)
+    return np.array(scores), diag["saturations"]
+
+
+@st.composite
+def _small_nets(draw):
+    """Tiny random hardware nets over every supported width, with stream
+    lengths on both sides of the generator period, optional bias lines and
+    shifts small enough to saturate."""
+    width = draw(st.integers(4, 16))
+    half = 1 << (width - 1)
+    period = (1 << width) - 1
+    n = draw(st.one_of(st.integers(1, period), st.integers(period + 1, 3 * period)))
+    shape = [draw(st.integers(1, 4))] + draw(st.lists(st.integers(1, 3), max_size=2)) + [1]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    layers = []
+    for fan_in, fan_out in zip(shape[:-1], shape[1:]):
+        bias = rng.integers(-half, half, fan_out) if draw(st.booleans()) else None
+        n_inputs = fan_in + (bias is not None)
+        shift = draw(st.integers(0, min_norm_shift(n_inputs, n, width)))
+        layers.append(ScLayer(fan_in, fan_out, shift, 1.0,
+                              rng.integers(-half, half, (fan_out, fan_in)), bias))
+    net = ScNetwork(layers, default_lfsr1(width), default_lfsr2(width), stream_len=n, width=width)
+    recon_phase = draw(st.one_of(st.just(0), st.integers(1, 2 * period)))
+    return net, rng.uniform(-1, 1, (3, shape[0])), recon_phase
+
+
+class TestGateLevelEquality:
+    @given(_small_nets())
+    @settings(max_examples=40, deadline=None)
+    def test_infer_many_equals_neuron_composition(self, case):
+        net, X, recon_phase = case
+        sim = sc_nn.ScSimulator(net, recon_phase=recon_phase)
+        want, saturations = _gate_level_scores(net, X, recon_phase)
+        np.testing.assert_array_equal(sim.infer_many(X, chunk=2), want)
+        assert sim.saturation_count == saturations
 
 
 class TestSaturation:
