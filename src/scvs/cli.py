@@ -66,7 +66,6 @@ class RunConfig:
     clip_quantile: float = 1.0
     margin: float = 1.0
     gain_cap: float = 0.5
-    workers: int = 1
     data_dir: str = ""
     models_dir: str = ""
     reports_dir: str = ""
@@ -307,18 +306,11 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _evaluate_targets(model, targets, scaler, workers: int):
+def _evaluate_targets(model, targets, scaler):
     results = {}
     inferences = 0
     t0 = time.perf_counter()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ranked_lists = list(pool.map(
-                lambda t: screening.score_library(model, t, scaler), targets))
-    else:
-        ranked_lists = [screening.score_library(model, t, scaler) for t in targets]
+    ranked_lists = [screening.score_library(model, t, scaler) for t in targets]
     elapsed = time.perf_counter() - t0
     metric_failures = []
     for t, ranked in zip(targets, ranked_lists):
@@ -338,8 +330,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     targets, failures = load_targets(_resolve(args.manifest, cfg.data_dir), cache, cfg.k)
     if not targets:
         raise ValidationError("no usable targets to evaluate")
-    results, metric_failures, inferences, elapsed = _evaluate_targets(
-        model, targets, scaler, cfg.workers)
+    results, metric_failures, inferences, elapsed = _evaluate_targets(model, targets, scaler)
     per_target = {tid: m for tid, (_, m) in results.items()}
 
     report = {
@@ -567,8 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="report JSON")
     p.add_argument("--csv", help="flat per-target CSV")
     p.add_argument("--timing-out", help="throughput sidecar JSON (not in the report)")
-    p.add_argument("--workers", type=int)
-    p.set_defaults(fn=cmd_evaluate, cfg_keys={"workers"})
+    p.set_defaults(fn=cmd_evaluate, cfg_keys=set())
 
     p = sub.add_parser("compare", help="side-by-side view of two reports")
     p.add_argument("--report-a", required=True)

@@ -272,6 +272,7 @@ def write_descriptor_cache(path, entries) -> None:
 
 
 def read_descriptor_cache(path) -> dict:
+    """Descriptor vectors by molecule id; ids must be unique within the file."""
     out: dict[str, MpeVector] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -283,6 +284,8 @@ def read_descriptor_cache(path) -> dict:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if row[0] in out:
+                raise MoleculeParseError(path, line_no, f"duplicate molecule id {row[0]!r}")
             vals = [_finite(v, "descriptor", path, line_no) for v in row[1:13]]
             out[row[0]] = MpeVector(np.array(vals[:6]), np.array(vals[6:]))
     return out

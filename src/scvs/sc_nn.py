@@ -18,10 +18,13 @@ Every model of the network runs one word-domain forward path: per layer a
 product model yields the APC values, which are floored by the layer's shift,
 saturated to b bits and passed on as max(word, 0), the OR-ReLU of fully
 correlated streams.  Two product models plug into it.  The bit-true one
-(``ScSimulator``) takes the packed XNOR popcount of the actual streams; the
-ideal one (``fixed_point_reference`` and the shift calibration in
-``quantize_weights``) multiplies the exact window values of the same words in
-real arithmetic, which separates stochastic noise from quantization error.
+(``ScSimulator``) counts the XNOR agreement of the actual streams by prefix
+popcount: read in the sorted order of the input window, every input stream is
+a prefix of ones, so each product is one partial-word popcount of a weight
+stream packed in that order.  The ideal one (``fixed_point_reference`` and the
+shift calibration in ``quantize_weights``) multiplies the exact window values
+of the same words in real arithmetic, which separates stochastic noise from
+quantization error.
 Exactly two generators serve the whole network, and repeat runs are
 bit-identical.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -335,9 +339,70 @@ def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH, clip_quantile: flo
 # Bit-true simulator
 
 
+class _PrefixTables(NamedTuple):
+    """One layer's weight streams, read in the sorted order of its input window.
+
+    ``rank[x + 2^(b-1)]`` is the prefix length r = #{t: A_t < x} of input word
+    x; ``packs`` and ``prefix`` hold, for every 64-bit block q and input line
+    i at row ``q * n_inputs + i``, each neuron's weight-stream bits and the
+    number of ones before the block; ``ones`` is each weight stream's total
+    (n_inputs, fan_out) and ``offset`` the per-neuron constant n_inputs*n -
+    2*sum(ones) of the APC.
+    """
+
+    rank: np.ndarray
+    packs: np.ndarray
+    prefix: np.ndarray
+    ones: np.ndarray
+    offset: np.ndarray
+
+
+def _prefix_tables(x_window: WordSequence, w_window: WordSequence,
+                   weights: np.ndarray) -> _PrefixTables:
+    """Prefix-popcount tables of one layer for its (fan_out, n_inputs) weights.
+
+    Read in the stable sort order of the input window A, every input stream
+    is a prefix of ones.  The weight streams are built per distinct weight
+    word, without comparing each word against the window: bit t of the stream
+    of the u-th smallest word is set iff u >= first[t], the number of
+    distinct words <= B_t, so a 64-bit block of every stream is a running
+    sum over u of the block's bits binned by ``first``.
+    """
+    n = len(x_window)
+    half = 1 << (x_window.width - 1)
+    order = np.argsort(x_window.words, kind="stable")
+    rank = np.concatenate([[0], np.cumsum(np.bincount(x_window.words + half,
+                                                       minlength=2 * half))])
+    values, inverse = np.unique(weights, return_inverse=True)
+    first = np.searchsorted(values, w_window.words[order], side="right")
+    t = np.arange(n)
+    # one block more than r = n can address, so the gather never runs off the end
+    bins = np.zeros((n // 64 + 1, len(values) + 1), dtype=np.uint64)
+    np.add.at(bins, (t >> 6, first), np.uint64(1) << (t & 63).astype(np.uint64))
+    packs = np.cumsum(bins[:, :-1], axis=1, dtype=np.uint64)
+    counts = np.bitwise_count(packs).astype(np.int32)
+    totals = np.cumsum(counts, axis=0, dtype=np.int32)
+    lines = inverse.reshape(weights.shape).T.reshape(-1)
+    ones = totals[-1, lines].reshape(weights.shape[::-1])
+    return _PrefixTables(
+        rank, np.take(packs, lines, axis=1).reshape(-1, weights.shape[0]),
+        np.take(totals - counts, lines, axis=1).reshape(-1, weights.shape[0]), ones,
+        weights.shape[1] * n - 2 * ones.sum(axis=0, dtype=np.int64))
+
+
 class ScSimulator:
-    """Bit-true product model of one network: packed weight streams, and the
-    XNOR popcount of packed input streams against them.
+    """Bit-true product model of one network by prefix popcount.
+
+    Every stream entering a layer's XNOR array is a comparator stream of one
+    generator window: the inputs of the window A, the weights of the layer's
+    window B, the bias line is all ones.  In the stable sort order of A the
+    stream of input word x is a prefix: ones in its first r = #{t: A_t < x}
+    bits.  Against a weight stream with c ones, d of them in that prefix, the
+    XNOR array therefore agrees on d + (n - r - c + d) bits, and the bipolar
+    product count is 4d - 2r - 2c + n.  The weight streams are packed once, in
+    that order, with the popcount before each 64-bit block, so every d is one
+    partial-word popcount.  The result is the XNOR popcount of the actual
+    streams, bit for bit.
 
     Counts generator instantiations (two for any network) and saturation
     events.  Inference is a pure function of (network, input, phase); repeat
@@ -349,30 +414,35 @@ class ScSimulator:
         self.recon_phase = recon_phase % net.lfsr1.period
         self.saturation_count = 0
         self.rng_instantiations = len({(g.width, g.taps, g.seed) for g in (net.lfsr1, net.lfsr2)})
-        self._windows = _windows(net.lfsr1, net.lfsr2, net.stream_len, len(net.layers),
-                                 self.recon_phase)
-        self._w_packs = []
-        for layer, (_, w_window) in zip(net.layers, self._windows):
+        windows = _windows(net.lfsr1, net.lfsr2, net.stream_len, len(net.layers),
+                           self.recon_phase)
+        self._tables = []
+        for layer, (x_window, w_window) in zip(net.layers, windows):
             wq = layer.weights_q
             if layer.bias_q is not None:
                 wq = np.concatenate([wq, layer.bias_q[:, None]], axis=1)
-            self._w_packs.append(sc._pack(wq[:, :, None] > w_window.words))
+            self._tables.append(_prefix_tables(x_window, w_window, wq))
 
-    def _layer_apc(self, li: int, words: np.ndarray, products: list | None = None):
-        """APC of layer ``li`` by XNOR popcount; appends the (k, fan_out,
-        n_inputs) product stream values to ``products`` when given."""
-        net = self.net
-        layer = net.layers[li]
-        n = net.stream_len
-        if layer.bias_q is not None:
-            bias_line = np.full((len(words), 1), 1 << (net.width - 1))
-            words = np.concatenate([words, bias_line], axis=1)
-        x_packs = sc._pack(words[:, :, None] > self._windows[li][0].words)
-        mismatches = sc._popcount(x_packs[:, None] ^ self._w_packs[li][None])
-        if products is not None:
-            products.append((n - 2 * mismatches.sum(axis=3, dtype=np.int64)) / n)
-        apc = layer.n_inputs * n - 2 * mismatches.sum(axis=(2, 3), dtype=np.int64)
-        return apc, layer.norm_shift
+    def _prefix_apc(self, li: int, words: np.ndarray, counts: list | None = None):
+        """APC of layer ``li`` for its (k, fan_in) input words.  Appends the
+        prefix lengths r (k, n_inputs) of the input streams and the ones d
+        (k, n_inputs, fan_out) of every weight stream inside them to
+        ``counts`` when given."""
+        half = 1 << (self.net.width - 1)
+        tables = self._tables[li]
+        if self.net.layers[li].bias_q is not None:
+            # the bias word 2^(b-1) is above every generator word: r = n
+            words = np.concatenate([words, np.full((len(words), 1), half)], axis=1)
+        r = tables.rank[words + half]
+        rows = (r >> 6) * r.shape[1] + np.arange(r.shape[1])
+        partial = tables.packs[rows]
+        partial &= ((np.uint64(1) << (r & 63).astype(np.uint64)) - np.uint64(1))[..., None]
+        d = tables.prefix[rows]
+        d += np.bitwise_count(partial)
+        if counts is not None:
+            counts.append((r, d))
+        apc = 4 * d.sum(axis=1) - 2 * r.sum(axis=1)[:, None] + tables.offset
+        return apc, self.net.layers[li].norm_shift
 
     def _run(self, x, layer_apc):
         net = self.net
@@ -382,27 +452,27 @@ class ScSimulator:
         return scores, words
 
     def infer(self, x) -> float:
-        return float(self._run(np.asarray(x, dtype=np.float64)[None, :], self._layer_apc)[0][0])
+        return float(self._run(np.asarray(x, dtype=np.float64)[None, :], self._prefix_apc)[0][0])
 
-    def infer_many(self, x: np.ndarray, chunk: int = 16) -> np.ndarray:
+    def infer_many(self, x: np.ndarray, chunk: int = 128) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = np.empty(len(x))
         for i in range(0, len(x), chunk):
-            out[i:i + chunk] = self._run(x[i:i + chunk], self._layer_apc)[0]
+            out[i:i + chunk] = self._run(x[i:i + chunk], self._prefix_apc)[0]
         return out
 
     def trace(self, x):
         """Per-layer product stream values, APC words and decoded outputs."""
-        inputs, products = [], []
-
-        def layer_apc(li, words):
-            inputs.append(words)
-            return self._layer_apc(li, words, products)
-
-        scores, words = self._run(np.asarray(x, dtype=np.float64)[None, :], layer_apc)
-        # a hidden layer's output is the next layer's input, read on its window
-        outs = [_window_value_fn(x_window.words)(v)
-                for (x_window, _), v in zip(self._windows[1:], inputs[1:])] + [scores]
+        counts = []
+        scores, words = self._run(np.asarray(x, dtype=np.float64)[None, :],
+                                  lambda li, w: self._prefix_apc(li, w, counts))
+        n = self.net.stream_len
+        products = [np.ascontiguousarray(
+                        ((4 * d - 2 * r[:, :, None] - 2 * t.ones + n) / n).transpose(0, 2, 1))
+                    for (r, d), t in zip(counts, self._tables)]
+        # a hidden layer's output is the next layer's input stream, of value (2r - n)/n
+        outs = [(2 * r[:, :layer.fan_out] - n) / n
+                for (r, _), layer in zip(counts[1:], self.net.layers)] + [scores]
         return float(scores[0]), [{"products": p, "words": w, "out_values": o}
                                   for p, w, o in zip(products, words, outs)]
 

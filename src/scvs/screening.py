@@ -183,9 +183,12 @@ def score_library(model, target: TargetData, scaler: FeatureScaler) -> RankedLis
     """Score every library compound paired with the crystal ligand."""
     if not scaler.fitted:
         raise ValueError("scaler is not fitted")
-    feats = np.array([scaler.transform(mpe.pair_features(target.crystal, vec))
-                      for _, vec, _ in target.compounds])
-    scores = _score_fn(model)(feats) if len(target.compounds) else np.empty(0)
+    scores = np.empty(0)
+    if target.compounds:
+        # one elementwise transform of the whole target: the same bytes as row by row
+        feats = scaler.transform(np.stack([mpe.pair_features(target.crystal, vec)
+                                           for _, vec, _ in target.compounds]))
+        scores = _score_fn(model)(feats)
     entries = [
         (cid, float(s), label)
         for (cid, _, label), s in zip(target.compounds, scores)

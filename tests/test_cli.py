@@ -149,24 +149,24 @@ class TestEvaluate:
         assert len(lines) == 4
         assert "inferences_per_second" in json.loads((tmp_path / "timing.json").read_text())
 
-    def test_worker_budget_does_not_change_output(self, workspace, tmp_path):
-        ws, manifest = workspace
-        blobs = []
-        for workers in ("1", "3"):
-            rep = tmp_path / f"w{workers}.json"
-            assert run("evaluate", "--model", ws / "relu48.json", "--manifest", manifest,
-                       "--cache", ws / "cache.csv", "--scaler", ws / "scaler.json",
-                       "--report", rep, "--workers", workers) == 0
-            doc = json.loads(rep.read_text())
-            doc["config"].pop("workers")
-            blobs.append(json.dumps(doc, sort_keys=True))
-        assert blobs[0] == blobs[1]
-
     def test_missing_scaler_exit_2(self, workspace, tmp_path, capsys):
         ws, manifest = workspace
         assert run("evaluate", "--model", ws / "hw48.json", "--manifest", manifest,
                    "--scaler", tmp_path / "missing.json", "--report", tmp_path / "r.json") == 2
         assert "missing" in capsys.readouterr().err
+
+    def test_duplicate_cache_id_exit_2(self, workspace, tmp_path, capsys):
+        ws, manifest = workspace
+        lines = (ws / "cache.csv").read_text().splitlines()
+        dup_id = lines[2].split(",")[0]
+        cache = tmp_path / "dup.csv"
+        cache.write_text("\n".join(lines + [lines[2]]) + "\n")
+        assert run("evaluate", "--model", ws / "hw48.json", "--manifest", manifest,
+                   "--cache", cache, "--scaler", ws / "scaler.json",
+                   "--report", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert str(cache) in err and repr(dup_id) in err and f":{len(lines) + 1}:" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("name,path", [
         ("hw48.json", ("layers", 0, "norm_shift")),
@@ -273,6 +273,17 @@ class TestConfig:
         assert run("--config", cfg, "quantize", "--model", ws / "relu48.json",
                    "--out", tmp_path / "x.json") == 1
         assert "no_such_key" in capsys.readouterr().err
+
+    def test_removed_workers_key_exit_1(self, workspace, tmp_path, capsys):
+        ws, manifest = workspace
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("workers = 2\n")
+        assert run("--config", cfg, "evaluate", "--model", ws / "hw48.json",
+                   "--manifest", manifest, "--cache", ws / "cache.csv",
+                   "--scaler", ws / "scaler.json", "--report", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        assert "workers" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_missing_config_file_exit_2(self, workspace, tmp_path):
         ws, _ = workspace

@@ -431,6 +431,76 @@ class TestGateLevelEquality:
         assert sim.saturation_count == saturations
 
 
+def _fixed_net(width, n, seed, shape=(3, 3, 1)):
+    """Small deterministic net with bias lines; shift 0 in the first layer
+    saturates it, so the next layer sees words 0 and 2^(b-1)-1."""
+    half = 1 << (width - 1)
+    rng = np.random.default_rng(seed)
+    layers = []
+    for li, (fan_in, fan_out) in enumerate(zip(shape[:-1], shape[1:])):
+        shift = 0 if li == 0 else min_norm_shift(fan_in + 1, n, width)
+        layers.append(ScLayer(fan_in, fan_out, shift, 1.0,
+                              rng.integers(-half, half, (fan_out, fan_in)),
+                              rng.integers(-half, half, fan_out)))
+    return ScNetwork(layers, default_lfsr1(width), default_lfsr2(width), stream_len=n, width=width)
+
+
+class TestPrefixEngineEdges:
+    """Deterministic corners of the prefix-popcount engine, each checked for
+    exact equality with the gate-level composition."""
+
+    def test_extreme_input_words(self):
+        net = _fixed_net(12, N, seed=1)
+        X = np.array([[-1.0] * 3, [0.0] * 3, [1.0] * 3, [-1.0, 0.0, 1.0]])
+        assert set(sc.encode_array(X).reshape(-1)) == {-HALF, 0, HALF - 1}
+        sim = sc_nn.ScSimulator(net)
+        want, saturations = _gate_level_scores(net, X, 0)
+        np.testing.assert_array_equal(sim.infer_many(X), want)
+        assert sim.saturation_count == saturations
+        hidden = np.concatenate([sim.trace(x)[1][0]["words"].reshape(-1) for x in X])
+        assert {0, HALF - 1} <= set(np.maximum(hidden, 0))
+
+    @pytest.mark.parametrize("n", [64, 65, 128, 129, 255, 256, 3 * 255 + 7])
+    def test_stream_lengths_at_width_8(self, n):
+        # 64*m and 64*m+1 bits, the period, period+1 and beyond two periods
+        net = _fixed_net(8, n, seed=n)
+        X = np.random.default_rng(n).uniform(-1, 1, (4, 3))
+        sim = sc_nn.ScSimulator(net, recon_phase=100)
+        want, saturations = _gate_level_scores(net, X, 100)
+        np.testing.assert_array_equal(sim.infer_many(X), want)
+        assert sim.saturation_count == saturations
+
+    def test_chunking_and_empty_batch(self):
+        net = _fixed_net(8, 255, seed=3)
+        X = np.random.default_rng(3).uniform(-1, 1, (7, 3))
+        want, _ = _gate_level_scores(net, X, 0)
+        sim = net.simulator()
+        for chunk in (1, 3, len(X) + 5):
+            np.testing.assert_array_equal(sim.infer_many(X, chunk=chunk), want)
+        empty = sim.infer_many(np.empty((0, 3)))
+        assert empty.shape == (0,)
+
+    @pytest.mark.parametrize("width,n,recon_phase", [(12, N, 37), (8, 300, 0)])
+    def test_trace_products_are_xnor_stream_values(self, width, n, recon_phase):
+        net = _fixed_net(width, n, seed=width, shape=(3, 2, 1))
+        x = np.array([-1.0, 0.3, 1.0])
+        _, layers = net.simulator(recon_phase).trace(x)
+        r1 = net.lfsr1.word_sequence(n)
+        recon = net.lfsr1.word_sequence(n, recon_phase)
+        words, window = sc.encode_array(x, width), r1
+        for li, (layer, got) in enumerate(zip(net.layers, layers)):
+            r2 = net.lfsr2.word_sequence(n, (li * n) % net.lfsr2.period)
+            streams = [sc.to_stochastic(sc.FixedWord(int(w), width), window) for w in words]
+            streams.append(sc.constant_stream(True, n))
+            rows = np.concatenate([layer.weights_q, layer.bias_q[:, None]], axis=1)
+            want = [[sc.gate_eval(GateKind.XNOR, s,
+                                  sc.to_stochastic(sc.FixedWord(int(w), width), r2)).value
+                     for s, w in zip(streams, row)] for row in rows]
+            assert got["products"].dtype == np.float64
+            np.testing.assert_array_equal(got["products"], np.array([want]))
+            words, window = np.maximum(got["words"][0], 0), recon
+
+
 class TestSaturation:
     def test_counter_records_clamped_words(self):
         # shift 0 with strong weights drives the APC word far past 12 bits
