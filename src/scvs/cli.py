@@ -221,22 +221,20 @@ def cmd_descriptors(args, cfg: RunConfig) -> int:
     out = _resolve(args.out, cfg.data_dir)
     errors = []
     entries = []
-    molecules = []
     for name in args.inputs:
         path = _resolve(name, cfg.data_dir)
         try:
             mols = mpe.parse_molecules(_require_file(path), args.format or _infer_format(path))
             for m in mols:
                 entries.append((m.id, mpe.mpe_vector(m, cfg.k)))
-                molecules.append(m)
         except (OSError, ValueError) as exc:
             errors.append(f"{path}: {exc}")
     out.parent.mkdir(parents=True, exist_ok=True)
     mpe.write_descriptor_cache(out, entries)
     print(f"wrote {len(entries)} descriptor rows to {out}")
     if args.scatter:
-        mpe.write_scatter_csv(_resolve(args.scatter, cfg.data_dir), molecules, cfg.k)
-        print(f"wrote scatter data for {len(molecules)} molecules to {args.scatter}")
+        mpe.write_scatter_csv(_resolve(args.scatter, cfg.data_dir), entries)
+        print(f"wrote scatter data for {len(entries)} molecules to {args.scatter}")
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
     return EXIT_IO if errors else EXIT_OK

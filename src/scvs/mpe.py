@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -49,26 +52,58 @@ class Atom:
             raise ValueError("atom charge and coordinates must be finite")
 
 
-@dataclass
 class Molecule:
-    id: str
-    atoms: list
+    """One molecule as columns in atom order: ``positions`` (n, 3) and
+    ``charges`` (n,) float64 arrays, and an n-tuple of ``elements``.
 
-    def __post_init__(self):
-        if not self.atoms:
-            raise ValueError(f"molecule {self.id!r} has no atoms")
+    ``Molecule(id, atoms)`` builds one from ``Atom`` records; the parsers
+    build from columns with ``from_arrays`` and create no per-atom objects.
+    """
 
-    def positions(self) -> np.ndarray:
-        return np.array([[a.x, a.y, a.z] for a in self.atoms])
+    __slots__ = ("id", "positions", "charges", "elements", "_atoms")
 
-    def charges(self) -> np.ndarray:
-        return np.array([a.charge for a in self.atoms])
+    def __init__(self, id: str, atoms):
+        atoms = list(atoms)
+        self._set(id, np.array([[a.x, a.y, a.z] for a in atoms], dtype=np.float64)
+                  .reshape(len(atoms), 3),
+                  np.array([a.charge for a in atoms], dtype=np.float64),
+                  tuple(a.element for a in atoms))
+        self._atoms = atoms
+
+    @classmethod
+    def from_arrays(cls, id: str, positions, charges, elements) -> "Molecule":
+        """A molecule over the given columns.  Values are not checked for
+        finiteness here: the parsers check each file's columns once."""
+        m = cls.__new__(cls)
+        m._set(id, positions, charges, tuple(elements))
+        return m
+
+    def _set(self, id, positions, charges, elements):
+        self.id = id
+        self.positions = np.asarray(positions, dtype=np.float64)
+        self.charges = np.asarray(charges, dtype=np.float64)
+        self.elements = elements
+        self._atoms = None
+        n = len(elements)
+        if self.positions.shape != (n, 3) or self.charges.shape != (n,):
+            raise ValueError(f"molecule {id!r}: columns must hold one row per atom")
+        if not n:
+            raise ValueError(f"molecule {id!r} has no atoms")
+
+    @property
+    def atoms(self) -> list:
+        """``Atom`` records, derived from the columns on first access."""
+        if self._atoms is None:
+            self._atoms = [Atom(q, x, y, z, e) for (x, y, z), q, e in zip(
+                self.positions.tolist(), self.charges.tolist(), self.elements)]
+        return self._atoms
 
 
 @dataclass(frozen=True)
 class MpeVector:
     """Six highest positive energies (descending) and six lowest negative
-    energies (ascending); unused slots are exactly zero."""
+    energies (ascending); unused slots are exactly zero.  Every value is
+    finite."""
 
     positives: np.ndarray
     negatives: np.ndarray
@@ -78,9 +113,13 @@ class MpeVector:
         n = np.asarray(self.negatives, dtype=np.float64)
         if p.shape != (6,) or n.shape != (6,):
             raise ValueError("descriptor halves must hold six values each")
-        if np.any(p < 0) or np.any(np.diff(p) > 0):
+        # Plain-list comparisons: this runs once per cached or computed vector.
+        pl, nl = p.tolist(), n.tolist()
+        if not all(map(math.isfinite, pl + nl)):
+            raise ValueError("descriptor values must be finite")
+        if pl[5] < 0 or pl != sorted(pl, reverse=True):
             raise ValueError("positives must be nonnegative and sorted descending")
-        if np.any(n > 0) or np.any(np.diff(n) < 0):
+        if nl[5] > 0 or nl != sorted(nl):
             raise ValueError("negatives must be nonpositive and sorted ascending")
         object.__setattr__(self, "positives", p)
         object.__setattr__(self, "negatives", n)
@@ -114,22 +153,31 @@ def mpe_vector(m: Molecule, k: float = DEFAULT_K) -> MpeVector:
     Strictly positive energies compete for the positive half, strictly
     negative for the negative half; exact zeros belong to neither.  Ties
     break on (energy, lower atom index, higher atom index) so the result is
-    deterministic under reordering-stable input.
+    deterministic under reordering-stable input.  A pair whose energy
+    overflows to a non-finite value raises ValueError naming the molecule.
     """
-    n = len(m.atoms)
+    n = len(m.charges)
     if n == 1:
         return MpeVector(np.zeros(6), np.zeros(6))
-    pos = m.positions()
-    q = m.charges()
+    pos, q = m.positions, m.charges
     ii, jj = np.triu_indices(n, 1)
-    d = np.linalg.norm(pos[ii] - pos[jj], axis=1)
-    coincident = np.nonzero(d == 0.0)[0]
-    if coincident.size:
-        c = coincident[0]
+    # Huge coordinates or charges overflow (inf, or inf/inf = nan); the
+    # finiteness check below reports them instead of a RuntimeWarning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.linalg.norm(pos[ii] - pos[jj], axis=1)
+        coincident = np.nonzero(d == 0.0)[0]
+        if coincident.size:
+            c = coincident[0]
+            raise ValueError(
+                f"molecule {m.id!r}: atoms {ii[c]} and {jj[c]} are coincident; "
+                "pairing energy undefined")
+        e = k * q[ii] * q[jj] / d
+    bad = np.nonzero(~np.isfinite(e))[0]
+    if bad.size:
+        c = bad[0]
         raise ValueError(
-            f"molecule {m.id!r}: atoms {ii[c]} and {jj[c]} are coincident; "
-            "pairing energy undefined")
-    e = k * q[ii] * q[jj] / d
+            f"molecule {m.id!r}: atoms {ii[c]} and {jj[c]} give a non-finite "
+            "pairing energy")
 
     def top(mask, ascending):
         idx = np.nonzero(mask)[0]
@@ -142,25 +190,29 @@ def mpe_vector(m: Molecule, k: float = DEFAULT_K) -> MpeVector:
     return MpeVector(top(e > 0, ascending=False), top(e < 0, ascending=True))
 
 
-def emit_scatter(molecules, k: float = DEFAULT_K):
-    """(id, most positive, most negative) rows for external plotting."""
-    rows = []
-    for m in molecules:
-        v = mpe_vector(m, k)
-        rows.append((m.id, v.most_positive, v.most_negative))
-    return rows
+def emit_scatter(entries):
+    """(id, most positive, most negative) rows for external plotting, from
+    (molecule_id, MpeVector) entries."""
+    return [(mol_id, v.most_positive, v.most_negative) for mol_id, v in entries]
 
 
-def write_scatter_csv(path, molecules, k: float = DEFAULT_K) -> None:
+def write_scatter_csv(path, entries) -> None:
+    """entries: iterable of (molecule_id, MpeVector); 9 significant digits."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["molecule_id", "most_positive", "most_negative"])
-        for mol_id, hi, lo in emit_scatter(molecules, k):
+        for mol_id, hi, lo in emit_scatter(entries):
             w.writerow([mol_id, format(hi, ".9g"), format(lo, ".9g")])
 
 
 # ---------------------------------------------------------------------------
 # Parsers
+#
+# Each reader tokenizes a whole file, then converts and finiteness-checks
+# its numeric columns in one pass (``_float_columns``).  Only when that pass
+# finds a fault are the rows re-scanned one at a time (``_check_rows``), to
+# raise the first fault in file order with its line, as a row-at-a-time
+# reader would.
 
 
 def parse_molecules(path, format: str) -> list:
@@ -173,65 +225,122 @@ def parse_molecules(path, format: str) -> list:
     raise ValueError(f"unknown molecule format {format!r}")
 
 
+_ATOM_FIELDS = ("x coordinate", "y coordinate", "z coordinate", "charge")
+
+
 def _finite(value: str, what: str, path, line_no: int) -> float:
     try:
         v = float(value)
     except ValueError:
         raise MoleculeParseError(path, line_no, f"unparseable {what} {value!r}") from None
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise MoleculeParseError(path, line_no, f"non-finite {what} {value!r}")
     return v
 
 
+def _read_rows(rows):
+    """Every row of the iterator, and the decoding or csv error that ended
+    it early (else None).  The caller raises that error only after checking
+    the rows read before it, so an earlier malformed row still wins."""
+    out = []
+    try:
+        out.extend(rows)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        return out, exc
+    return out, None
+
+
+def _float_columns(rows, cols):
+    """(len(rows), len(cols)) float64 array of the given fields of every
+    row, each converted with float(); None if any is unparseable or not
+    finite."""
+    out = np.empty((len(rows), len(cols)))
+    try:
+        for j, c in enumerate(cols):
+            out[:, j] = np.fromiter(map(float, map(itemgetter(c), rows)), np.float64, len(rows))
+    except ValueError:
+        return None
+    return out if np.isfinite(out).all() else None
+
+
+def _check_rows(path, line_nos, rows, cols, width=None) -> None:
+    """Raise the first fault of the atom rows in file order: a column count
+    other than ``width`` (when given), then an unparseable or non-finite
+    x, y, z or charge field (``cols``)."""
+    for line_no, row in zip(line_nos, rows):
+        if width is not None and len(row) != width:
+            raise MoleculeParseError(path, line_no, f"expected {width} columns, got {len(row)}")
+        for c, what in zip(cols, _ATOM_FIELDS):
+            _finite(row[c], what, path, line_no)
+
+
+def _molecules(ids, starts, ends, values, elements) -> list:
+    """One molecule per id over rows [start, end) of the (n, 4) x, y, z,
+    charge array and the element list."""
+    pos = np.ascontiguousarray(values[:, :3])
+    q = values[:, 3].copy()
+    return [Molecule.from_arrays(mol_id, pos[s:e], q[s:e], elements[s:e])
+            for mol_id, s, e in zip(ids, starts, ends)]
+
+
 def _parse_mol2(path) -> list:
-    molecules = []
-    name = None
-    atoms: list = []
+    blocks = []  # (name, index of the block's first atom row)
+    line_nos, rows = [], []
     section = None
     expect_name = False
+    fault = None
 
-    def flush(line_no):
-        nonlocal name, atoms
-        if name is not None:
-            if not atoms:
-                raise MoleculeParseError(path, line_no, f"molecule {name!r} has no atoms")
-            molecules.append(Molecule(name, atoms))
-        name, atoms = None, []
+    def empty_block(line_no):
+        # A block that already closed held atoms (else it failed), so an
+        # empty last block is the open one.
+        if blocks and blocks[-1][1] == len(rows):
+            return MoleculeParseError(path, line_no, f"molecule {blocks[-1][0]!r} has no atoms")
+        return None
 
     line_no = 0
     with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("@<TRIPOS>"):
-                section = line[len("@<TRIPOS>"):].upper()
-                if section == "MOLECULE":
-                    flush(line_no)
-                    expect_name = True
-                continue
-            if expect_name:
-                name = line.split()[0]
-                expect_name = False
-                continue
-            if section == "ATOM":
-                fields = line.split()
-                if len(fields) < 9:
-                    raise MoleculeParseError(
-                        path, line_no, f"atom record needs 9 fields, got {len(fields)}")
-                x = _finite(fields[2], "x coordinate", path, line_no)
-                y = _finite(fields[3], "y coordinate", path, line_no)
-                z = _finite(fields[4], "z coordinate", path, line_no)
-                charge = _finite(fields[8], "charge", path, line_no)
-                element = fields[5].split(".")[0]
-                atoms.append(Atom(charge, x, y, z, element))
-        flush(line_no)
-    return molecules
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if line.startswith("@<TRIPOS>"):
+                    section = line[len("@<TRIPOS>"):].upper()
+                    if section == "MOLECULE":
+                        fault = empty_block(line_no)
+                        if fault:
+                            break
+                        expect_name = True
+                    continue
+                if expect_name:
+                    blocks.append((line.split()[0], len(rows)))
+                    expect_name = False
+                    continue
+                if section == "ATOM":
+                    fields = line.split()
+                    if len(fields) < 9:
+                        fault = MoleculeParseError(
+                            path, line_no, f"atom record needs 9 fields, got {len(fields)}")
+                        break
+                    line_nos.append(line_no)
+                    rows.append(fields)
+            else:
+                fault = empty_block(line_no)
+        except UnicodeDecodeError as exc:
+            fault = exc
+    cols = (2, 3, 4, 8)
+    values = _float_columns(rows, cols)
+    if values is None:
+        _check_rows(path, line_nos, rows, cols)
+    if fault is not None:
+        raise fault
+    # Atom records before the first named block belong to no molecule.
+    starts = [s for _, s in blocks]
+    return _molecules([name for name, _ in blocks], starts, starts[1:] + [len(rows)],
+                      values, [f[5].split(".")[0] for f in rows])
 
 
 def _parse_csv_atoms(path) -> list:
-    molecules: dict[str, list] = {}
-    order: list[str] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -241,21 +350,32 @@ def _parse_csv_atoms(path) -> list:
         if [h.strip() for h in header] != CSV_ATOM_COLUMNS:
             raise MoleculeParseError(
                 path, 1, f"header must be {','.join(CSV_ATOM_COLUMNS)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or not "".join(row).strip():
-                continue
-            if len(row) != 6:
-                raise MoleculeParseError(path, line_no, f"expected 6 columns, got {len(row)}")
-            mol_id, element = row[0].strip(), row[1].strip()
-            x = _finite(row[2], "x coordinate", path, line_no)
-            y = _finite(row[3], "y coordinate", path, line_no)
-            z = _finite(row[4], "z coordinate", path, line_no)
-            charge = _finite(row[5], "charge", path, line_no)
-            if mol_id not in molecules:
-                molecules[mol_id] = []
-                order.append(mol_id)
-            molecules[mol_id].append(Atom(charge, x, y, z, element))
-    return [Molecule(mol_id, molecules[mol_id]) for mol_id in order]
+        rows, stopped = _read_rows(reader)
+    line_nos = range(2, len(rows) + 2)
+    nonblank = list(map(str.strip, map("".join, rows)))
+    if not all(nonblank):
+        line_nos = list(compress(line_nos, nonblank))
+        rows = list(compress(rows, nonblank))
+    cols = (2, 3, 4, 5)
+    values = None
+    if list(map(len, rows)).count(6) == len(rows):
+        values = _float_columns(rows, cols)
+    if values is None:
+        _check_rows(path, line_nos, rows, cols, width=6)
+    if stopped is not None:
+        raise stopped
+    # Group rows by id in order of first appearance; the stable sort keeps
+    # file order within a molecule, so its rows need not be contiguous.
+    ids = list(map(str.strip, map(itemgetter(0), rows)))
+    group_of = dict.fromkeys(ids)
+    for g, mol_id in enumerate(group_of):
+        group_of[mol_id] = g
+    group = np.fromiter(map(group_of.__getitem__, ids), np.intp, len(ids))
+    order = np.argsort(group, kind="stable")
+    ends = np.cumsum(np.bincount(group, minlength=len(group_of))).tolist()
+    elements = list(map(str.strip, map(itemgetter(1), rows)))
+    return _molecules(list(group_of), [0] + ends[:-1], ends, values[order],
+                      [elements[i] for i in order.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -272,23 +392,56 @@ def write_descriptor_cache(path, entries) -> None:
 
 
 def read_descriptor_cache(path) -> dict:
-    """Descriptor vectors by molecule id; ids must be unique within the file."""
-    out: dict[str, MpeVector] = {}
+    """Descriptor vectors by molecule id.  Every row must hold 13 fields that
+    form a valid descriptor, and ids must be unique within the file; a
+    malformed row raises MoleculeParseError naming the file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            return out
+            return {}
         if header != CACHE_COLUMNS:
             raise MoleculeParseError(path, 1, "not a descriptor cache (bad header)")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if row[0] in out:
-                raise MoleculeParseError(path, line_no, f"duplicate molecule id {row[0]!r}")
-            vals = [_finite(v, "descriptor", path, line_no) for v in row[1:13]]
-            out[row[0]] = MpeVector(np.array(vals[:6]), np.array(vals[6:]))
+        rows, stopped = _read_rows(reader)
+    line_nos = range(2, len(rows) + 2)
+    if not all(rows):
+        line_nos = list(compress(line_nos, rows))
+        rows = list(filter(None, rows))
+    ids = list(map(itemgetter(0), rows))
+    width = len(CACHE_COLUMNS)
+    out = values = None
+    if list(map(len, rows)).count(width) == len(rows) and len(set(ids)) == len(ids):
+        values = _float_columns(rows, range(1, width))
+    if values is not None:
+        try:
+            out = {mol_id: MpeVector(v[:6], v[6:]) for mol_id, v in zip(ids, values)}
+        except ValueError:
+            pass  # a descriptor out of sign or order: re-scanned below
+    if out is None:
+        _check_cache_rows(path, line_nos, rows)
+    if stopped is not None:
+        raise stopped
     return out
+
+
+def _check_cache_rows(path, line_nos, rows) -> None:
+    """Raise the first fault of the cache rows in file order; within a row:
+    a repeated id, then an unparseable or non-finite value, then a field
+    count other than 13, then a descriptor out of sign or order."""
+    seen = set()
+    for line_no, row in zip(line_nos, rows):
+        if row[0] in seen:
+            raise MoleculeParseError(path, line_no, f"duplicate molecule id {row[0]!r}")
+        seen.add(row[0])
+        vals = [_finite(v, "descriptor", path, line_no) for v in row[1:13]]
+        if len(row) != len(CACHE_COLUMNS):
+            raise MoleculeParseError(
+                path, line_no,
+                f"molecule {row[0]!r}: expected {len(CACHE_COLUMNS)} fields, got {len(row)}")
+        try:
+            MpeVector(np.array(vals[:6]), np.array(vals[6:]))
+        except ValueError as exc:
+            raise MoleculeParseError(path, line_no, f"molecule {row[0]!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

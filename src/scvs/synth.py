@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mpe
-from .mpe import Atom, Molecule, MpeVector
+from .mpe import Molecule, MpeVector
 from .screening import TargetData
 
 POS_RANGE = (20.0, 260.0)
@@ -68,19 +68,21 @@ def realize_molecule(vec: MpeVector, mol_id: str, k: float = mpe.DEFAULT_K) -> M
 
     Twelve atom pairs at unit distance, far enough apart that cross-pair
     energies (< 0.01) never displace the intended extremes."""
-    atoms = []
+    xs, charges = [], []
     slot = 0
     for e in np.concatenate([vec.positives, vec.negatives]):
         if e == 0.0:
             continue
         q = float(np.sqrt(abs(e) / k))
         x = slot * _PAIR_SPACING
-        atoms.append(Atom(q, x - 0.5, 0.0, 0.0, "C"))
-        atoms.append(Atom(q if e > 0 else -q, x + 0.5, 0.0, 0.0, "C"))
+        xs += [x - 0.5, x + 0.5]
+        charges += [q, q if e > 0 else -q]
         slot += 1
-    if not atoms:
-        atoms = [Atom(0.0, 0.0, 0.0, 0.0, "C")]
-    return Molecule(mol_id, atoms)
+    if not xs:
+        xs, charges = [0.0], [0.0]
+    positions = np.zeros((len(xs), 3))
+    positions[:, 0] = xs
+    return Molecule.from_arrays(mol_id, positions, charges, ("C",) * len(xs))
 
 
 def _write_csv_atoms(path: Path, molecules) -> None:
@@ -90,9 +92,8 @@ def _write_csv_atoms(path: Path, molecules) -> None:
         w = csv.writer(fh)
         w.writerow(mpe.CSV_ATOM_COLUMNS)
         for m in molecules:
-            for a in m.atoms:
-                w.writerow([m.id, a.element, format(a.x, ".9g"), format(a.y, ".9g"),
-                            format(a.z, ".9g"), format(a.charge, ".9g")])
+            for element, xyz, q in zip(m.elements, m.positions.tolist(), m.charges.tolist()):
+                w.writerow([m.id, element, *(format(v, ".9g") for v in xyz), format(q, ".9g")])
 
 
 def write_benchmark(out_dir, seed: int = 2024, n_targets: int = 10,

@@ -11,6 +11,8 @@ from scvs import mpe, ref_nn, sc_nn
 from scvs.cli import main
 
 DATA = Path(__file__).parent / "data"
+# Two csv-atoms rows whose pairing energy overflows float64.
+HUGE_ROWS = "huge,C,0,0,0,1e200\nhuge,C,1,0,0,1e200\n"
 
 
 def run(*argv) -> int:
@@ -52,6 +54,16 @@ class TestDescriptors:
         assert run("descriptors", DATA / "fixture_atoms.csv", "--out", out,
                    "--scatter", scatter) == 0
         assert len(scatter.read_text().strip().splitlines()) == 1 + 5
+
+    def test_overflowing_descriptor_exit_2_no_inf_row(self, tmp_path, capsys):
+        mols = tmp_path / "mols.csv"
+        mols.write_text((DATA / "fixture_atoms.csv").read_text() + HUGE_ROWS)
+        out = tmp_path / "cache.csv"
+        assert run("descriptors", mols, "--out", out, "--scatter", tmp_path / "s.csv") == 2
+        err = capsys.readouterr().err
+        assert str(mols) in err and "'huge'" in err and "Traceback" not in err
+        assert "inf" not in out.read_text() and "inf" not in (tmp_path / "s.csv").read_text()
+        assert len(mpe.read_descriptor_cache(out)) == 5
 
     def test_missing_file_exit_2_names_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.mol2"
@@ -167,6 +179,42 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert str(cache) in err and repr(dup_id) in err and f":{len(lines) + 1}:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["short", "long", "unsorted"])
+    def test_malformed_cache_row_exit_2_names_line_and_id(self, workspace, tmp_path, capsys,
+                                                           fault):
+        ws, manifest = workspace
+        lines = (ws / "cache.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        if fault == "short":
+            fields = fields[:-1]
+        elif fault == "long":
+            fields = fields + ["0"]
+        else:
+            fields[1:3] = ["0", "5"]
+        lines[2] = ",".join(fields)
+        cache = tmp_path / "bad.csv"
+        cache.write_text("\n".join(lines) + "\n")
+        assert run("evaluate", "--model", ws / "hw48.json", "--manifest", manifest,
+                   "--cache", cache, "--scaler", ws / "scaler.json",
+                   "--report", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert f"{cache}:3:" in err and repr(fields[0]) in err
+        assert "Traceback" not in err
+
+    def test_overflowing_descriptor_skipped_without_cache(self, workspace, tmp_path):
+        ws, manifest = workspace
+        doc = json.loads(manifest.read_text())
+        target = doc["targets"][0]
+        actives = tmp_path / "actives.csv"
+        actives.write_text(Path(target["actives"]).read_text() + HUGE_ROWS)
+        target["actives"] = str(actives)
+        bad_manifest = tmp_path / "manifest.json"
+        bad_manifest.write_text(json.dumps(doc))
+        rep = tmp_path / "r.json"
+        assert run("evaluate", "--model", ws / "relu48.json", "--manifest", bad_manifest,
+                   "--scaler", ws / "scaler.json", "--report", rep) == 0
+        assert json.loads(rep.read_text())["skipped_compounds"] == {target["target_id"]: 1}
 
     @pytest.mark.parametrize("name,path", [
         ("hw48.json", ("layers", 0, "norm_shift")),
