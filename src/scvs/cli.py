@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,38 +34,49 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
 
+# Exit code of each error kind; an error takes the row of its most specific
+# class, so a MoleculeParseError (a ValueError) exits 2.
+EXIT_CODES = {OSError: EXIT_IO, MoleculeParseError: EXIT_IO,
+              NumericFailure: EXIT_NUMERIC, ValueError: EXIT_VALIDATION}
+
 
 class ValidationError(ValueError):
     pass
 
 
-class InputError(OSError):
-    pass
+def _setting(default, *commands):
+    """A RunConfig field that ``commands`` take as ``--dashed-name``, typed
+    by its default."""
+    return field(default=default, metadata={"commands": commands})
+
+
+_SC = ("quantize", "sc-bench")  # the subcommands that build SC streams
 
 
 @dataclass
 class RunConfig:
     """Resolved run parameters; embedded in every report for provenance."""
 
-    k: float = mpe.DEFAULT_K
-    width: int = 12
-    stream_len: int = 4095
-    taps1: str = ""  # empty selects a verified maximal polynomial for the width
-    taps2: str = ""
-    seed1: int = 41
-    seed2: int = 1987
-    active_fraction: float = 0.5
-    decoy_fraction: float = 0.1
-    split_seed: int = 0
-    learning_rate: float = 0.001
-    epochs: int = 50
-    batch_size: int = 256
-    train_seed: int = 0
-    val_fraction: float = 0.1
-    patience: int = 10
-    clip_quantile: float = 1.0
-    margin: float = 1.0
-    gain_cap: float = 0.5
+    k: float = mpe.DEFAULT_K  # descriptors' --K, declared in build_parser
+    width: int = _setting(12, *_SC)
+    stream_len: int = _setting(4095, *_SC)
+    seed1: int = _setting(41, *_SC)
+    seed2: int = _setting(1987, *_SC)
+    # Empty taps select a verified maximal polynomial for the width.
+    taps1: str = _setting("", *_SC)
+    taps2: str = _setting("", *_SC)
+    active_fraction: float = _setting(0.5, "train")
+    decoy_fraction: float = _setting(0.1, "train")
+    split_seed: int = _setting(0, "train")
+    learning_rate: float = _setting(0.001, "train")
+    epochs: int = _setting(50, "train", "per-target")
+    batch_size: int = _setting(256, "train", "per-target")
+    train_seed: int = _setting(0, "train", "per-target")
+    val_fraction: float = _setting(0.1, "train")
+    patience: int = _setting(10, "train")
+    clip_quantile: float = _setting(1.0, "quantize")
+    margin: float = _setting(1.0, "quantize")
+    gain_cap: float = _setting(0.5, "quantize")
     data_dir: str = ""
     models_dir: str = ""
     reports_dir: str = ""
@@ -81,13 +92,13 @@ class RunConfig:
                 raise ValidationError(f"{name} {value!r} is not a directory")
         return self
 
-    def lfsr1(self) -> Lfsr:
-        taps = _parse_taps(self.taps1) if self.taps1 else sc_core.MAXIMAL_TAPS[self.width][0]
-        return Lfsr(self.width, taps, self.seed1 % (1 << self.width) or 1)
-
-    def lfsr2(self) -> Lfsr:
-        taps = _parse_taps(self.taps2) if self.taps2 else sc_core.MAXIMAL_TAPS[self.width][1]
-        return Lfsr(self.width, taps, self.seed2 % (1 << self.width) or 1)
+    def lfsrs(self) -> tuple:
+        """The generator pair (R1, R2)."""
+        return tuple(
+            Lfsr(self.width, _parse_taps(taps) if taps else default,
+                 seed % (1 << self.width) or 1)
+            for taps, seed, default in zip((self.taps1, self.taps2), (self.seed1, self.seed2),
+                                           sc_core.MAXIMAL_TAPS[self.width]))
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec(self.active_fraction, self.decoy_fraction, self.split_seed)
@@ -116,7 +127,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if path:
         p = Path(path)
         if not p.is_file():
-            raise InputError(f"config file not found: {p}")
+            raise FileNotFoundError(f"config file not found: {p}")
         for line_no, raw in enumerate(p.read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -131,7 +142,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     values.update({k: v for k, v in overrides.items() if v is not None})
 
     cfg = RunConfig()
-    valid = {f.name: f.type for f in fields(RunConfig)}
+    valid = {f.name for f in fields(RunConfig)}
     for key, value in values.items():
         if key not in valid:
             raise ValidationError(f"unknown config key {key!r}")
@@ -152,7 +163,7 @@ def _resolve(path: str, base: str) -> Path:
 
 def _require_file(path: Path) -> Path:
     if not path.is_file():
-        raise InputError(f"file not found: {path}")
+        raise FileNotFoundError(f"file not found: {path}")
     return path
 
 
@@ -203,6 +214,13 @@ def load_targets(manifest_path: Path, cache: dict | None, k: float):
     return targets, failures
 
 
+def _command_targets(args, cfg: RunConfig):
+    """``load_targets`` over a subcommand's --manifest and optional --cache."""
+    cache = mpe.read_descriptor_cache(_require_file(_resolve(args.cache, cfg.data_dir))) \
+        if args.cache else None
+    return load_targets(_resolve(args.manifest, cfg.data_dir), cache, cfg.k)
+
+
 def load_model(path: Path):
     with open(_require_file(path)) as fh:
         kind = ref_nn.require_fields(json.load(fh), (), path).get("kind")
@@ -225,10 +243,14 @@ def cmd_descriptors(args, cfg: RunConfig) -> int:
         path = _resolve(name, cfg.data_dir)
         try:
             mols = mpe.parse_molecules(_require_file(path), args.format or _infer_format(path))
-            for m in mols:
+        except (OSError, MoleculeParseError) as exc:  # their messages name the file
+            errors.append(str(exc))
+            continue
+        for m in mols:
+            try:
                 entries.append((m.id, mpe.mpe_vector(m, cfg.k)))
-        except (OSError, ValueError) as exc:
-            errors.append(f"{path}: {exc}")
+            except ValueError as exc:
+                errors.append(f"{path}: {exc}")
     out.parent.mkdir(parents=True, exist_ok=True)
     mpe.write_descriptor_cache(out, entries)
     print(f"wrote {len(entries)} descriptor rows to {out}")
@@ -241,9 +263,7 @@ def cmd_descriptors(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    cache = mpe.read_descriptor_cache(_require_file(_resolve(args.cache, cfg.data_dir))) \
-        if args.cache else None
-    targets, failures = load_targets(_resolve(args.manifest, cfg.data_dir), cache, cfg.k)
+    targets, failures = _command_targets(args, cfg)
     if failures:
         for f in failures:
             print(f"error: target {f['target_id']}: {f['error']}", file=sys.stderr)
@@ -290,10 +310,15 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
         raise ValidationError(f"{args.model}: quantize expects a float-network file")
     calib = None
     if args.calib:
-        calib = np.loadtxt(_require_file(_resolve(args.calib, cfg.models_dir)), delimiter=",")
+        path = _require_file(_resolve(args.calib, cfg.models_dir))
+        calib = np.loadtxt(path, delimiter=",", ndmin=2)
+        if calib.shape[1] != mlp.shape[0]:
+            raise ValidationError(f"{path}: calibration rows hold {calib.shape[1]} values; "
+                                  f"the model takes {mlp.shape[0]} inputs")
+    lfsr1, lfsr2 = cfg.lfsrs()
     net = sc_nn.quantize_weights(
         mlp, width=cfg.width, clip_quantile=cfg.clip_quantile,
-        stream_len=cfg.stream_len, lfsr1=cfg.lfsr1(), lfsr2=cfg.lfsr2(),
+        stream_len=cfg.stream_len, lfsr1=lfsr1, lfsr2=lfsr2,
         use_bias=not args.no_bias, calib=calib, margin=cfg.margin,
         gain_cap=cfg.gain_cap)
     out = _resolve(args.out, cfg.models_dir)
@@ -323,9 +348,7 @@ def _evaluate_targets(model, targets, scaler):
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     model = load_model(_resolve(args.model, cfg.models_dir))
     scaler = FeatureScaler.load(_require_file(_resolve(args.scaler, cfg.models_dir)))
-    cache = mpe.read_descriptor_cache(_require_file(_resolve(args.cache, cfg.data_dir))) \
-        if args.cache else None
-    targets, failures = load_targets(_resolve(args.manifest, cfg.data_dir), cache, cfg.k)
+    targets, failures = _command_targets(args, cfg)
     if not targets:
         raise ValidationError("no usable targets to evaluate")
     results, metric_failures, inferences, elapsed = _evaluate_targets(model, targets, scaler)
@@ -366,12 +389,20 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _load_report(path: Path) -> dict:
+    """An evaluate report whose every target entry holds an ``auc``."""
+    with open(_require_file(path)) as fh:
+        doc = ref_nn.require_fields(json.load(fh), ("targets",), path)
+    if not isinstance(doc["targets"], dict):
+        raise ValidationError(f"{path}: field 'targets' must map target ids to metrics")
+    for tid, entry in doc["targets"].items():
+        ref_nn.require_fields(entry, ("auc",), path, f"target {tid!r} ")
+    return doc
+
+
 def cmd_compare(args, cfg: RunConfig) -> int:
-    docs = []
-    for name in (args.report_a, args.report_b):
-        with open(_require_file(_resolve(name, cfg.reports_dir))) as fh:
-            docs.append(json.load(fh))
-    a, b = docs
+    a, b = (_load_report(_resolve(name, cfg.reports_dir))
+            for name in (args.report_a, args.report_b))
     shared = sorted(set(a["targets"]) & set(b["targets"]),
                     key=lambda tid: (-a["targets"][tid]["auc"], tid))
     per_target = [
@@ -406,9 +437,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
 
 
 def cmd_per_target(args, cfg: RunConfig) -> int:
-    cache = mpe.read_descriptor_cache(_require_file(_resolve(args.cache, cfg.data_dir))) \
-        if args.cache else None
-    targets, failures = load_targets(_resolve(args.manifest, cfg.data_dir), cache, cfg.k)
+    targets, failures = _command_targets(args, cfg)
     if not targets:
         raise ValidationError("no usable targets")
     shape = ref_nn.ARCH_SHAPES[args.arch]
@@ -421,19 +450,14 @@ def cmd_per_target(args, cfg: RunConfig) -> int:
             failures.append({"target_id": t.target_id, "error": str(exc)})
     if not rows:
         raise ValidationError("per-target protocol failed on every target")
-    aucs = np.array([m.auc for m in rows.values()])
-    ef1 = np.array([m.ef[1] for m in rows.values()])
+    aggregate = screening.aggregate_metrics(rows)
     report = {
         "config": asdict(cfg),
         "arch": args.arch,
         "targets": {tid: m.as_dict() for tid, m in rows.items()},
         "failed_targets": failures,
-        "aggregate": {
-            "auc_mean": round(float(aucs.mean()), 4),
-            "auc_std": round(float(aucs.std()), 4),
-            "ef1_mean": round(float(ef1.mean()), 4),
-            "ef1_std": round(float(ef1.std()), 4),
-        },
+        "aggregate": {key: aggregate[key] for key in ("auc_mean", "auc_std",
+                                                      "ef1_mean", "ef1_std")},
         "published_per_target_rows": screening.PUBLISHED_PER_TARGET_ROWS,
         "reproducibility_note": screening.REPRODUCIBILITY_NOTE,
     }
@@ -448,8 +472,7 @@ def cmd_sc_bench(args, cfg: RunConfig) -> int:
     if not 0.01 <= args.step <= 2.0:
         raise ValidationError(f"grid step {args.step} outside [0.01, 2.0]")
     n = cfg.stream_len
-    r1 = cfg.lfsr1().word_sequence(n)
-    r2 = cfg.lfsr2().word_sequence(n)
+    r1, r2 = (lfsr.word_sequence(n) for lfsr in cfg.lfsrs())
     grid = np.round(np.arange(-1.0, 1.0001, args.step), 6)
     rows = []
     worst = {}
@@ -514,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="descriptor cache CSV")
     p.add_argument("--scatter", help="also write (id, most+, most-) scatter CSV")
     p.add_argument("--K", dest="k", type=float, help="pairing-energy constant")
-    p.set_defaults(fn=cmd_descriptors, cfg_keys={"k"})
+    p.set_defaults(fn=cmd_descriptors)
 
     p = sub.add_parser("train", help="train the float reference network")
     p.add_argument("--manifest", required=True)
@@ -525,28 +548,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scaler-out", required=True)
     p.add_argument("--log-out", default="train_log.json")
     p.add_argument("--features-out", help="scaled training features (quantizer calibration)")
-    for name in ("active_fraction", "decoy_fraction", "split_seed", "learning_rate",
-                 "epochs", "batch_size", "train_seed", "val_fraction", "patience"):
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                       type=float if name in ("active_fraction", "decoy_fraction",
-                                              "learning_rate", "val_fraction") else int)
-    p.set_defaults(fn=cmd_train,
-                   cfg_keys={"active_fraction", "decoy_fraction", "split_seed",
-                             "learning_rate", "epochs", "batch_size", "train_seed",
-                             "val_fraction", "patience"})
+    p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("quantize", help="quantize a ReLU model for the SC hardware")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--calib", help="CSV of scaled feature rows for shift calibration")
     p.add_argument("--no-bias", action="store_true", help="drop biases (strict figure fidelity)")
-    for name, typ in (("width", int), ("stream_len", int), ("seed1", int), ("seed2", int),
-                      ("taps1", str), ("taps2", str), ("clip_quantile", float),
-                      ("margin", float), ("gain_cap", float)):
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
-    p.set_defaults(fn=cmd_quantize,
-                   cfg_keys={"width", "stream_len", "seed1", "seed2", "taps1", "taps2",
-                             "clip_quantile", "margin", "gain_cap"})
+    p.set_defaults(fn=cmd_quantize)
 
     p = sub.add_parser("evaluate", help="score a library and report metrics")
     p.add_argument("--model", required=True)
@@ -556,32 +565,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="report JSON")
     p.add_argument("--csv", help="flat per-target CSV")
     p.add_argument("--timing-out", help="throughput sidecar JSON (not in the report)")
-    p.set_defaults(fn=cmd_evaluate, cfg_keys=set())
+    p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("compare", help="side-by-side view of two reports")
     p.add_argument("--report-a", required=True)
     p.add_argument("--report-b", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv")
-    p.set_defaults(fn=cmd_compare, cfg_keys=set())
+    p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("per-target", help="train and score one model per target")
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache")
     p.add_argument("--arch", default="64", choices=sorted(ref_nn.ARCH_SHAPES))
     p.add_argument("--out", required=True)
-    for name in ("epochs", "batch_size", "train_seed"):
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int)
-    p.set_defaults(fn=cmd_per_target, cfg_keys={"epochs", "batch_size", "train_seed"})
+    p.set_defaults(fn=cmd_per_target)
 
     p = sub.add_parser("sc-bench", help="gate-law diagnostics sweep")
     p.add_argument("--out", required=True)
     p.add_argument("--step", type=float, default=0.2, help="grid spacing in [-1, 1]")
-    for name, typ in (("width", int), ("stream_len", int), ("seed1", int), ("seed2", int),
-                      ("taps1", str), ("taps2", str)):
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
-    p.set_defaults(fn=cmd_sc_bench,
-                   cfg_keys={"width", "stream_len", "seed1", "seed2", "taps1", "taps2"})
+    p.set_defaults(fn=cmd_sc_bench)
 
     p = sub.add_parser("make-bench", help="write the seeded synthetic benchmark")
     p.add_argument("--out-dir", required=True)
@@ -589,30 +592,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", type=int, default=10)
     p.add_argument("--actives", type=int, default=60)
     p.add_argument("--decoys", type=int, default=300)
-    p.set_defaults(fn=cmd_make_bench, cfg_keys=set())
+    p.set_defaults(fn=cmd_make_bench)
 
+    # Each RunConfig setting's flag, on the subcommands its field names.
+    for f in fields(RunConfig):
+        for command in f.metadata.get("commands", ()):
+            sub.choices[command].add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                                              type=type(f.default))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        overrides = {k: getattr(args, k, None) for k in args.cfg_keys}
-        cfg = load_config(args.config, overrides)
-        return args.fn(args, cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (FileNotFoundError, MoleculeParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NumericFailure as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                     if hasattr(args, f.name)}
+        return args.fn(args, load_config(args.config, overrides))
+    except tuple(EXIT_CODES) as exc:
+        code = next(EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in EXIT_CODES)
+        print(f"{'numeric failure' if code == EXIT_NUMERIC else 'error'}: {exc}",
+              file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

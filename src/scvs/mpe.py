@@ -22,6 +22,8 @@ from operator import itemgetter
 
 import numpy as np
 
+from .ref_nn import require_fields
+
 # Coulomb constant in kcal*Angstrom/(mol*e^2); only consistency matters here
 # because features are rescaled before they reach a network.
 DEFAULT_K = 332.0637
@@ -238,16 +240,33 @@ def _finite(value: str, what: str, path, line_no: int) -> float:
     return v
 
 
-def _read_rows(rows):
-    """Every row of the iterator, and the decoding or csv error that ended
-    it early (else None).  The caller raises that error only after checking
-    the rows read before it, so an earlier malformed row still wins."""
+def _read_rows(path, reader):
+    """Every row of the csv reader, and a MoleculeParseError for the
+    decoding or csv error that ended it early (else None).  The caller
+    raises that error only after checking the rows read before it, so an
+    earlier malformed row still wins."""
     out = []
     try:
-        out.extend(rows)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        return out, exc
+        out.extend(reader)
+    except UnicodeDecodeError as exc:
+        return out, _undecodable(path, exc)
+    except csv.Error as exc:
+        return out, MoleculeParseError(path, reader.line_num, str(exc))
     return out, None
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> MoleculeParseError:
+    """The error for a file that does not decode, at its first line that
+    does not.  Text is decoded a buffer at a time, so the line is found by
+    decoding the raw lines one by one."""
+    line_no = 0
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode(exc.encoding)
+            except UnicodeDecodeError:
+                break
+    return MoleculeParseError(path, line_no, f"cannot decode as {exc.encoding}: {exc.reason}")
 
 
 def _float_columns(rows, cols):
@@ -327,7 +346,7 @@ def _parse_mol2(path) -> list:
             else:
                 fault = empty_block(line_no)
         except UnicodeDecodeError as exc:
-            fault = exc
+            fault = _undecodable(path, exc)
     cols = (2, 3, 4, 8)
     values = _float_columns(rows, cols)
     if values is None:
@@ -342,15 +361,13 @@ def _parse_mol2(path) -> list:
 
 def _parse_csv_atoms(path) -> list:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return []
-        if [h.strip() for h in header] != CSV_ATOM_COLUMNS:
-            raise MoleculeParseError(
-                path, 1, f"header must be {','.join(CSV_ATOM_COLUMNS)}")
-        rows, stopped = _read_rows(reader)
+        rows, stopped = _read_rows(path, csv.reader(fh))
+    if not rows:
+        if stopped is not None:
+            raise stopped
+        return []
+    if [h.strip() for h in rows.pop(0)] != CSV_ATOM_COLUMNS:
+        raise MoleculeParseError(path, 1, f"header must be {','.join(CSV_ATOM_COLUMNS)}")
     line_nos = range(2, len(rows) + 2)
     nonblank = list(map(str.strip, map("".join, rows)))
     if not all(nonblank):
@@ -396,13 +413,13 @@ def read_descriptor_cache(path) -> dict:
     form a valid descriptor, and ids must be unique within the file; a
     malformed row raises MoleculeParseError naming the file and line."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return {}
-        if header != CACHE_COLUMNS:
-            raise MoleculeParseError(path, 1, "not a descriptor cache (bad header)")
-        rows, stopped = _read_rows(reader)
+        rows, stopped = _read_rows(path, csv.reader(fh))
+    if not rows:
+        if stopped is not None:
+            raise stopped
+        return {}
+    if rows.pop(0) != CACHE_COLUMNS:
+        raise MoleculeParseError(path, 1, "not a descriptor cache (bad header)")
     line_nos = range(2, len(rows) + 2)
     if not all(rows):
         line_nos = list(compress(line_nos, rows))
@@ -498,8 +515,11 @@ class FeatureScaler:
     @classmethod
     def load(cls, path) -> "FeatureScaler":
         with open(path) as fh:
-            doc = json.load(fh)
-        return cls(doc["mins"], doc["maxs"])
+            doc = require_fields(json.load(fh), ("mins", "maxs"), path)
+        try:
+            return cls(doc["mins"], doc["maxs"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def pair_features(ligand: MpeVector, candidate: MpeVector) -> np.ndarray:

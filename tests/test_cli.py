@@ -1,14 +1,16 @@
 """Command-line surface tests: the full artifact flow on a tiny synthetic
 corpus, exit codes, determinism, config handling."""
 
+import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scvs import mpe, ref_nn, sc_nn
-from scvs.cli import main
+from scvs.cli import RunConfig, build_parser, load_config, main
 
 DATA = Path(__file__).parent / "data"
 # Two csv-atoms rows whose pairing energy overflows float64.
@@ -65,6 +67,30 @@ class TestDescriptors:
         assert "inf" not in out.read_text() and "inf" not in (tmp_path / "s.csv").read_text()
         assert len(mpe.read_descriptor_cache(out)) == 5
 
+    def test_failing_molecule_keeps_rest_of_file(self, tmp_path, capsys):
+        mols = tmp_path / "mols.csv"
+        mols.write_text("molecule_id,element,x,y,z,charge\n" + HUGE_ROWS
+                        + "ok1,C,0,0,0,0.4\nok1,O,1.2,0,0,-0.4\n")
+        out = tmp_path / "cache.csv"
+        assert run("descriptors", mols, "--out", out) == 2
+        assert set(mpe.read_descriptor_cache(out)) == {"ok1"}
+        err = capsys.readouterr().err
+        assert err.count(str(mols)) == 1 and err.count("huge") == 1
+        assert "Traceback" not in err
+
+    def test_parse_error_names_file_once(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("molecule_id,element,x,y,z,charge\nm1,C,0,0,0,abc\n")
+        assert run("descriptors", bad, "--out", tmp_path / "cache.csv") == 2
+        err = capsys.readouterr().err
+        assert err.count(str(bad)) == 1 and f"{bad}:2:" in err
+
+    def test_out_is_directory_exit_2(self, tmp_path, capsys):
+        assert run("descriptors", DATA / "fixture_atoms.csv", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+
     def test_missing_file_exit_2_names_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.mol2"
         assert run("descriptors", missing, "--out", tmp_path / "c.csv") == 2
@@ -102,6 +128,24 @@ class TestTrain:
         assert outs[0] == outs[1]
 
 
+    def test_undecodable_molecule_file_exit_2_names_file(self, workspace, tmp_path, capsys):
+        ws, manifest = workspace
+        doc = json.loads(manifest.read_text())
+        target = doc["targets"][1]
+        decoys = tmp_path / "decoys.csv"
+        decoys.write_bytes(Path(target["decoys"]).read_bytes() + b"d\xff,C,0,0,0,0\n")
+        target["decoys"] = str(decoys)
+        bad_manifest = tmp_path / "manifest.json"
+        bad_manifest.write_text(json.dumps(doc))
+        assert run("train", "--manifest", bad_manifest, "--cache", ws / "cache.csv",
+                   "--arch", "12", "--out", tmp_path / "m.json",
+                   "--scaler-out", tmp_path / "s.json", "--log-out", tmp_path / "l.json",
+                   "--epochs", "1") == 2
+        err = capsys.readouterr().err
+        assert target["target_id"] in err and str(decoys) in err and "decode" in err
+        assert "Traceback" not in err
+
+
 class TestQuantize:
     def test_parameter_echo(self, workspace):
         ws, _ = workspace
@@ -128,6 +172,18 @@ class TestQuantize:
             dq = layer.weights_q / 2048.0 * layer.scale
             clipped = np.clip(w, -layer.scale, layer.scale)
             np.testing.assert_allclose(dq, clipped, atol=2 ** -11 * layer.scale + 1e-12)
+
+
+    def test_calib_width_mismatch_exit_1(self, workspace, tmp_path, capsys):
+        ws, _ = workspace
+        rows = [line.split(",") for line in (ws / "feats.csv").read_text().splitlines()]
+        calib = tmp_path / "narrow.csv"
+        calib.write_text("".join(",".join(r[:-1]) + "\n" for r in rows))
+        assert run("quantize", "--model", ws / "relu48.json", "--calib", calib,
+                   "--out", tmp_path / "hw.json") == 1
+        err = capsys.readouterr().err
+        assert str(calib) in err and "23" in err and "24" in err
+        assert "Traceback" not in err and not (tmp_path / "hw.json").exists()
 
 
 class TestEvaluate:
@@ -241,6 +297,42 @@ class TestEvaluate:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("field", ["mins", "maxs"])
+    def test_scaler_missing_field_exit_1(self, workspace, tmp_path, capsys, field):
+        ws, manifest = workspace
+        doc = json.loads((ws / "scaler.json").read_text())
+        del doc[field]
+        scaler = tmp_path / "scaler.json"
+        scaler.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", ws / "hw48.json", "--manifest", manifest,
+                   "--cache", ws / "cache.csv", "--scaler", scaler,
+                   "--report", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        assert str(scaler) in err and repr(field) in err and "Traceback" not in err
+
+    def test_undecodable_cache_exit_2_names_file(self, workspace, tmp_path, capsys):
+        ws, manifest = workspace
+        lines = (ws / "cache.csv").read_bytes().splitlines(keepends=True)
+        cache = tmp_path / "cache.csv"
+        cache.write_bytes(b"".join(lines[:3]) + b"\xff" + b"".join(lines[3:]))
+        assert run("evaluate", "--model", ws / "hw48.json", "--manifest", manifest,
+                   "--cache", cache, "--scaler", ws / "scaler.json",
+                   "--report", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert f"{cache}:4: cannot decode" in err and "Traceback" not in err
+
+    def test_report_under_a_file_exit_2(self, workspace, tmp_path, capsys):
+        ws, manifest = workspace
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run("evaluate", "--model", ws / "relu48.json", "--manifest", manifest,
+                   "--cache", ws / "cache.csv", "--scaler", ws / "scaler.json",
+                   "--report", blocker / "x.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+        assert "Traceback" not in err
+
+
 class TestCompare:
     def test_fig8_layout_sorted_by_first_report(self, workspace, tmp_path):
         ws, manifest = workspace
@@ -260,6 +352,26 @@ class TestCompare:
         assert all(abs(r["delta"] - (r["auc_a"] - r["auc_b"])) < 1e-9 for r in rows)
         assert "published_per_target_rows" in doc
         assert "nn500-published" in doc["published_per_target_rows"]
+
+
+    @pytest.mark.parametrize("fault", ["targets", "auc"])
+    def test_report_missing_field_exit_1(self, workspace, tmp_path, capsys, fault):
+        ws, manifest = workspace
+        rep = tmp_path / "rep.json"
+        assert run("evaluate", "--model", ws / "relu48.json", "--manifest", manifest,
+                   "--cache", ws / "cache.csv", "--scaler", ws / "scaler.json",
+                   "--report", rep) == 0
+        doc = json.loads(rep.read_text())
+        if fault == "targets":
+            del doc["targets"]
+        else:
+            del doc["targets"][sorted(doc["targets"])[-1]]["auc"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("compare", "--report-a", rep, "--report-b", bad,
+                   "--out", tmp_path / "cmp.json") == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(fault) in err and "Traceback" not in err
 
 
 class TestScBench:
@@ -355,3 +467,93 @@ class TestDescriptorPartialFailure:
         assert run("descriptors", DATA / "fixture_atoms.csv", bad, "--out", out) == 2
         assert "bad.csv" in capsys.readouterr().err
         assert len(mpe.read_descriptor_cache(out)) == 5  # the good file made it
+
+
+# (flag, dest, type, default) of every option, per subcommand; None is the
+# top-level parser.  Adding, removing or retyping an option is a change to
+# the command-line surface and must update this table on purpose.
+CLI_SURFACE = {
+    None: [("--config", "config", None, None)],
+    "descriptors": [
+        ("inputs", "inputs", None, None), ("--format", "format", None, None),
+        ("--out", "out", None, None), ("--scatter", "scatter", None, None),
+        ("--K", "k", "float", None)],
+    "train": [
+        ("--manifest", "manifest", None, None), ("--cache", "cache", None, None),
+        ("--arch", "arch", None, "64"), ("--activation", "activation", None, "tanh"),
+        ("--out", "out", None, None), ("--scaler-out", "scaler_out", None, None),
+        ("--log-out", "log_out", None, "train_log.json"),
+        ("--features-out", "features_out", None, None),
+        ("--active-fraction", "active_fraction", "float", None),
+        ("--decoy-fraction", "decoy_fraction", "float", None),
+        ("--split-seed", "split_seed", "int", None),
+        ("--learning-rate", "learning_rate", "float", None),
+        ("--epochs", "epochs", "int", None), ("--batch-size", "batch_size", "int", None),
+        ("--train-seed", "train_seed", "int", None),
+        ("--val-fraction", "val_fraction", "float", None),
+        ("--patience", "patience", "int", None)],
+    "quantize": [
+        ("--model", "model", None, None), ("--out", "out", None, None),
+        ("--calib", "calib", None, None), ("--no-bias", "no_bias", None, False),
+        ("--width", "width", "int", None), ("--stream-len", "stream_len", "int", None),
+        ("--seed1", "seed1", "int", None), ("--seed2", "seed2", "int", None),
+        ("--taps1", "taps1", "str", None), ("--taps2", "taps2", "str", None),
+        ("--clip-quantile", "clip_quantile", "float", None),
+        ("--margin", "margin", "float", None), ("--gain-cap", "gain_cap", "float", None)],
+    "evaluate": [
+        ("--model", "model", None, None), ("--manifest", "manifest", None, None),
+        ("--cache", "cache", None, None), ("--scaler", "scaler", None, None),
+        ("--report", "report", None, None), ("--csv", "csv", None, None),
+        ("--timing-out", "timing_out", None, None)],
+    "compare": [
+        ("--report-a", "report_a", None, None), ("--report-b", "report_b", None, None),
+        ("--out", "out", None, None), ("--csv", "csv", None, None)],
+    "per-target": [
+        ("--manifest", "manifest", None, None), ("--cache", "cache", None, None),
+        ("--arch", "arch", None, "64"), ("--out", "out", None, None),
+        ("--epochs", "epochs", "int", None), ("--batch-size", "batch_size", "int", None),
+        ("--train-seed", "train_seed", "int", None)],
+    "sc-bench": [
+        ("--out", "out", None, None), ("--step", "step", "float", 0.2),
+        ("--width", "width", "int", None), ("--stream-len", "stream_len", "int", None),
+        ("--seed1", "seed1", "int", None), ("--seed2", "seed2", "int", None),
+        ("--taps1", "taps1", "str", None), ("--taps2", "taps2", "str", None)],
+    "make-bench": [
+        ("--out-dir", "out_dir", None, None), ("--seed", "seed", "int", 2024),
+        ("--targets", "targets", "int", 10), ("--actives", "actives", "int", 60),
+        ("--decoys", "decoys", "int", 300)],
+}
+
+
+def _surface(parser):
+    return [(a.option_strings[0] if a.option_strings else a.dest, a.dest,
+             getattr(a.type, "__name__", None), a.default)
+            for a in parser._actions
+            if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))]
+
+
+class TestCliSurface:
+    def test_flags_frozen(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {None: _surface(parser)}
+        got.update({name: _surface(p) for name, p in sub.choices.items()})
+        assert got == CLI_SURFACE
+
+    def test_config_file_accepts_every_key(self, tmp_path, monkeypatch):
+        for env in ("SCVS_DATA_DIR", "SCVS_MODELS_DIR", "SCVS_REPORTS_DIR"):
+            monkeypatch.delenv(env, raising=False)
+        defaults = RunConfig()
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{f.name} = {getattr(defaults, f.name)}\n"
+                               for f in fields(RunConfig)))
+        assert load_config(str(cfg), {}) == defaults
+
+    def test_environment_sets_the_path_keys(self, tmp_path, monkeypatch):
+        for env in ("SCVS_DATA_DIR", "SCVS_MODELS_DIR", "SCVS_REPORTS_DIR"):
+            (tmp_path / env).mkdir()
+            monkeypatch.setenv(env, str(tmp_path / env))
+        cfg = load_config(None, {})
+        assert (cfg.data_dir, cfg.models_dir, cfg.reports_dir) == tuple(
+            str(tmp_path / env) for env in ("SCVS_DATA_DIR", "SCVS_MODELS_DIR",
+                                            "SCVS_REPORTS_DIR"))

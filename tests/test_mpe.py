@@ -3,6 +3,7 @@ fixtures, feature scaling."""
 
 import csv
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -265,6 +266,15 @@ class TestFeatureScaler:
         rows = np.ones((3, 24))
         s = FeatureScaler().fit(rows)
         np.testing.assert_allclose(s.transform(np.ones(24)), 0.0)
+
+    @pytest.mark.parametrize("doc", [{"mins": [0.0] * 24},
+                                     {"mins": [0.0] * 23, "maxs": [1.0] * 23},
+                                     {"mins": {}, "maxs": {}}])
+    def test_load_malformed_names_file(self, tmp_path, doc):
+        path = tmp_path / "scaler.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"^{path}: "):
+            FeatureScaler.load(path)
 
     def test_json_round_trip(self, tmp_path):
         s = self._fitted()
@@ -596,6 +606,37 @@ class TestParserDifferential:
         path = tmp_path / "f"
         path.write_bytes((head + body).encode() + b"\xff\n")
         with pytest.raises(MoleculeParseError, match=r":2: unparseable"):
+            if fmt == "cache":
+                mpe.read_descriptor_cache(path)
+            else:
+                parse_molecules(path, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv-atoms", "mol2-subset", "cache"])
+    def test_undecodable_bytes_name_file_and_line(self, tmp_path, fmt):
+        # A small file decodes in one buffer; the error still names the
+        # first line that does not decode.
+        if fmt == "csv-atoms":
+            text = ",".join(mpe.CSV_ATOM_COLUMNS) + "\nm,C,0,0,0,0\n"
+        elif fmt == "mol2-subset":
+            text = "@<TRIPOS>MOLECULE\nm\n@<TRIPOS>ATOM\n"
+        else:
+            text = ",".join(mpe.CACHE_COLUMNS) + "\nc0" + ",0" * 12 + "\n"
+        path = tmp_path / "f"
+        path.write_bytes(text.encode() + b"c\xff,0\n" + b"more\n")
+        line = text.count("\n") + 1
+        with pytest.raises(MoleculeParseError, match=rf"^{path}:{line}: cannot decode") as err:
+            if fmt == "cache":
+                mpe.read_descriptor_cache(path)
+            else:
+                parse_molecules(path, fmt)
+        assert err.value.line_no == line
+
+    @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
+    def test_csv_error_names_file_and_line(self, tmp_path, fmt):
+        header = mpe.CSV_ATOM_COLUMNS if fmt == "csv-atoms" else mpe.CACHE_COLUMNS
+        path = tmp_path / "f"
+        path.write_text(",".join(header) + "\n" + "m" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(MoleculeParseError, match=rf"^{path}:2: field larger"):
             if fmt == "cache":
                 mpe.read_descriptor_cache(path)
             else:
