@@ -128,7 +128,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         p = Path(path)
         if not p.is_file():
             raise FileNotFoundError(f"config file not found: {p}")
-        for line_no, raw in enumerate(p.read_text().splitlines(), start=1):
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{p}: {exc}") from None
+        for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -183,8 +187,7 @@ def _json_dump(doc, path: Path) -> None:
 
 
 def load_manifest(path: Path) -> list:
-    with open(_require_file(path)) as fh:
-        doc = json.load(fh)
+    doc = ref_nn.read_json(_require_file(path))
     entries = ref_nn.require_fields(doc, ("targets",), path)["targets"] \
         if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
@@ -222,8 +225,7 @@ def _command_targets(args, cfg: RunConfig):
 
 
 def load_model(path: Path):
-    with open(_require_file(path)) as fh:
-        kind = ref_nn.require_fields(json.load(fh), (), path).get("kind")
+    kind = ref_nn.require_fields(ref_nn.read_json(_require_file(path)), (), path).get("kind")
     if kind == "mlp":
         return ref_nn.load_mlp(path)
     if kind == "sc_network":
@@ -390,13 +392,15 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
 
 def _load_report(path: Path) -> dict:
-    """An evaluate report whose every target entry holds an ``auc``."""
-    with open(_require_file(path)) as fh:
-        doc = ref_nn.require_fields(json.load(fh), ("targets",), path)
+    """An evaluate report whose every target entry holds a numeric ``auc``."""
+    doc = ref_nn.require_fields(ref_nn.read_json(_require_file(path)), ("targets",), path)
     if not isinstance(doc["targets"], dict):
         raise ValidationError(f"{path}: field 'targets' must map target ids to metrics")
     for tid, entry in doc["targets"].items():
-        ref_nn.require_fields(entry, ("auc",), path, f"target {tid!r} ")
+        auc = ref_nn.require_fields(entry, ("auc",), path, f"target {tid!r} ")["auc"]
+        if isinstance(auc, bool) or not isinstance(auc, (int, float)):
+            raise ValidationError(f"{path}: target {tid!r} field 'auc' must be a number, "
+                                  f"got {auc!r}")
     return doc
 
 

@@ -14,6 +14,7 @@ field) or a flat csv-atoms table; no charge assignment happens here.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .ref_nn import require_fields
+from .ref_nn import read_json, require_fields
 
 # Coulomb constant in kcal*Angstrom/(mol*e^2); only consistency matters here
 # because features are rescaled before they reach a network.
@@ -240,33 +241,34 @@ def _finite(value: str, what: str, path, line_no: int) -> float:
     return v
 
 
-def _read_rows(path, reader):
-    """Every row of the csv reader, and a MoleculeParseError for the
-    decoding or csv error that ended it early (else None).  The caller
-    raises that error only after checking the rows read before it, so an
-    earlier malformed row still wins."""
+def _decoded(path, newline):
+    """A text stream over the file's lines before its first undecodable
+    one, and the MoleculeParseError for that line (else None).  The caller
+    raises that error only after checking the rows read from the stream, so
+    an earlier malformed row still wins."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    fault = None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[:data.rfind(b"\n", 0, exc.start) + 1]
+        fault = MoleculeParseError(path, data.count(b"\n") + 1,
+                                   f"cannot decode as {exc.encoding}: {exc.reason}")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline), fault
+
+
+def _read_rows(path):
+    """Every csv row of the file, and a MoleculeParseError for the decoding
+    or csv error that ended it early (else None); see ``_decoded``."""
+    text, fault = _decoded(path, newline="")
+    reader = csv.reader(text)
     out = []
     try:
         out.extend(reader)
-    except UnicodeDecodeError as exc:
-        return out, _undecodable(path, exc)
     except csv.Error as exc:
         return out, MoleculeParseError(path, reader.line_num, str(exc))
-    return out, None
-
-
-def _undecodable(path, exc: UnicodeDecodeError) -> MoleculeParseError:
-    """The error for a file that does not decode, at its first line that
-    does not.  Text is decoded a buffer at a time, so the line is found by
-    decoding the raw lines one by one."""
-    line_no = 0
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                raw.decode(exc.encoding)
-            except UnicodeDecodeError:
-                break
-    return MoleculeParseError(path, line_no, f"cannot decode as {exc.encoding}: {exc.reason}")
+    return out, fault
 
 
 def _float_columns(rows, cols):
@@ -317,36 +319,34 @@ def _parse_mol2(path) -> list:
         return None
 
     line_no = 0
-    with open(path) as fh:
-        try:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if line.startswith("@<TRIPOS>"):
-                    section = line[len("@<TRIPOS>"):].upper()
-                    if section == "MOLECULE":
-                        fault = empty_block(line_no)
-                        if fault:
-                            break
-                        expect_name = True
-                    continue
-                if expect_name:
-                    blocks.append((line.split()[0], len(rows)))
-                    expect_name = False
-                    continue
-                if section == "ATOM":
-                    fields = line.split()
-                    if len(fields) < 9:
-                        fault = MoleculeParseError(
-                            path, line_no, f"atom record needs 9 fields, got {len(fields)}")
-                        break
-                    line_nos.append(line_no)
-                    rows.append(fields)
-            else:
+    text, undecodable = _decoded(path, newline=None)
+    for line_no, raw in enumerate(text, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("@<TRIPOS>"):
+            section = line[len("@<TRIPOS>"):].upper()
+            if section == "MOLECULE":
                 fault = empty_block(line_no)
-        except UnicodeDecodeError as exc:
-            fault = _undecodable(path, exc)
+                if fault:
+                    break
+                expect_name = True
+            continue
+        if expect_name:
+            blocks.append((line.split()[0], len(rows)))
+            expect_name = False
+            continue
+        if section == "ATOM":
+            fields = line.split()
+            if len(fields) < 9:
+                fault = MoleculeParseError(
+                    path, line_no, f"atom record needs 9 fields, got {len(fields)}")
+                break
+            line_nos.append(line_no)
+            rows.append(fields)
+    else:
+        # Past the decoded lines a block may still gain atoms.
+        fault = undecodable or empty_block(line_no)
     cols = (2, 3, 4, 8)
     values = _float_columns(rows, cols)
     if values is None:
@@ -360,8 +360,7 @@ def _parse_mol2(path) -> list:
 
 
 def _parse_csv_atoms(path) -> list:
-    with open(path, newline="") as fh:
-        rows, stopped = _read_rows(path, csv.reader(fh))
+    rows, stopped = _read_rows(path)
     if not rows:
         if stopped is not None:
             raise stopped
@@ -412,8 +411,7 @@ def read_descriptor_cache(path) -> dict:
     """Descriptor vectors by molecule id.  Every row must hold 13 fields that
     form a valid descriptor, and ids must be unique within the file; a
     malformed row raises MoleculeParseError naming the file and line."""
-    with open(path, newline="") as fh:
-        rows, stopped = _read_rows(path, csv.reader(fh))
+    rows, stopped = _read_rows(path)
     if not rows:
         if stopped is not None:
             raise stopped
@@ -514,8 +512,7 @@ class FeatureScaler:
 
     @classmethod
     def load(cls, path) -> "FeatureScaler":
-        with open(path) as fh:
-            doc = require_fields(json.load(fh), ("mins", "maxs"), path)
+        doc = require_fields(read_json(path), ("mins", "maxs"), path)
         try:
             return cls(doc["mins"], doc["maxs"])
         except (TypeError, ValueError) as exc:
@@ -526,7 +523,3 @@ def pair_features(ligand: MpeVector, candidate: MpeVector) -> np.ndarray:
     """Raw 24-value network input: crystal ligand descriptors then candidate."""
     return np.concatenate([ligand.features, candidate.features])
 
-
-def scale_features(scaler: FeatureScaler, ligand: MpeVector, candidate: MpeVector) -> np.ndarray:
-    """Scaled 24-value input in [-1, 1]."""
-    return scaler.transform(pair_features(ligand, candidate))

@@ -330,6 +330,16 @@ def save_mlp(mlp: Mlp, path) -> None:
         fh.write("\n")
 
 
+def read_json(path):
+    """The JSON document in ``path``; a file that is not UTF-8 or not JSON
+    raises a ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+
+
 def require_fields(doc, fields, path, where: str = "") -> dict:
     """``doc`` itself when it is a JSON object holding every name in
     ``fields``; otherwise a ValueError naming the file, ``where`` in it and
@@ -351,8 +361,7 @@ def model_layers(doc, fields, path) -> list:
 
 
 def load_mlp(path) -> Mlp:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if require_fields(doc, ("kind",), path)["kind"] != "mlp":
         raise ValueError(f"{path}: not a float-network file (kind={doc.get('kind')!r})")
     if doc.get("version") != MODEL_FORMAT_VERSION:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sc_core as sc
-from .ref_nn import Mlp, MODEL_FORMAT_VERSION, model_layers, require_fields
+from .ref_nn import Mlp, MODEL_FORMAT_VERSION, model_layers, read_json, require_fields
 from .sc_core import BitStream, GateKind, Lfsr, WordSequence
 
 
@@ -532,8 +532,7 @@ def save_sc_network(net: ScNetwork, path) -> None:
 
 
 def load_sc_network(path) -> ScNetwork:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if require_fields(doc, ("kind",), path)["kind"] != "sc_network":
         raise ValueError(f"{path}: not a hardware-network file (kind={doc.get('kind')!r})")
     if doc.get("version") != MODEL_FORMAT_VERSION:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,20 +50,33 @@ class TargetSet:
 
 @dataclass
 class TargetData:
-    """Descriptor-level view: what scoring and training actually consume."""
+    """Descriptor-level view: what scoring and training actually consume.
+
+    Built once from ``compounds``: the ``ids`` (Python strings, whose order
+    ranks ties), the int ``labels`` and the raw ``(n, 24)`` ``pair_matrix``,
+    each row the crystal ligand's 12 features then the compound's."""
 
     target_id: str
     crystal: MpeVector
     compounds: list  # (compound_id, MpeVector, label)
     n_skipped: int = 0
+    ids: list = field(init=False, repr=False, compare=False)
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.ids = [c[0] for c in self.compounds]
+        self.labels = np.array([c[2] for c in self.compounds], dtype=int)
+        rows = np.array([(v.positives, v.negatives) for _, v, _ in self.compounds]).reshape(-1, 12)
+        self.pair_matrix = np.hstack([np.broadcast_to(self.crystal.features, rows.shape), rows])
 
     @property
     def n_actives(self) -> int:
-        return sum(1 for _, _, l in self.compounds if l == 1)
+        return int(np.count_nonzero(self.labels == 1))
 
     @property
     def n_decoys(self) -> int:
-        return sum(1 for _, _, l in self.compounds if l == 0)
+        return int(np.count_nonzero(self.labels == 0))
 
 
 def target_descriptors(ts: TargetSet, k: float = mpe.DEFAULT_K,
@@ -106,45 +119,51 @@ def _target_rng(seed: int, target_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(target_id.encode())])
 
 
+def _split(target: TargetData, rng: np.random.Generator, fractions) -> tuple:
+    """Train and test index arrays of one target: a seeded sample of each
+    class's pool (actives at ``fractions[0]``, then decoys at ``fractions[1]``)
+    trains, the rest tests; each side lists the actives' pool first, then
+    the decoys', each in compound order."""
+    train, test = [], []
+    for label, frac in zip((1, 0), fractions):
+        pool = np.flatnonzero(target.labels == label)
+        picks = pool[rng.choice(len(pool), size=round(frac * len(pool)), replace=False)]
+        train.append(np.sort(picks))
+        test.append(np.setdiff1d(pool, picks))
+    return np.concatenate(train), np.concatenate(test)
+
+
+def _labeled_pairs(sides, scaler: FeatureScaler) -> list:
+    """One LabeledPair per index of each (target, indices) side, its row
+    scaled with the rest of the side in one transform."""
+    return [
+        LabeledPair(row, target.labels[i].item(), target.target_id, target.ids[i])
+        for target, idx in sides
+        for i, row in zip(idx.tolist(), scaler.transform(target.pair_matrix[idx]))
+    ]
+
+
 def build_split(targets, spec: SplitSpec, scaler: FeatureScaler | None = None):
     """Per target, a seeded sample of actives and decoys goes to the training
     side (paired with the crystal ligand); everything else is test.  The
     feature scaler is fitted on training rows only when not supplied.
     Returns (train_pairs, test_pairs, scaler)."""
-    raw_train: list[tuple] = []
-    raw_test: list[tuple] = []
+    fractions = (spec.active_fraction, spec.decoy_fraction)
+    train, test = [], []
     for t in targets:
-        rng = _target_rng(spec.seed, t.target_id)
-        by_label = {1: [], 0: []}
-        for c in t.compounds:
-            by_label[c[2]].append(c)
-        for label, frac in ((1, spec.active_fraction), (0, spec.decoy_fraction)):
-            pool = by_label[label]
-            k = int(round(frac * len(pool)))
-            if k == 0:
+        t_train, t_test = _split(t, _target_rng(spec.seed, t.target_id), fractions)
+        for label, frac in zip((1, 0), fractions):
+            if not np.any(t.labels[t_train] == label):
                 raise SplitError(
                     f"target {t.target_id}: no {'actives' if label else 'decoys'} "
                     f"left for training at fraction {frac}")
-            picks = set(rng.choice(len(pool), size=k, replace=False).tolist())
-            for i, c in enumerate(pool):
-                (raw_train if i in picks else raw_test).append((t, c))
-    if not raw_test:
+        train.append((t, t_train))
+        test.append((t, t_test))
+    if not any(len(idx) for _, idx in test):
         raise SplitError("test set is empty; lower the split fractions")
-
-    def features(entries):
-        return np.array([mpe.pair_features(t.crystal, vec) for t, (cid, vec, label) in entries])
-
     if scaler is None:
-        scaler = FeatureScaler().fit(features(raw_train))
-
-    def pairs(entries):
-        return [
-            LabeledPair(scaler.transform(mpe.pair_features(t.crystal, vec)), label,
-                        t.target_id, cid)
-            for t, (cid, vec, label) in entries
-        ]
-
-    return pairs(raw_train), pairs(raw_test), scaler
+        scaler = FeatureScaler().fit(np.vstack([t.pair_matrix[idx] for t, idx in train]))
+    return _labeled_pairs(train, scaler), _labeled_pairs(test, scaler), scaler
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +173,18 @@ def build_split(targets, spec: SplitSpec, scaler: FeatureScaler | None = None):
 @dataclass
 class RankedList:
     """Library compounds of one target, sorted by score descending; ties
-    break on compound id for reproducibility."""
+    break on compound id for reproducibility.  ``scores`` and ``labels``
+    are the entries' columns as arrays, built once."""
 
     target_id: str
     entries: list  # (compound_id, score, label)
     n_skipped: int = 0
+    scores: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def labels(self) -> np.ndarray:
-        return np.array([e[2] for e in self.entries])
-
-    def scores(self) -> np.ndarray:
-        return np.array([e[1] for e in self.entries])
+    def __post_init__(self):
+        self.scores = np.array([e[1] for e in self.entries], dtype=np.float64)
+        self.labels = np.array([e[2] for e in self.entries], dtype=int)
 
 
 def _score_fn(model):
@@ -183,17 +203,15 @@ def score_library(model, target: TargetData, scaler: FeatureScaler) -> RankedLis
     """Score every library compound paired with the crystal ligand."""
     if not scaler.fitted:
         raise ValueError("scaler is not fitted")
-    scores = np.empty(0)
-    if target.compounds:
-        # one elementwise transform of the whole target: the same bytes as row by row
-        feats = scaler.transform(np.stack([mpe.pair_features(target.crystal, vec)
-                                           for _, vec, _ in target.compounds]))
-        scores = _score_fn(model)(feats)
-    entries = [
-        (cid, float(s), label)
-        for (cid, _, label), s in zip(target.compounds, scores)
-    ]
-    entries.sort(key=lambda e: (-e[1], e[0]))
+    # one elementwise transform of the whole target: the same bytes as row by row
+    scores = (_score_fn(model)(scaler.transform(target.pair_matrix)) if target.ids
+              else np.empty(0))
+    # Descending score, ties in Python string order of the id: a stable sort
+    # by id, then a stable sort of that order by score.
+    by_id = np.argsort(np.array(target.ids, dtype=object), kind="stable")
+    order = by_id[np.argsort(-scores[by_id], kind="stable")].tolist()
+    labels = target.labels.tolist()
+    entries = [(target.ids[i], float(scores[i]), labels[i]) for i in order]
     return RankedList(target.target_id, entries, n_skipped=target.n_skipped)
 
 
@@ -216,12 +234,12 @@ def _tied_ranks(values: np.ndarray) -> np.ndarray:
 
 def auc(ranked: RankedList) -> float:
     """ROC AUC via the Mann-Whitney rank statistic, ties counting one half."""
-    labels = ranked.labels()
+    labels = ranked.labels
     p = int(labels.sum())
     n_neg = len(labels) - p
     if p == 0 or n_neg == 0:
         raise UndefinedMetric(f"target {ranked.target_id}: AUC needs both classes")
-    ranks = _tied_ranks(ranked.scores())
+    ranks = _tied_ranks(ranked.scores)
     r_pos = ranks[labels == 1].sum()
     return (r_pos - p * (p + 1) / 2.0) / (p * n_neg)
 
@@ -230,7 +248,7 @@ def enrichment_factor(ranked: RankedList, x_percent: float) -> float:
     """Actives found in the top x% of the ranking, relative to chance."""
     if not 0 < x_percent <= 100:
         raise ValueError(f"x_percent {x_percent} outside (0, 100]")
-    labels = ranked.labels()
+    labels = ranked.labels
     p = int(labels.sum())
     if p < 1:
         raise UndefinedMetric(f"target {ranked.target_id}: EF needs at least one active")
@@ -258,12 +276,11 @@ class Metrics:
 
 
 def compute_metrics(ranked: RankedList) -> Metrics:
-    labels = ranked.labels()
     return Metrics(
         auc=auc(ranked),
         ef={x: enrichment_factor(ranked, x) for x in EF_LEVELS},
-        n_actives=int(labels.sum()),
-        n_total=len(labels),
+        n_actives=int(ranked.labels.sum()),
+        n_total=len(ranked.labels),
     )
 
 
@@ -293,31 +310,18 @@ def per_target_protocol(target: TargetData, cfg: TrainConfig,
     one model trained for this target alone, metrics on the held-out 20%."""
     shape = shape or ref_nn.ARCH_SHAPES["64"]
     rng = _target_rng(cfg.rng_seed, target.target_id)
-    train_entries, test_entries = [], []
-    for label in (1, 0):
-        pool = [c for c in target.compounds if c[2] == label]
-        k = int(round(train_fraction * len(pool)))
-        if k == 0 or k == len(pool):
-            raise SplitError(
-                f"target {target.target_id}: cannot hold both classes on both "
-                f"sides of the {train_fraction:.0%} split")
-        picks = set(rng.choice(len(pool), size=k, replace=False).tolist())
-        for i, c in enumerate(pool):
-            (train_entries if i in picks else test_entries).append(c)
-
-    raw = np.array([mpe.pair_features(target.crystal, v) for _, v, _ in train_entries])
-    scaler = FeatureScaler().fit(raw)
-    to_pairs = lambda entries: [
-        LabeledPair(scaler.transform(mpe.pair_features(target.crystal, v)), label,
-                    target.target_id, cid)
-        for cid, v, label in entries
-    ]
-    train_pairs = ref_nn.oversample(to_pairs(train_entries), seed=cfg.rng_seed)
+    train, test = _split(target, rng, (train_fraction, train_fraction))
+    if any(np.unique(target.labels[side]).size < 2 for side in (train, test)):
+        raise SplitError(
+            f"target {target.target_id}: cannot hold both classes on both "
+            f"sides of the {train_fraction:.0%} split")
+    scaler = FeatureScaler().fit(target.pair_matrix[train])
+    train_pairs = ref_nn.oversample(_labeled_pairs([(target, train)], scaler),
+                                    seed=cfg.rng_seed)
     mlp, _ = ref_nn.train_adam(ref_nn.init_mlp(shape, "tanh", seed=cfg.rng_seed),
                                train_pairs, cfg)
-    test_target = TargetData(target.target_id, target.crystal, test_entries)
-    ranked = score_library(mlp, test_target, scaler)
-    return mlp, compute_metrics(ranked)
+    test_target = TargetData(target.target_id, target.crystal, [target.compounds[i] for i in test])
+    return mlp, compute_metrics(score_library(mlp, test_target, scaler))
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,47 @@ class TestCompare:
         err = capsys.readouterr().err
         assert str(bad) in err and repr(fault) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("auc", ["x", True, None, [0.5]])
+    def test_non_numeric_auc_exit_1(self, tmp_path, capsys, auc):
+        good, bad = tmp_path / "a.json", tmp_path / "b.json"
+        good.write_text(json.dumps({"targets": {"t0": {"auc": 0.9}}}))
+        bad.write_text(json.dumps({"targets": {"t0": {"auc": auc}}}))
+        assert run("compare", "--report-a", good, "--report-b", bad,
+                   "--out", tmp_path / "cmp.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(bad) in err and "'t0'" in err and "'auc'" in err
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("fault", ["bad byte", "truncated"])
+    @pytest.mark.parametrize("name", ["config", "scaler", "relu48.json", "hw48.json",
+                                      "manifest", "report"])
+    def test_exit_1_names_file(self, workspace, tmp_path, capsys, name, fault):
+        ws, manifest = workspace
+        data = {
+            "config": b"stream_len = 1023\n",
+            "scaler": (ws / "scaler.json").read_bytes(),
+            "manifest": manifest.read_bytes(),
+            "report": json.dumps({"targets": {"t0": {"auc": 0.9}}}).encode(),
+        }.get(name) or (ws / name).read_bytes()
+        bad = tmp_path / f"bad-{name}"
+        bad.write_bytes(data[:9] + b"\xff" + data[9:] if fault == "bad byte"
+                        else data[:len(data) // 2])
+        if name == "report":
+            argv = ["compare", "--report-a", bad, "--report-b", bad, "--out", tmp_path / "c.json"]
+        else:
+            files = {"model": ws / "relu48.json", "manifest": manifest,
+                     "scaler": ws / "scaler.json"}
+            files[{"relu48.json": "model", "hw48.json": "model"}.get(name, name)] = bad
+            argv = (["--config", bad] if name == "config" else []) + [
+                "evaluate", "--model", files["model"], "--manifest", files["manifest"],
+                "--cache", ws / "cache.csv", "--scaler", files["scaler"],
+                "--report", tmp_path / "r.json"]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+
 
 class TestScBench:
     def test_columns_and_gate_laws(self, tmp_path, capsys):

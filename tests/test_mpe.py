@@ -20,7 +20,6 @@ from scvs.mpe import (
     mpe_vector,
     pairing_energy,
     parse_molecules,
-    scale_features,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -283,14 +282,6 @@ class TestFeatureScaler:
         loaded = FeatureScaler.load(path)
         x = np.linspace(-3, 40, 24)
         np.testing.assert_array_equal(s.transform(x), loaded.transform(x))
-
-    def test_scale_features_order_ligand_then_candidate(self):
-        s = FeatureScaler(np.zeros(24), np.ones(24))
-        lig = MpeVector(np.linspace(1, 0.5, 6) * 0, np.zeros(6))
-        cand = MpeVector(np.ones(6) * 0, np.zeros(6))
-        out = scale_features(s, lig, cand)
-        assert out.shape == (24,)
-        np.testing.assert_allclose(out, -1.0)  # all features at their min
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +597,25 @@ class TestParserDifferential:
         path = tmp_path / "f"
         path.write_bytes((head + body).encode() + b"\xff\n")
         with pytest.raises(MoleculeParseError, match=r":2: unparseable"):
+            if fmt == "cache":
+                mpe.read_descriptor_cache(path)
+            else:
+                parse_molecules(path, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv-atoms", "mol2-subset", "cache"])
+    def test_malformed_row_in_same_buffer_as_undecodable_bytes_wins(self, tmp_path, fmt):
+        # A 4-line file, one read buffer: `x` on line 2, a 0xff byte on line 4.
+        if fmt == "csv-atoms":
+            lines = [",".join(mpe.CSV_ATOM_COLUMNS), "m,C,x,0,0,0", "m,C,0,0,0,0", "m,C,0,0,0,"]
+        elif fmt == "mol2-subset":
+            lines = ["@<TRIPOS>ATOM", "1 A 0 x 0 C 1 L 0", "1 A 0 0 0 C 1 L 0",
+                     "1 A 0 0 0 C 1 L "]
+        else:
+            lines = [",".join(mpe.CACHE_COLUMNS), "c0" + ",0" * 11 + ",x", "c1" + ",0" * 12,
+                     "c2" + ",0" * 11 + ","]
+        path = tmp_path / "f"
+        path.write_bytes("\n".join(lines).encode() + b"\xff\n")
+        with pytest.raises(MoleculeParseError, match=rf"^{path}:2: unparseable"):
             if fmt == "cache":
                 mpe.read_descriptor_cache(path)
             else:

@@ -2,12 +2,15 @@
 oracles, threshold tables, the per-target protocol and the synthetic
 benchmark generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from scvs import mpe, ref_nn, screening, synth
 from scvs.mpe import Atom, FeatureScaler, Molecule, MpeVector
 from scvs.ref_nn import TrainConfig
+from scvs.sc_nn import quantize_weights
 from scvs.screening import (
     Metrics,
     RankedList,
@@ -130,6 +133,128 @@ class TestScoreLibrary:
         for cid, score, _ in ranked.entries:
             feats = scaler.transform(mpe.pair_features(t.crystal, by_id[cid][0]))
             assert score == pytest.approx(ref_nn.forward(mlp, feats))
+
+
+    @staticmethod
+    def _python_order(ids, scores, labels):
+        return sorted(zip(ids, scores, labels), key=lambda e: (-e[1], e[0]))
+
+    def _ranked_by_stub(self, ids, scores, labels):
+        rng = np.random.default_rng(13)
+        t = TargetData("t", _vec(rng), [(cid, _vec(rng), l) for cid, l in zip(ids, labels)])
+        in_order = iter(scores)
+        scaler = FeatureScaler(np.full(24, -300.0), np.full(24, 300.0))
+        return score_library(lambda f: next(in_order), t, scaler)
+
+    @pytest.mark.parametrize("ids,scores", [
+        (["b", "a\x00", "a"], [1.0, 1.0, 1.0]),           # NUL-suffixed id sorts after its prefix
+        (["z", "y", "x", "w"], [0.0, -0.0, 0.0, -0.0]),    # signed zeros tie
+        (["c", "c", "b", "c"], [2.0, 1.0, 2.0, 2.0]),      # a repeated id keeps compound order
+    ])
+    def test_order_matches_python_sort(self, ids, scores):
+        labels = [i % 2 for i in range(len(ids))]
+        ranked = self._ranked_by_stub(ids, scores, labels)
+        assert repr(ranked.entries) == repr(self._python_order(ids, scores, labels))
+
+    def test_order_matches_python_sort_on_random_ties(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            ids = ["".join(rng.choice(["a", "b", "\x00", "é"], size=rng.integers(0, 3)))
+                   for _ in range(n)]
+            scores = [float(v) for v in rng.choice([0.0, -0.0, 1.5, -2.0], size=n)]
+            labels = rng.integers(0, 2, size=n).tolist()
+            ranked = self._ranked_by_stub(ids, scores, labels)
+            assert repr(ranked.entries) == repr(self._python_order(ids, scores, labels))
+            np.testing.assert_array_equal(ranked.scores, [e[1] for e in ranked.entries])
+            np.testing.assert_array_equal(ranked.labels, [e[2] for e in ranked.entries])
+
+
+class TestTargetArrays:
+    def test_pair_matrix_rows_are_pair_features(self):
+        rng = np.random.default_rng(15)
+        t = _target(rng, n_act=4, n_dec=9)
+        assert t.pair_matrix.shape == (13, 24)
+        for row, (_, vec, _) in zip(t.pair_matrix, t.compounds):
+            # crystal ligand's 12 features first, then the candidate's
+            assert row.tobytes() == mpe.pair_features(t.crystal, vec).tobytes()
+
+    def test_columns_follow_compounds(self):
+        rng = np.random.default_rng(16)
+        t = TargetData("t", _vec(rng), [("a\x00", _vec(rng), 1), ("a", _vec(rng), 0)])
+        assert t.ids == ["a\x00", "a"] and all(type(i) is str for i in t.ids)
+        assert t.labels.tolist() == [1, 0]
+        assert (t.n_actives, t.n_decoys) == (1, 1)
+
+    def test_empty_target(self):
+        t = TargetData("t", _vec(np.random.default_rng(17)), [])
+        assert t.pair_matrix.shape == (0, 24) and t.ids == [] and t.n_actives == 0
+        ranked = score_library(lambda f: 0.0, t, FeatureScaler(np.zeros(24), np.ones(24)))
+        assert ranked.entries == [] and ranked.scores.shape == (0,)
+
+
+def _digest(records) -> str:
+    h = hashlib.sha256()
+    for r in records:
+        h.update(r if isinstance(r, bytes) else repr(r).encode())
+    return h.hexdigest()
+
+
+def _pair_records(pairs):
+    for p in pairs:
+        yield (p.target_id, p.compound_id, int(p.label))
+        yield p.features.tobytes()
+
+
+class TestReportBytesGuard:
+    """sha256 of what the reports are made of, on the seed-2024 benchmark:
+    any refactor of the split, the pair rows, the scaling or the ranking
+    that moves a byte fails here."""
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        targets = synth.make_benchmark(seed=2024)
+        return targets, build_split(targets, SplitSpec(seed=7))
+
+    def test_build_split(self, bench):
+        _, (train, test, scaler) = bench
+        assert _digest([*_pair_records(train), b"|", *_pair_records(test),
+                        scaler.mins.tobytes(), scaler.maxs.tobytes()]) == \
+            "cb7760f3dfc2407e881bacd2babecdf3741f7711d00ab2d78890ad7355f01615"
+
+    def test_per_target_protocol_split(self, bench, monkeypatch):
+        targets, _ = bench
+        seen = []
+        train_adam, score = ref_nn.train_adam, screening.score_library
+
+        def recording_train_adam(mlp, pairs, cfg):
+            seen.extend(_pair_records(pairs))
+            return train_adam(mlp, pairs, cfg)
+
+        def recording_score(model, target, scaler):
+            ranked = score(model, target, scaler)
+            seen.append(b"|")
+            seen.extend(ranked.entries)
+            return ranked
+
+        monkeypatch.setattr(ref_nn, "train_adam", recording_train_adam)
+        monkeypatch.setattr(screening, "score_library", recording_score)
+        _, metrics = per_target_protocol(targets[0],
+                                         TrainConfig(epochs=1, batch_size=64, rng_seed=3))
+        seen.append(metrics.as_dict())
+        assert _digest(seen) == \
+            "3d316d37d8970c06f8d4b50ff761b40a2a28dc59d330be8fefdd639207aee106"
+
+    def test_score_library_entries(self, bench):
+        targets, (_, _, scaler) = bench
+        mlp = ref_nn.init_mlp(ref_nn.ARCH_SHAPES["48"], "relu", seed=1)
+        mlp.trained = True  # quantize refuses an untrained net; the weights stay seeded
+        hw = quantize_weights(mlp)
+        for model, want in (
+                (mlp, "5f6e9f6defe17d6c78c9a61a175326eded24715fc06bb8fe5ddccf4c21a1e39a"),
+                (hw, "7d96d0296b07095d1fe8ced6c6e2849380fbf34b01ff22346912d3440592a87d")):
+            entries = (e for t in targets for e in score_library(model, t, scaler).entries)
+            assert _digest(entries) == want
 
 
 class TestAuc:
