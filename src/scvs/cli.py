@@ -165,6 +165,14 @@ def _resolve(path: str, base: str) -> Path:
     return p
 
 
+def _output(path: str, base: str) -> Path:
+    """An output flag's path, resolved against ``base``, with its parent
+    directory created."""
+    out = _resolve(path, base)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _require_file(path: Path) -> Path:
     if not path.is_file():
         raise FileNotFoundError(f"file not found: {path}")
@@ -176,7 +184,6 @@ def _infer_format(path: Path) -> str:
 
 
 def _json_dump(doc, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -188,13 +195,13 @@ def _json_dump(doc, path: Path) -> None:
 
 def load_manifest(path: Path) -> list:
     doc = ref_nn.read_json(_require_file(path))
-    entries = ref_nn.require_fields(doc, ("targets",), path)["targets"] \
+    entries = ref_nn.require_fields(doc, {"targets": object}, path)["targets"] \
         if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
         raise ValidationError(f"{path}: targets must be a list of target entries")
     for i, e in enumerate(entries):
-        ref_nn.require_fields(e, ("target_id", "crystal_ligand", "actives", "decoys"),
-                              path, f"manifest entry {i} ")
+        ref_nn.require_fields(e, {"target_id": str, "crystal_ligand": str, "actives": str,
+                                  "decoys": str}, path, f"manifest entry {i} ")
     return entries
 
 
@@ -225,7 +232,7 @@ def _command_targets(args, cfg: RunConfig):
 
 
 def load_model(path: Path):
-    kind = ref_nn.require_fields(ref_nn.read_json(_require_file(path)), (), path).get("kind")
+    kind = ref_nn.require_fields(ref_nn.read_json(_require_file(path)), {}, path).get("kind")
     if kind == "mlp":
         return ref_nn.load_mlp(path)
     if kind == "sc_network":
@@ -238,7 +245,6 @@ def load_model(path: Path):
 
 
 def cmd_descriptors(args, cfg: RunConfig) -> int:
-    out = _resolve(args.out, cfg.data_dir)
     errors = []
     entries = []
     for name in args.inputs:
@@ -253,11 +259,11 @@ def cmd_descriptors(args, cfg: RunConfig) -> int:
                 entries.append((m.id, mpe.mpe_vector(m, cfg.k)))
             except ValueError as exc:
                 errors.append(f"{path}: {exc}")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output(args.out, cfg.data_dir)
     mpe.write_descriptor_cache(out, entries)
     print(f"wrote {len(entries)} descriptor rows to {out}")
     if args.scatter:
-        mpe.write_scatter_csv(_resolve(args.scatter, cfg.data_dir), entries)
+        mpe.write_scatter_csv(_output(args.scatter, cfg.data_dir), entries)
         print(f"wrote scatter data for {len(entries)} molecules to {args.scatter}")
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
@@ -279,10 +285,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
         ref_nn.init_mlp(shape, args.activation, seed=cfg.train_seed),
         train_pairs, cfg.train_config())
 
-    out = _resolve(args.out, cfg.models_dir)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output(args.out, cfg.models_dir)
     ref_nn.save_mlp(mlp, out)
-    scaler.save(_resolve(args.scaler_out, cfg.models_dir))
+    scaler.save(_output(args.scaler_out, cfg.models_dir))
     log_doc = {
         "config": asdict(cfg),
         "arch": args.arch,
@@ -294,10 +299,10 @@ def cmd_train(args, cfg: RunConfig) -> int:
         "val_loss": history["val_loss"],
         "stopped_epoch": history["stopped_epoch"],
     }
-    _json_dump(log_doc, _resolve(args.log_out, cfg.models_dir))
+    _json_dump(log_doc, _output(args.log_out, cfg.models_dir))
     if args.features_out:
         feats = np.stack([p.features for p in train_pairs])
-        with open(_resolve(args.features_out, cfg.models_dir), "w", newline="") as fh:
+        with open(_output(args.features_out, cfg.models_dir), "w", newline="") as fh:
             w = csv.writer(fh)
             for row in feats:
                 w.writerow([format(v, ".9g") for v in row])
@@ -323,8 +328,7 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
         stream_len=cfg.stream_len, lfsr1=lfsr1, lfsr2=lfsr2,
         use_bias=not args.no_bias, calib=calib, margin=cfg.margin,
         gain_cap=cfg.gain_cap)
-    out = _resolve(args.out, cfg.models_dir)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output(args.out, cfg.models_dir)
     sc_nn.save_sc_network(net, out)
     print(f"quantized to {cfg.width}-bit words, stream {cfg.stream_len}; "
           f"shifts {[l.norm_shift for l in net.layers]}; model -> {out}")
@@ -369,10 +373,10 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         "published_threshold_rows": screening.PUBLISHED_THRESHOLD_ROWS,
         "reproducibility_note": screening.REPRODUCIBILITY_NOTE,
     }
-    report_path = _resolve(args.report, cfg.reports_dir)
+    report_path = _output(args.report, cfg.reports_dir)
     _json_dump(report, report_path)
     if args.csv:
-        with open(_resolve(args.csv, cfg.reports_dir), "w", newline="") as fh:
+        with open(_output(args.csv, cfg.reports_dir), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["target", "auc", "ef1", "ef5", "ef10"])
             for tid in sorted(per_target):
@@ -385,7 +389,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     if args.timing_out:
         _json_dump({"inferences": inferences, "seconds": elapsed,
                     "inferences_per_second": throughput},
-                   _resolve(args.timing_out, cfg.reports_dir))
+                   _output(args.timing_out, cfg.reports_dir))
     for f in failures + metric_failures:
         print(f"warning: target {f['target_id']} not scored: {f['error']}", file=sys.stderr)
     return EXIT_OK
@@ -393,14 +397,9 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
 def _load_report(path: Path) -> dict:
     """An evaluate report whose every target entry holds a numeric ``auc``."""
-    doc = ref_nn.require_fields(ref_nn.read_json(_require_file(path)), ("targets",), path)
-    if not isinstance(doc["targets"], dict):
-        raise ValidationError(f"{path}: field 'targets' must map target ids to metrics")
+    doc = ref_nn.require_fields(ref_nn.read_json(_require_file(path)), {"targets": dict}, path)
     for tid, entry in doc["targets"].items():
-        auc = ref_nn.require_fields(entry, ("auc",), path, f"target {tid!r} ")["auc"]
-        if isinstance(auc, bool) or not isinstance(auc, (int, float)):
-            raise ValidationError(f"{path}: target {tid!r} field 'auc' must be a number, "
-                                  f"got {auc!r}")
+        ref_nn.require_fields(entry, {"auc": float}, path, f"target {tid!r} ")
     return doc
 
 
@@ -429,9 +428,9 @@ def cmd_compare(args, cfg: RunConfig) -> int:
         "published_per_target_rows": screening.PUBLISHED_PER_TARGET_ROWS,
         "reproducibility_note": screening.REPRODUCIBILITY_NOTE,
     }
-    _json_dump(out_doc, _resolve(args.out, cfg.reports_dir))
+    _json_dump(out_doc, _output(args.out, cfg.reports_dir))
     if args.csv:
-        with open(_resolve(args.csv, cfg.reports_dir), "w", newline="") as fh:
+        with open(_output(args.csv, cfg.reports_dir), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["target", "auc_a", "auc_b", "delta"])
             for row in per_target:
@@ -465,7 +464,7 @@ def cmd_per_target(args, cfg: RunConfig) -> int:
         "published_per_target_rows": screening.PUBLISHED_PER_TARGET_ROWS,
         "reproducibility_note": screening.REPRODUCIBILITY_NOTE,
     }
-    _json_dump(report, _resolve(args.out, cfg.reports_dir))
+    _json_dump(report, _output(args.out, cfg.reports_dir))
     print(f"per-target protocol on {len(rows)} targets: AUC "
           f"{report['aggregate']['auc_mean']} +/- {report['aggregate']['auc_std']}; "
           f"-> {args.out}")
@@ -503,8 +502,7 @@ def cmd_sc_bench(args, cfg: RunConfig) -> int:
                     if ideal is not None:
                         key = (kind.name, regime)
                         worst[key] = max(worst.get(key, 0.0), abs(z - ideal))
-    out = _resolve(args.out, cfg.reports_dir)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output(args.out, cfg.reports_dir)
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["gate", "regime", "x", "y", "C_measured", "z_measured", "z_formula"])

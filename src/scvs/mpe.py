@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .ref_nn import read_json, require_fields
+from .ref_nn import json_array, read_json, require_fields
 
 # Coulomb constant in kcal*Angstrom/(mol*e^2); only consistency matters here
 # because features are rescaled before they reach a network.
@@ -512,10 +512,11 @@ class FeatureScaler:
 
     @classmethod
     def load(cls, path) -> "FeatureScaler":
-        doc = require_fields(read_json(path), ("mins", "maxs"), path)
+        doc = require_fields(read_json(path), {"mins": list, "maxs": list}, path)
+        mins, maxs = (json_array(doc, name, np.float64, path) for name in ("mins", "maxs"))
         try:
-            return cls(doc["mins"], doc["maxs"])
-        except (TypeError, ValueError) as exc:
+            return cls(mins, maxs)
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 

@@ -10,6 +10,7 @@ the pre-sigmoid output is the ranking score.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -331,47 +332,77 @@ def save_mlp(mlp: Mlp, path) -> None:
 
 
 def read_json(path):
-    """The JSON document in ``path``; a file that is not UTF-8 or not JSON
-    raises a ValueError naming it."""
+    """The JSON document in ``path``; a file that is not UTF-8, not JSON or
+    nested too deeply to parse raises a ValueError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
-def require_fields(doc, fields, path, where: str = "") -> dict:
-    """``doc`` itself when it is a JSON object holding every name in
-    ``fields``; otherwise a ValueError naming the file, ``where`` in it and
-    the missing field."""
+# The JSON value types that each declarable field type admits (a bool is
+# neither an integer nor a number) and its name in messages; a field
+# declared ``object`` admits any value.
+_KINDS = {int: ({int}, "an integer"), float: ({int, float}, "a number"),
+          bool: ({bool}, "true or false"), str: ({str}, "a string"),
+          list: ({list}, "a list"), dict: ({dict}, "a JSON object")}
+
+
+def require_fields(doc, fields: dict, path, where: str = "") -> dict:
+    """``doc`` itself when it is a JSON object holding every field of
+    ``fields``, a map of names to types, with a value of its type; otherwise
+    a ValueError naming the file, ``where`` in it and the field."""
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: {where or 'document '}is not a JSON object")
-    for name in fields:
+    for name, kind in fields.items():
         if name not in doc:
             raise ValueError(f"{path}: {where}missing field {name!r}")
+        if kind is not object and type(doc[name]) not in _KINDS[kind][0]:
+            raise ValueError(f"{path}: {where}field {name!r} must be {_KINDS[kind][1]}, "
+                             f"got {reprlib.repr(doc[name])}")
     return doc
 
 
-def model_layers(doc, fields, path) -> list:
-    """The schema-checked layer objects of a model file."""
-    layers = require_fields(doc, ("layers",), path)["layers"]
-    if not isinstance(layers, list) or not layers:
+def json_array(doc: dict, name: str, dtype, path, where: str = "") -> np.ndarray:
+    """Field ``name`` of ``doc``, a list of numbers in the range of ``dtype``
+    (integers for an integer dtype), as an array of ``dtype``; otherwise a
+    ValueError naming the file, ``where`` in it and the field."""
+    admitted = _KINDS[int if np.issubdtype(dtype, np.integer) else float][0]
+    try:
+        if isinstance(doc[name], list) and {type(v) for v in doc[name]} <= admitted:
+            return np.array(doc[name], dtype=dtype)
+    except OverflowError:
+        pass
+    raise ValueError(f"{path}: {where}field {name!r} must be a list of "
+                     f"{np.dtype(dtype).name} values")
+
+
+def read_model(path, kind: str, what: str, fields: dict, layer_fields: dict):
+    """A model file's document and its layer objects.  The shared envelope
+    must hold ``kind`` (errors call such a file a ``what`` file) and the
+    format version, the document ``fields`` and a non-empty ``layers`` list,
+    and every layer ``layer_fields``.  Each layer comes paired with its place
+    in the file (``"layer i "``) for error messages."""
+    doc = read_json(path)
+    if require_fields(doc, {"kind": object}, path)["kind"] != kind:
+        raise ValueError(f"{path}: not a {what} file (kind={doc.get('kind')!r})")
+    if doc.get("version") != MODEL_FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported model format version {doc.get('version')!r}")
+    layers = require_fields(doc, {**fields, "layers": list}, path)["layers"]
+    if not layers:
         raise ValueError(f"{path}: field 'layers' must be a non-empty list")
-    return [require_fields(l, fields, path, f"layer {i} ") for i, l in enumerate(layers)]
+    return doc, [(f"layer {i} ", require_fields(l, layer_fields, path, f"layer {i} "))
+                 for i, l in enumerate(layers)]
 
 
 def load_mlp(path) -> Mlp:
-    doc = read_json(path)
-    if require_fields(doc, ("kind",), path)["kind"] != "mlp":
-        raise ValueError(f"{path}: not a float-network file (kind={doc.get('kind')!r})")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {doc.get('version')!r}")
-    require_fields(doc, ("activation",), path)
-    layers = model_layers(doc, ("fan_in", "fan_out", "weights", "bias"), path)
-    shape = [layers[0]["fan_in"]] + [l["fan_out"] for l in layers]
-    weights = [
-        np.array(l["weights"], dtype=np.float64).reshape(l["fan_out"], l["fan_in"])
-        for l in layers
-    ]
-    biases = [np.array(l["bias"], dtype=np.float64) for l in layers]
-    return Mlp(shape, doc["activation"], weights, biases, trained=bool(doc.get("trained", True)))
+    doc, layers = read_model(path, "mlp", "float-network", {"activation": str},
+                             {"fan_in": int, "fan_out": int, "weights": list, "bias": list})
+    if "trained" in doc:  # optional: a file without it holds a trained net
+        require_fields(doc, {"trained": bool}, path)
+    shape = [layers[0][1]["fan_in"]] + [l["fan_out"] for _, l in layers]
+    weights = [json_array(l, "weights", np.float64, path, where).reshape(l["fan_out"], l["fan_in"])
+               for where, l in layers]
+    biases = [json_array(l, "bias", np.float64, path, where) for where, l in layers]
+    return Mlp(shape, doc["activation"], weights, biases, trained=doc.get("trained", True))

@@ -250,30 +250,27 @@ class Lfsr:
 
     @property
     def period(self) -> int:
-        """Actual cycle length of the state sequence (cached)."""
-        cached = _PERIOD_CACHE.get((self.width, self.taps, self.seed))
-        if cached is not None:
-            return cached
-        s = self.step(self.seed)
-        n = 1
-        limit = 1 << self.width
-        while s != self.seed:
-            s = self.step(s)
-            n += 1
-            if n > limit:
-                raise RuntimeError("LFSR failed to cycle")
-        _PERIOD_CACHE[(self.width, self.taps, self.seed)] = n
-        return n
+        """Actual cycle length of the state sequence."""
+        return len(self._period_words())
 
     @property
     def is_maximal(self) -> bool:
         return self.period == (1 << self.width) - 1
 
     def _period_words(self) -> np.ndarray:
+        """Signed words of one whole cycle from the seed.  The register is
+        walked once per (width, taps, seed) and the words are cached."""
         key = (self.width, self.taps, self.seed)
         words = _WORDS_CACHE.get(key)
         if words is None:
-            raw = self.states(self.period)
+            raw = [self.seed]
+            s = self.step(self.seed)
+            while s != self.seed:
+                raw.append(s)
+                if len(raw) > 1 << self.width:
+                    raise RuntimeError("LFSR failed to cycle")
+                s = self.step(s)
+            raw = np.array(raw, dtype=np.int64)
             half = 1 << (self.width - 1)
             words = np.where(raw >= half, raw - (1 << self.width), raw).astype(np.int32)
             words.flags.writeable = False
@@ -289,7 +286,6 @@ class Lfsr:
         return WordSequence(base[idx], self.width, origin)
 
 
-_PERIOD_CACHE: dict = {}
 _WORDS_CACHE: dict = {}
 
 

@@ -9,10 +9,10 @@ domain and applies ReLU as a single OR gate against the correlated zero(t)
 signal.  The final neuron's shifted counter word, read in the binary domain,
 is the score.
 
-Window layout: the network inputs ride R_x from phase 0, reconversions and
-zero(t) ride it from the reconversion phase, and layer l's weights ride R_w
-from phase l*N.  The bias line is the word 2^(b-1), above every generator
-word, i.e. a constant all-ones stream.
+Window layout: the network inputs, zero(t) and every reconversion ride R_x
+from phase 0, so every layer's input streams come from one window, and layer
+l's weights ride R_w from phase l*N.  The bias line is the word 2^(b-1),
+above every generator word, i.e. a constant all-ones stream.
 
 Every model of the network runs one word-domain forward path: per layer a
 product model yields the APC values, which are floored by the layer's shift,
@@ -24,7 +24,9 @@ a prefix of ones, so each product is one partial-word popcount of a weight
 stream packed in that order.  The ideal one (``fixed_point_reference`` and the
 shift calibration in ``quantize_weights``) multiplies the exact window values
 of the same words in real arithmetic, which separates stochastic noise from
-quantization error.
+quantization error.  Both read the same count table per window: the number
+of window words below each word, which is the prefix length of an input
+stream and gives every stream's value (2r - n)/n.
 Exactly two generators serve the whole network, and repeat runs are
 bit-identical.
 """
@@ -38,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sc_core as sc
-from .ref_nn import Mlp, MODEL_FORMAT_VERSION, model_layers, read_json, require_fields
+from .ref_nn import Mlp, MODEL_FORMAT_VERSION, json_array, read_model, require_fields
 from .sc_core import BitStream, GateKind, Lfsr, WordSequence
 
 
@@ -125,9 +127,9 @@ class ScNetwork:
             a *= gain / l.scale
         return a
 
-    def simulator(self, recon_phase: int = 0) -> "ScSimulator":
-        if self._sim is None or self._sim.recon_phase != recon_phase % self.lfsr1.period:
-            self._sim = ScSimulator(self, recon_phase=recon_phase)
+    def simulator(self) -> "ScSimulator":
+        if self._sim is None:
+            self._sim = ScSimulator(self)
         return self._sim
 
 
@@ -141,31 +143,33 @@ def min_norm_shift(n_inputs: int, stream_len: int, width: int) -> int:
 # Generator windows and the shared word-domain forward path
 
 
-def _window_value_fn(words: np.ndarray):
-    """Exact decoded value of a comparator stream for any word, over the
-    actual RNG window (count of R(t) strictly below the word)."""
-    srt = np.sort(words)
-    n = len(words)
+def _windows(lfsr1: Lfsr, lfsr2: Lfsr, n: int,
+             n_layers: int) -> tuple[WordSequence, list[WordSequence]]:
+    """The input window and every layer's weight window.
 
-    def value(word):
-        below = np.searchsorted(srt, np.asarray(word), side="left")
-        return (2.0 * below - n) / n
-
-    return value
-
-
-def _windows(lfsr1: Lfsr, lfsr2: Lfsr, n: int, n_layers: int,
-             recon_phase: int = 0) -> list[tuple[WordSequence, WordSequence]]:
-    """(input window, weight window) of every layer.
-
-    The network inputs ride R1 from phase 0.  Every later layer's inputs are
-    reconversions, which ride R1 from ``recon_phase`` together with zero(t).
-    Layer ``li``'s weights ride R2 from phase li*N, so consecutive layers use
-    consecutive stretches of the weight generator.
+    The network inputs, zero(t) and every reconversion ride R1 from phase 0,
+    so one window A serves the inputs of every layer.  Layer ``li``'s weights
+    ride R2 from phase li*N, so consecutive layers use consecutive stretches
+    of the weight generator.
     """
-    recon = lfsr1.word_sequence(n, recon_phase)
-    return [(lfsr1.word_sequence(n) if li == 0 else recon,
-             lfsr2.word_sequence(n, (li * n) % lfsr2.period)) for li in range(n_layers)]
+    return lfsr1.word_sequence(n), [lfsr2.word_sequence(n, (li * n) % lfsr2.period)
+                                    for li in range(n_layers)]
+
+
+def _rank(window: WordSequence) -> np.ndarray:
+    """Count table of a window: ``rank[x + 2^(b-1)]`` = #{t: W_t < x}, the ones
+    of the comparator stream of word x.  Entry 2^b = n serves the bias word
+    2^(b-1), above every generator word."""
+    half = 1 << (window.width - 1)
+    return np.concatenate([[0], np.cumsum(np.bincount(window.words + half,
+                                                       minlength=2 * half))])
+
+
+def _values(rank: np.ndarray, words) -> np.ndarray:
+    """Exact decoded value (2r - n)/n of each word's comparator stream over
+    the window counted by ``rank``."""
+    n = int(rank[-1])
+    return (2.0 * rank[words + (len(rank) >> 1)] - n) / n
 
 
 def _input_rows(net: "ScNetwork", x) -> np.ndarray:
@@ -199,19 +203,19 @@ def _forward(x: np.ndarray, n_layers: int, width: int, layer_apc):
     return layer_words[-1][:, 0] / half, layer_words, saturations
 
 
-def _ideal_apc(words: np.ndarray, windows, weights_q: np.ndarray,
-               bias_q: np.ndarray | None) -> np.ndarray:
-    """Ideal product model: exact window values times real products.
+def _ideal_apc(words: np.ndarray, rank_a: np.ndarray, rank_b: np.ndarray,
+               weights_q: np.ndarray, bias_q: np.ndarray | None) -> np.ndarray:
+    """Ideal product model: exact window values times real products, with
+    input words counted over the input window A and weight words over the
+    layer's weight window B.
 
     The bias line (word 2^(b-1), above every generator word) decodes to
     exactly 1, so its products are the bias words' own values.
     """
-    x_window, w_window = windows
-    w_value = _window_value_fn(w_window.words)
-    dot = _window_value_fn(x_window.words)(words) @ w_value(weights_q).T
+    dot = _values(rank_a, words) @ _values(rank_b, weights_q).T
     if bias_q is not None:
-        dot = dot + w_value(bias_q)
-    return dot * len(w_window)
+        dot = dot + _values(rank_b, bias_q)
+    return dot * int(rank_b[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +301,8 @@ def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH, clip_quantile: flo
     lfsr2 = lfsr2 or default_lfsr2(width)
     half = 1 << (width - 1)
     n = stream_len
-    windows = _windows(lfsr1, lfsr2, n, mlp.n_layers)
+    x_window, w_windows = _windows(lfsr1, lfsr2, n, mlp.n_layers)
+    rank_a, ranks_b = _rank(x_window), [_rank(w) for w in w_windows]
     layers = []
     attenuation = 1.0
 
@@ -318,7 +323,7 @@ def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH, clip_quantile: flo
 
         n_inputs = w.shape[1] + (1 if bias_q is not None else 0)
         shift = min_norm_shift(n_inputs, n, width)
-        apc = _ideal_apc(words, windows[li], w_q, bias_q)
+        apc = _ideal_apc(words, rank_a, ranks_b[li], w_q, bias_q)
         peak = float(np.max(np.abs(apc), initial=0.0))
         if peak > 0:
             cap_floor = max(0, math.ceil(math.log2(n / (gain_cap * half))))
@@ -340,39 +345,33 @@ def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH, clip_quantile: flo
 
 
 class _PrefixTables(NamedTuple):
-    """One layer's weight streams, read in the sorted order of its input window.
+    """One layer's weight streams, read in the sorted order of the input window.
 
-    ``rank[x + 2^(b-1)]`` is the prefix length r = #{t: A_t < x} of input word
-    x; ``packs`` and ``prefix`` hold, for every 64-bit block q and input line
-    i at row ``q * n_inputs + i``, each neuron's weight-stream bits and the
+    ``packs`` and ``prefix`` hold, for every 64-bit block q and input line i
+    at row ``q * n_inputs + i``, each neuron's weight-stream bits and the
     number of ones before the block; ``ones`` is each weight stream's total
     (n_inputs, fan_out) and ``offset`` the per-neuron constant n_inputs*n -
     2*sum(ones) of the APC.
     """
 
-    rank: np.ndarray
     packs: np.ndarray
     prefix: np.ndarray
     ones: np.ndarray
     offset: np.ndarray
 
 
-def _prefix_tables(x_window: WordSequence, w_window: WordSequence,
+def _prefix_tables(order: np.ndarray, w_window: WordSequence,
                    weights: np.ndarray) -> _PrefixTables:
     """Prefix-popcount tables of one layer for its (fan_out, n_inputs) weights.
 
-    Read in the stable sort order of the input window A, every input stream
-    is a prefix of ones.  The weight streams are built per distinct weight
-    word, without comparing each word against the window: bit t of the stream
-    of the u-th smallest word is set iff u >= first[t], the number of
-    distinct words <= B_t, so a 64-bit block of every stream is a running
-    sum over u of the block's bits binned by ``first``.
+    ``order`` is the stable sort order of the input window A; read in it,
+    every input stream is a prefix of ones.  The weight streams are built per
+    distinct weight word, without comparing each word against the window: bit
+    t of the stream of the u-th smallest word is set iff u >= first[t], the
+    number of distinct words <= B_t, so a 64-bit block of every stream is a
+    running sum over u of the block's bits binned by ``first``.
     """
-    n = len(x_window)
-    half = 1 << (x_window.width - 1)
-    order = np.argsort(x_window.words, kind="stable")
-    rank = np.concatenate([[0], np.cumsum(np.bincount(x_window.words + half,
-                                                       minlength=2 * half))])
+    n = len(order)
     values, inverse = np.unique(weights, return_inverse=True)
     first = np.searchsorted(values, w_window.words[order], side="right")
     t = np.arange(n)
@@ -385,7 +384,7 @@ def _prefix_tables(x_window: WordSequence, w_window: WordSequence,
     lines = inverse.reshape(weights.shape).T.reshape(-1)
     ones = totals[-1, lines].reshape(weights.shape[::-1])
     return _PrefixTables(
-        rank, np.take(packs, lines, axis=1).reshape(-1, weights.shape[0]),
+        np.take(packs, lines, axis=1).reshape(-1, weights.shape[0]),
         np.take(totals - counts, lines, axis=1).reshape(-1, weights.shape[0]), ones,
         weights.shape[1] * n - 2 * ones.sum(axis=0, dtype=np.int64))
 
@@ -405,23 +404,23 @@ class ScSimulator:
     streams, bit for bit.
 
     Counts generator instantiations (two for any network) and saturation
-    events.  Inference is a pure function of (network, input, phase); repeat
-    runs are bit-identical.
+    events.  Inference is a pure function of (network, input); repeat runs
+    are bit-identical.
     """
 
-    def __init__(self, net: ScNetwork, recon_phase: int = 0):
+    def __init__(self, net: ScNetwork):
         self.net = net
-        self.recon_phase = recon_phase % net.lfsr1.period
         self.saturation_count = 0
         self.rng_instantiations = len({(g.width, g.taps, g.seed) for g in (net.lfsr1, net.lfsr2)})
-        windows = _windows(net.lfsr1, net.lfsr2, net.stream_len, len(net.layers),
-                           self.recon_phase)
+        x_window, w_windows = _windows(net.lfsr1, net.lfsr2, net.stream_len, len(net.layers))
+        order = np.argsort(x_window.words, kind="stable")
+        self._rank = _rank(x_window)
         self._tables = []
-        for layer, (x_window, w_window) in zip(net.layers, windows):
+        for layer, w_window in zip(net.layers, w_windows):
             wq = layer.weights_q
             if layer.bias_q is not None:
                 wq = np.concatenate([wq, layer.bias_q[:, None]], axis=1)
-            self._tables.append(_prefix_tables(x_window, w_window, wq))
+            self._tables.append(_prefix_tables(order, w_window, wq))
 
     def _prefix_apc(self, li: int, words: np.ndarray, counts: list | None = None):
         """APC of layer ``li`` for its (k, fan_in) input words.  Appends the
@@ -433,7 +432,7 @@ class ScSimulator:
         if self.net.layers[li].bias_q is not None:
             # the bias word 2^(b-1) is above every generator word: r = n
             words = np.concatenate([words, np.full((len(words), 1), half)], axis=1)
-        r = tables.rank[words + half]
+        r = self._rank[words + half]
         rows = (r >> 6) * r.shape[1] + np.arange(r.shape[1])
         partial = tables.packs[rows]
         partial &= ((np.uint64(1) << (r & 63).astype(np.uint64)) - np.uint64(1))[..., None]
@@ -477,26 +476,23 @@ class ScSimulator:
                                   for p, w, o in zip(products, words, outs)]
 
 
-def sc_network_infer(net: ScNetwork, x, recon_phase: int = 0) -> float:
-    """Decoded score of the hardware network for one feature-scaled input."""
-    return net.simulator(recon_phase).infer(x)
-
-
 # ---------------------------------------------------------------------------
 # Fixed-point reference: same quantization, same shifts, real arithmetic
 
 
-def fixed_point_reference(net: ScNetwork, x, recon_phase: int = 0):
+def fixed_point_reference(net: ScNetwork, x):
     """Ideal-product reference: exact stream values for every conversion, real
     products, real accumulation with the same floor shift and saturation.
     The difference between this and the bit-true simulator is the stochastic
     multiplication noise alone.  A 1-D input gives a float, a batch an array."""
     x = np.asarray(x, dtype=np.float64)
-    windows = _windows(net.lfsr1, net.lfsr2, net.stream_len, len(net.layers), recon_phase)
+    x_window, w_windows = _windows(net.lfsr1, net.lfsr2, net.stream_len, len(net.layers))
+    rank_a, ranks_b = _rank(x_window), [_rank(w) for w in w_windows]
 
     def layer_apc(li, words):
         layer = net.layers[li]
-        return _ideal_apc(words, windows[li], layer.weights_q, layer.bias_q), layer.norm_shift
+        return (_ideal_apc(words, rank_a, ranks_b[li], layer.weights_q, layer.bias_q),
+                layer.norm_shift)
 
     scores = _forward(_input_rows(net, x), len(net.layers), net.width, layer_apc)[0]
     return float(scores[0]) if x.ndim == 1 else scores
@@ -532,22 +528,19 @@ def save_sc_network(net: ScNetwork, path) -> None:
 
 
 def load_sc_network(path) -> ScNetwork:
-    doc = read_json(path)
-    if require_fields(doc, ("kind",), path)["kind"] != "sc_network":
-        raise ValueError(f"{path}: not a hardware-network file (kind={doc.get('kind')!r})")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {doc.get('version')!r}")
-    require_fields(doc, ("width", "stream_len", "lfsr1", "lfsr2"), path)
-    width = int(doc["width"])
+    doc, entries = read_model(
+        path, "sc_network", "hardware-network",
+        {"width": int, "stream_len": int, "lfsr1": dict, "lfsr2": dict},
+        {"fan_in": int, "fan_out": int, "norm_shift": int, "scale": float, "weights": list,
+         "bias": object})
     layers = [
-        ScLayer(
-            l["fan_in"], l["fan_out"], l["norm_shift"], l["scale"],
-            np.array(l["weights"], dtype=np.int32).reshape(l["fan_out"], l["fan_in"]),
-            None if l["bias"] is None else np.array(l["bias"], dtype=np.int32),
-        )
-        for l in model_layers(doc, ("fan_in", "fan_out", "norm_shift", "scale", "weights", "bias"),
-                              path)
+        ScLayer(l["fan_in"], l["fan_out"], l["norm_shift"], l["scale"],
+                json_array(l, "weights", np.int32, path, where),
+                None if l["bias"] is None else json_array(l, "bias", np.int32, path, where))
+        for where, l in entries
     ]
-    gens = [require_fields(doc[k], ("taps", "seed"), path, f"{k} ") for k in ("lfsr1", "lfsr2")]
-    lfsr1, lfsr2 = (Lfsr(width, tuple(g["taps"]), g["seed"]) for g in gens)
-    return ScNetwork(layers, lfsr1, lfsr2, stream_len=int(doc["stream_len"]), width=width)
+    gens = [(f"{k} ", require_fields(doc[k], {"taps": list, "seed": int}, path, f"{k} "))
+            for k in ("lfsr1", "lfsr2")]
+    lfsr1, lfsr2 = (Lfsr(doc["width"], tuple(json_array(g, "taps", np.int64, path, where).tolist()),
+                         g["seed"]) for where, g in gens)
+    return ScNetwork(layers, lfsr1, lfsr2, stream_len=doc["stream_len"], width=doc["width"])

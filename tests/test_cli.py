@@ -386,7 +386,7 @@ class TestCompare:
 
 
 class TestUnreadableInputs:
-    @pytest.mark.parametrize("fault", ["bad byte", "truncated"])
+    @pytest.mark.parametrize("fault", ["bad byte", "truncated", "deep nesting"])
     @pytest.mark.parametrize("name", ["config", "scaler", "relu48.json", "hw48.json",
                                       "manifest", "report"])
     def test_exit_1_names_file(self, workspace, tmp_path, capsys, name, fault):
@@ -398,8 +398,9 @@ class TestUnreadableInputs:
             "report": json.dumps({"targets": {"t0": {"auc": 0.9}}}).encode(),
         }.get(name) or (ws / name).read_bytes()
         bad = tmp_path / f"bad-{name}"
-        bad.write_bytes(data[:9] + b"\xff" + data[9:] if fault == "bad byte"
-                        else data[:len(data) // 2])
+        bad.write_bytes({"bad byte": data[:9] + b"\xff" + data[9:],
+                         "truncated": data[:len(data) // 2],
+                         "deep nesting": b"[" * 100_000}[fault])
         if name == "report":
             argv = ["compare", "--report-a", bad, "--report-b", bad, "--out", tmp_path / "c.json"]
         else:
@@ -413,6 +414,91 @@ class TestUnreadableInputs:
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+
+
+# (file, key path into it, a value of the wrong type for the field it names)
+WRONG_TYPES = [
+    ("hw48.json", ("lfsr1", "taps"), 5),
+    ("hw48.json", ("lfsr1", "seed"), "x"),
+    ("hw48.json", ("lfsr1", "seed"), [1]),
+    ("hw48.json", ("width",), None),
+    ("hw48.json", ("stream_len",), 4095.5),
+    ("hw48.json", ("layers", 0, "fan_in"), "x"),
+    ("hw48.json", ("layers", 0, "fan_in"), None),
+    ("hw48.json", ("layers", 0, "norm_shift"), 1.5),
+    ("hw48.json", ("layers", 0, "bias"), {}),
+    ("hw48.json", ("layers", 0, "weights", 0), None),
+    ("hw48.json", ("layers", 0, "weights", 0), 10 ** 30),
+    ("relu48.json", ("layers", 0, "fan_in"), "x"),
+    ("relu48.json", ("layers", 0, "weights", 0), None),
+    ("relu48.json", ("trained",), "no"),
+    ("manifest.json", ("targets", 0, "target_id"), 5),
+    ("manifest.json", ("targets", 0, "target_id"), [1]),
+    ("manifest.json", ("targets", 0, "actives"), 5),
+    ("manifest.json", ("targets", 0, "actives"), None),
+    ("scaler.json", ("mins", 0), None),
+]
+
+
+class TestWrongFieldTypes:
+    @pytest.mark.parametrize("name,path,value", WRONG_TYPES, ids=[
+        f"{name}:{'.'.join(map(str, path))}={value!r}" for name, path, value in WRONG_TYPES])
+    def test_exit_1_names_file_and_field(self, workspace, tmp_path, capsys, name, path, value):
+        ws, manifest = workspace
+        doc = json.loads((manifest if name == "manifest.json" else ws / name).read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / name
+        bad.write_text(json.dumps(doc))
+        files = {"model": ws / "hw48.json", "manifest": manifest, "scaler": ws / "scaler.json"}
+        files[{"manifest.json": "manifest", "scaler.json": "scaler"}.get(name, "model")] = bad
+        assert run("evaluate", "--model", files["model"], "--manifest", files["manifest"],
+                   "--cache", ws / "cache.csv", "--scaler", files["scaler"],
+                   "--report", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        field = [key for key in path if isinstance(key, str)][-1]
+        assert err.startswith("error: ") and str(bad) in err and repr(field) in err
+        assert "Traceback" not in err
+
+
+# every output flag of each subcommand, with the file name it writes there
+OUTPUT_FLAGS = {
+    "descriptors": {"--out": "cache.csv", "--scatter": "scatter.csv"},
+    "train": {"--out": "m.json", "--scaler-out": "s.json", "--log-out": "l.json",
+              "--features-out": "f.csv"},
+    "quantize": {"--out": "hw.json"},
+    "evaluate": {"--report": "r.json", "--csv": "r.csv", "--timing-out": "t.json"},
+    "compare": {"--out": "c.json", "--csv": "c.csv"},
+    "per-target": {"--out": "pt.json"},
+    "sc-bench": {"--out": "gates.csv"},
+    "make-bench": {"--out-dir": "bench"},
+}
+
+
+class TestOutputParents:
+    @pytest.mark.parametrize("command,flag", [(command, flag) for command, flags in
+                                              OUTPUT_FLAGS.items() for flag in flags])
+    def test_flag_creates_missing_parent(self, workspace, tmp_path, command, flag):
+        ws, manifest = workspace
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"targets": {"t0": {"auc": 0.9}}}))
+        data = ["--manifest", manifest, "--cache", ws / "cache.csv"]
+        argv = [command, *{
+            "descriptors": [DATA / "fixture_atoms.csv"],
+            "train": data + ["--arch", "12", "--activation", "relu", "--epochs", "1"],
+            "quantize": ["--model", ws / "relu48.json"],
+            "evaluate": data + ["--model", ws / "hw48.json", "--scaler", ws / "scaler.json"],
+            "compare": ["--report-a", report, "--report-b", report],
+            "per-target": data + ["--arch", "12", "--epochs", "1"],
+            "sc-bench": ["--step", "2.0"],
+            "make-bench": ["--targets", "1", "--actives", "4", "--decoys", "8"],
+        }[command]]
+        for option, name in OUTPUT_FLAGS[command].items():
+            argv += [option, tmp_path / "new" / "sub" / name if option == flag else tmp_path / name]
+        assert run(*argv) == 0
+        assert (tmp_path / "new" / "sub" / OUTPUT_FLAGS[command][flag]).exists()
 
 
 class TestScBench:

@@ -64,6 +64,14 @@ class TestLfsr:
         assert l.step(int(states[-1])) == 1  # wraps back to the seed
         assert l.period == 15
 
+    def test_short_cycle_period_and_words(self):
+        # x^4 alone rotates the register: a 4-state cycle, not the maximal 15
+        l = Lfsr(width=4, taps=(4,), seed=1)
+        assert l.period == 4 and not l.is_maximal
+        seq = l.word_sequence(6, phase=7)
+        assert seq.words.tolist() == [-8, 1, 2, 4, -8, 1]
+        assert seq.origin == "lfsr(w=4,taps=(4,),seed=1,phase=3)"
+
     def test_state_after_period_equals_seed(self):
         for l in (Lfsr(), Lfsr(taps=sc.DEFAULT_TAPS_2, seed=77), Lfsr(width=4, taps=(4, 3))):
             s = l.seed

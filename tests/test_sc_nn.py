@@ -1,6 +1,8 @@
 """Hardware network tests: quantization, the OR-gate ReLU, single neurons,
 whole-network inference and the fixed-point reference."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from scvs.sc_nn import (
     min_norm_shift,
     quantize_weights,
     relu_via_or,
-    sc_network_infer,
     sc_neuron_forward,
 )
 
@@ -170,20 +171,20 @@ class TestScNetwork:
         layer = ScLayer(1, 1, 1, 1.0, np.array([[2047]]), None)
         net = ScNetwork([layer], default_lfsr1(), default_lfsr2())
         for v in (-0.75, -0.25, 0.25, 0.75):
-            assert sc_network_infer(net, [v]) == pytest.approx(v, abs=0.05)
+            assert net.simulator().infer([v]) == pytest.approx(v, abs=0.05)
 
     def test_zero_input_matches_reference(self):
         rng = np.random.default_rng(3)
         _, net = _random_net([24, 12, 6, 1], 7, rng)
         x = np.zeros(24)
-        assert sc_network_infer(net, x) == pytest.approx(
+        assert net.simulator().infer(x) == pytest.approx(
             fixed_point_reference(net, x), abs=0.05)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(3)
         _, net = _random_net([24, 12, 6, 1], 7, rng)
         with pytest.raises(ValueError):
-            sc_network_infer(net, np.zeros(10))
+            net.simulator().infer(np.zeros(10))
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(4)
@@ -208,24 +209,10 @@ class TestScNetwork:
         singles = np.array([sim.infer(x) for x in X])
         np.testing.assert_array_equal(batch, singles)
 
-    def test_recon_phase_parameter(self):
-        rng = np.random.default_rng(8)
-        _, net = _random_net([24, 12, 6, 1], 19, rng)
-        x = rng.uniform(-1, 1, 24)
-        lockstep = sc_network_infer(net, x)
-        offset = sc_network_infer(net, x, recon_phase=137)
-        assert lockstep == pytest.approx(offset, abs=0.1)
-
     def test_simulator_cached_across_equivalent_phases(self):
         rng = np.random.default_rng(9)
         _, net = _random_net([24, 12, 6, 1], 21, rng)
-        period = net.lfsr1.period
-        sim = net.simulator(5)
-        assert net.simulator(5 + period) is sim
-        last = net.simulator(-1)
-        assert last.recon_phase == period - 1
-        assert net.simulator(period - 1) is last
-        assert net.simulator(-1) is last
+        assert net.simulator() is net.simulator()
 
     def test_mismatched_generators_rejected(self):
         layer = ScLayer(1, 1, 1, 1.0, np.array([[100]]), None)
@@ -360,17 +347,16 @@ class TestSimulatorAgainstNeuronOp:
             assert out.value == pytest.approx(traces[0]["out_values"].reshape(-1)[i], abs=1e-12)
 
 
-def _gate_level_scores(net, X, recon_phase):
+def _gate_level_scores(net, X):
     """Scores and saturation count composed neuron by neuron from the spec ops.
 
-    Inputs ride LFSR1 from phase 0, reconversion and zero(t) ride it from
-    ``recon_phase``, layer ``li``'s weights ride LFSR2 from phase li*N and
-    the bias line is a constant all-ones stream.
+    Inputs, reconversion and zero(t) ride LFSR1 from phase 0, layer ``li``'s
+    weights ride LFSR2 from phase li*N and the bias line is a constant
+    all-ones stream.
     """
     n, width = net.stream_len, net.width
     half = 1 << (width - 1)
     r1 = net.lfsr1.word_sequence(n)
-    recon = net.lfsr1.word_sequence(n, recon_phase)
     ones = sc.constant_stream(True, n)
     diag = {"saturations": 0}
     scores = []
@@ -385,7 +371,7 @@ def _gate_level_scores(net, X, recon_phase):
                 rows = [row + [int(b)] for row, b in zip(rows, layer.bias_q)]
                 inputs.append(ones)
             if li < len(net.layers) - 1:
-                streams = [sc_neuron_forward(inputs, row, recon, r2, layer.norm_shift,
+                streams = [sc_neuron_forward(inputs, row, r1, r2, layer.norm_shift,
                                              width, diagnostics=diag) for row in rows]
                 continue
             products = [sc.gate_eval(GateKind.XNOR, s, sc.to_stochastic(sc.FixedWord(w, width), r2))
@@ -416,17 +402,16 @@ def _small_nets(draw):
         layers.append(ScLayer(fan_in, fan_out, shift, 1.0,
                               rng.integers(-half, half, (fan_out, fan_in)), bias))
     net = ScNetwork(layers, default_lfsr1(width), default_lfsr2(width), stream_len=n, width=width)
-    recon_phase = draw(st.one_of(st.just(0), st.integers(1, 2 * period)))
-    return net, rng.uniform(-1, 1, (3, shape[0])), recon_phase
+    return net, rng.uniform(-1, 1, (3, shape[0]))
 
 
 class TestGateLevelEquality:
     @given(_small_nets())
     @settings(max_examples=40, deadline=None)
     def test_infer_many_equals_neuron_composition(self, case):
-        net, X, recon_phase = case
-        sim = sc_nn.ScSimulator(net, recon_phase=recon_phase)
-        want, saturations = _gate_level_scores(net, X, recon_phase)
+        net, X = case
+        sim = sc_nn.ScSimulator(net)
+        want, saturations = _gate_level_scores(net, X)
         np.testing.assert_array_equal(sim.infer_many(X, chunk=2), want)
         assert sim.saturation_count == saturations
 
@@ -454,7 +439,7 @@ class TestPrefixEngineEdges:
         X = np.array([[-1.0] * 3, [0.0] * 3, [1.0] * 3, [-1.0, 0.0, 1.0]])
         assert set(sc.encode_array(X).reshape(-1)) == {-HALF, 0, HALF - 1}
         sim = sc_nn.ScSimulator(net)
-        want, saturations = _gate_level_scores(net, X, 0)
+        want, saturations = _gate_level_scores(net, X)
         np.testing.assert_array_equal(sim.infer_many(X), want)
         assert sim.saturation_count == saturations
         hidden = np.concatenate([sim.trace(x)[1][0]["words"].reshape(-1) for x in X])
@@ -465,32 +450,31 @@ class TestPrefixEngineEdges:
         # 64*m and 64*m+1 bits, the period, period+1 and beyond two periods
         net = _fixed_net(8, n, seed=n)
         X = np.random.default_rng(n).uniform(-1, 1, (4, 3))
-        sim = sc_nn.ScSimulator(net, recon_phase=100)
-        want, saturations = _gate_level_scores(net, X, 100)
+        sim = sc_nn.ScSimulator(net)
+        want, saturations = _gate_level_scores(net, X)
         np.testing.assert_array_equal(sim.infer_many(X), want)
         assert sim.saturation_count == saturations
 
     def test_chunking_and_empty_batch(self):
         net = _fixed_net(8, 255, seed=3)
         X = np.random.default_rng(3).uniform(-1, 1, (7, 3))
-        want, _ = _gate_level_scores(net, X, 0)
+        want, _ = _gate_level_scores(net, X)
         sim = net.simulator()
         for chunk in (1, 3, len(X) + 5):
             np.testing.assert_array_equal(sim.infer_many(X, chunk=chunk), want)
         empty = sim.infer_many(np.empty((0, 3)))
         assert empty.shape == (0,)
 
-    @pytest.mark.parametrize("width,n,recon_phase", [(12, N, 37), (8, 300, 0)])
-    def test_trace_products_are_xnor_stream_values(self, width, n, recon_phase):
-        net = _fixed_net(width, n, seed=width, shape=(3, 2, 1))
+    @pytest.mark.parametrize("width,n,seed", [(12, N, 37), (8, 300, 0)])
+    def test_trace_products_are_xnor_stream_values(self, width, n, seed):
+        net = _fixed_net(width, n, seed=seed, shape=(3, 2, 1))
         x = np.array([-1.0, 0.3, 1.0])
-        _, layers = net.simulator(recon_phase).trace(x)
+        _, layers = net.simulator().trace(x)
         r1 = net.lfsr1.word_sequence(n)
-        recon = net.lfsr1.word_sequence(n, recon_phase)
-        words, window = sc.encode_array(x, width), r1
+        words = sc.encode_array(x, width)
         for li, (layer, got) in enumerate(zip(net.layers, layers)):
             r2 = net.lfsr2.word_sequence(n, (li * n) % net.lfsr2.period)
-            streams = [sc.to_stochastic(sc.FixedWord(int(w), width), window) for w in words]
+            streams = [sc.to_stochastic(sc.FixedWord(int(w), width), r1) for w in words]
             streams.append(sc.constant_stream(True, n))
             rows = np.concatenate([layer.weights_q, layer.bias_q[:, None]], axis=1)
             want = [[sc.gate_eval(GateKind.XNOR, s,
@@ -498,7 +482,62 @@ class TestPrefixEngineEdges:
                      for s, w in zip(streams, row)] for row in rows]
             assert got["products"].dtype == np.float64
             np.testing.assert_array_equal(got["products"], np.array([want]))
-            words, window = np.maximum(got["words"][0], 0), recon
+            words = np.maximum(got["words"][0], 0)
+
+
+def _sc_digest(arch, width):
+    """sha256 over every output of both product models, for the ``arch`` net
+    quantized at ``width`` with the stream length at the generator period
+    and at a third of it, calibrated or not, with bias lines or without."""
+    h = hashlib.sha256()
+
+    def put(*values):
+        for v in values:
+            a = np.asarray(v)
+            h.update(f"{a.dtype}{a.shape}".encode())
+            h.update(a.tobytes())
+
+    period = (1 << width) - 1
+    rng = np.random.default_rng(width * 1000 + int(arch))
+    mlp = ref_nn.init_mlp(ref_nn.ARCH_SHAPES[arch], "relu", seed=int(arch))
+    mlp.biases = [rng.uniform(-0.5, 0.5, b.shape) for b in mlp.biases]
+    mlp.trained = True
+    calib, X = rng.uniform(-1, 1, (32, 24)), rng.uniform(-1, 1, (24, 24))
+    X[0], X[1] = -1.0, 1.0
+    for n in (period, period // 3):
+        for rows in (None, calib):
+            for use_bias in (False, True):
+                net = quantize_weights(mlp, width=width, stream_len=n, calib=rows,
+                                       use_bias=use_bias)
+                for layer in net.layers:
+                    put(layer.weights_q, -1 if layer.bias_q is None else layer.bias_q,
+                        layer.norm_shift, layer.scale)
+                sim = net.simulator()
+                put(sim.infer_many(X, chunk=10), sim.saturation_count,
+                    fixed_point_reference(net, X), fixed_point_reference(net, X[2]))
+                score, layers = sim.trace(X[3])
+                put(score, *(layer[key] for layer in layers
+                             for key in ("products", "words", "out_values")))
+    return h.hexdigest()
+
+
+class TestBitIdentityGuard:
+    """Pinned sha256 of quantized words, shifts and scales, bit-true scores and
+    saturations, fixed-point scores and traces: a refactor of either product
+    model that moves a single bit fails here."""
+
+    DIGESTS = {
+        ("12", 8): "faf5b15cf3642a1e3c1f551b1c5f35cdb0826846a7bc1a41ca46a9f1dcff571c",
+        ("12", 12): "ff42772dc2f9700f48c61040805711c6c99cc03bf6bc5874cc802d30910cb183",
+        ("48", 8): "33915fbf18f22dcf2628f0be8ba31e865b0e4bf2174a8a770b24ad13f7011cbe",
+        ("48", 12): "0ab136603554d31c8116fd79489c5b3909b11867dae993754a4343aa272aff5a",
+        ("256", 8): "a728064bb721553657393c9f0f265bb7a7fe78cfe3c116efa082b61f4fbd2047",
+        ("256", 12): "a3982291f5075d10e44ffe881d822ad634c507a4a91a6cb61a49009b32ecea8c",
+    }
+
+    @pytest.mark.parametrize("arch,width", list(DIGESTS))
+    def test_outputs_unchanged(self, arch, width):
+        assert _sc_digest(arch, width) == self.DIGESTS[arch, width]
 
 
 class TestSaturation:
@@ -510,17 +549,6 @@ class TestSaturation:
         out = sim.infer([0.9, 0.9, 0.9, 0.9])
         assert sim.saturation_count == 1
         assert out == (2048 - 1) / 2048  # clamped to the top word
-
-
-class TestReconPhase:
-    def test_reference_tracks_simulator_at_any_phase(self):
-        rng = np.random.default_rng(53)
-        _, net = _random_net([24, 12, 6, 1], 57, rng)
-        X = rng.uniform(-1, 1, (25, 24))
-        for phase in (0, 137, 2049):
-            got = sc_nn.ScSimulator(net, recon_phase=phase).infer_many(X)
-            ref = fixed_point_reference(net, X, recon_phase=phase)
-            assert np.abs(got - ref).max() <= 0.12
 
 
 class TestOtherWidths:
@@ -548,14 +576,15 @@ class TestPartialWindow:
         assert err.mean() <= 0.1  # 4x shorter window, ~2x the noise
 
     def test_window_decode_is_exact_for_any_length(self, r1):
-        # the reference's window decode must equal the actual stream value
-        from scvs.sc_nn import _window_value_fn
+        # the count table's decode must equal the actual stream value
         for n in (7, 100, 512, 4095):
-            fn = _window_value_fn(r1.words[:n])
+            rank = sc_nn._rank(default_lfsr1().word_sequence(n))
+            assert rank[-1] == n  # the bias word's all-ones stream
             for v in (-0.9, -0.1, 0.0, 0.4, 0.99):
                 w = sc.encode(v)
                 s = sc.to_stochastic(w, r1, n)
-                assert s.value == fn(w.value)
+                assert s.ones() == rank[w.value + HALF]
+                assert s.value == sc_nn._values(rank, w.value)
 
 
 class TestNetworkFile:
@@ -566,7 +595,7 @@ class TestNetworkFile:
         sc_nn.save_sc_network(net, path)
         loaded = sc_nn.load_sc_network(path)
         x = rng.uniform(-1, 1, 24)
-        assert sc_network_infer(loaded, x) == sc_network_infer(net, x)
+        assert loaded.simulator().infer(x) == net.simulator().infer(x)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(22)
