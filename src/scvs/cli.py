@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 import time
@@ -183,12 +182,6 @@ def _infer_format(path: Path) -> str:
     return "mol2-subset" if path.suffix.lower() == ".mol2" else "csv-atoms"
 
 
-def _json_dump(doc, path: Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Target loading
 
@@ -232,12 +225,12 @@ def _command_targets(args, cfg: RunConfig):
 
 
 def load_model(path: Path):
-    kind = ref_nn.require_fields(ref_nn.read_json(_require_file(path)), {}, path).get("kind")
-    if kind == "mlp":
-        return ref_nn.load_mlp(path)
-    if kind == "sc_network":
-        return sc_nn.load_sc_network(path)
-    raise ValidationError(f"{path}: unknown model kind {kind!r}")
+    doc = ref_nn.read_json(_require_file(path))
+    kind = ref_nn.require_fields(doc, {}, path).get("kind")
+    build = {"mlp": ref_nn.build_mlp, "sc_network": sc_nn.build_sc_network}.get(kind)
+    if build is None:
+        raise ValidationError(f"{path}: unknown model kind {kind!r}")
+    return build(doc, path)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +272,11 @@ def cmd_train(args, cfg: RunConfig) -> int:
     if not targets:
         raise ValidationError("manifest holds no usable targets")
 
-    train_pairs, test_pairs, scaler = screening.build_split(targets, cfg.split_spec())
+    train, test, scaler = screening.build_split(targets, cfg.split_spec())
+    x, y = screening.pair_arrays(train, scaler)
     shape = ref_nn.ARCH_SHAPES[args.arch]
     mlp, history = ref_nn.train_adam(
-        ref_nn.init_mlp(shape, args.activation, seed=cfg.train_seed),
-        train_pairs, cfg.train_config())
+        ref_nn.init_mlp(shape, args.activation, seed=cfg.train_seed), x, y, cfg.train_config())
 
     out = _output(args.out, cfg.models_dir)
     ref_nn.save_mlp(mlp, out)
@@ -293,21 +286,20 @@ def cmd_train(args, cfg: RunConfig) -> int:
         "arch": args.arch,
         "shape": shape,
         "activation": args.activation,
-        "n_train_pairs": len(train_pairs),
-        "n_test_pairs": len(test_pairs),
+        "n_train_pairs": len(y),
+        "n_test_pairs": sum(len(idx) for _, idx in test),
         "train_loss": history["train_loss"],
         "val_loss": history["val_loss"],
         "stopped_epoch": history["stopped_epoch"],
     }
-    _json_dump(log_doc, _output(args.log_out, cfg.models_dir))
+    ref_nn.write_json(log_doc, _output(args.log_out, cfg.models_dir))
     if args.features_out:
-        feats = np.stack([p.features for p in train_pairs])
         with open(_output(args.features_out, cfg.models_dir), "w", newline="") as fh:
             w = csv.writer(fh)
-            for row in feats:
+            for row in x:
                 w.writerow([format(v, ".9g") for v in row])
     print(f"trained {args.activation} [{'-'.join(map(str, shape[1:]))}] on "
-          f"{len(train_pairs)} pairs; model -> {out}")
+          f"{len(y)} pairs; model -> {out}")
     return EXIT_OK
 
 
@@ -318,10 +310,18 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
     calib = None
     if args.calib:
         path = _require_file(_resolve(args.calib, cfg.models_dir))
-        calib = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            calib = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
         if calib.shape[1] != mlp.shape[0]:
             raise ValidationError(f"{path}: calibration rows hold {calib.shape[1]} values; "
                                   f"the model takes {mlp.shape[0]} inputs")
+        if not np.all(np.isfinite(calib)):
+            # numbered from 0, as numpy numbers the rows it cannot convert
+            row, col = np.argwhere(~np.isfinite(calib))[0]
+            raise ValidationError(f"{path}: non-finite value {calib[row, col]} at row {row}, "
+                                  f"column {col}")
     lfsr1, lfsr2 = cfg.lfsrs()
     net = sc_nn.quantize_weights(
         mlp, width=cfg.width, clip_quantile=cfg.clip_quantile,
@@ -374,7 +374,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         "reproducibility_note": screening.REPRODUCIBILITY_NOTE,
     }
     report_path = _output(args.report, cfg.reports_dir)
-    _json_dump(report, report_path)
+    ref_nn.write_json(report, report_path)
     if args.csv:
         with open(_output(args.csv, cfg.reports_dir), "w", newline="") as fh:
             w = csv.writer(fh)
@@ -387,9 +387,9 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     print(f"evaluated {len(per_target)} targets, {inferences} inferences "
           f"at {throughput:.0f} inf/s; report -> {report_path}")
     if args.timing_out:
-        _json_dump({"inferences": inferences, "seconds": elapsed,
-                    "inferences_per_second": throughput},
-                   _output(args.timing_out, cfg.reports_dir))
+        ref_nn.write_json({"inferences": inferences, "seconds": elapsed,
+                           "inferences_per_second": throughput},
+                          _output(args.timing_out, cfg.reports_dir))
     for f in failures + metric_failures:
         print(f"warning: target {f['target_id']} not scored: {f['error']}", file=sys.stderr)
     return EXIT_OK
@@ -428,7 +428,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
         "published_per_target_rows": screening.PUBLISHED_PER_TARGET_ROWS,
         "reproducibility_note": screening.REPRODUCIBILITY_NOTE,
     }
-    _json_dump(out_doc, _output(args.out, cfg.reports_dir))
+    ref_nn.write_json(out_doc, _output(args.out, cfg.reports_dir))
     if args.csv:
         with open(_output(args.csv, cfg.reports_dir), "w", newline="") as fh:
             w = csv.writer(fh)
@@ -464,7 +464,7 @@ def cmd_per_target(args, cfg: RunConfig) -> int:
         "published_per_target_rows": screening.PUBLISHED_PER_TARGET_ROWS,
         "reproducibility_note": screening.REPRODUCIBILITY_NOTE,
     }
-    _json_dump(report, _output(args.out, cfg.reports_dir))
+    ref_nn.write_json(report, _output(args.out, cfg.reports_dir))
     print(f"per-target protocol on {len(rows)} targets: AUC "
           f"{report['aggregate']['auc_mean']} +/- {report['aggregate']['auc_std']}; "
           f"-> {args.out}")

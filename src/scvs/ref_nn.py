@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,31 +30,6 @@ ARCH_SHAPES = {
 
 class NumericFailure(ArithmeticError):
     """Non-finite value produced during forward or training."""
-
-
-@dataclass
-class LabeledPair:
-    """One crystal-ligand/candidate feature row with its active/decoy label."""
-
-    features: np.ndarray
-    label: int
-    target_id: str = ""
-    compound_id: str = ""
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.shape != (24,):
-            raise ValueError(f"expected 24 features, got {self.features.shape}")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("features must be finite")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-
-
-def pairs_to_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([p.features for p in pairs])
-    y = np.array([p.label for p in pairs], dtype=np.float64)
-    return x, y
 
 
 @dataclass
@@ -189,14 +164,20 @@ def loss_and_grads(mlp: Mlp, x: np.ndarray, y: np.ndarray):
     return loss, gw, gb
 
 
-def train_adam(mlp: Mlp, data, cfg: TrainConfig):
-    """Adam on BCE; deterministic for a fixed seed.  Returns the trained net
-    and a history dict with per-epoch mean train loss (and validation loss
-    when a validation split is held out for early stopping)."""
-    if len(data) == 0:
+def train_adam(mlp: Mlp, x, y, cfg: TrainConfig):
+    """Adam on BCE over the ``(k, n_in)`` rows ``x`` and their ``k`` labels
+    ``y``; deterministic for a fixed seed.  Returns the trained net and a
+    history dict with per-epoch mean train loss (and validation loss when a
+    validation split is held out for early stopping)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.size == 0:
         raise ValueError("training data is empty")
-    x, y = pairs_to_arrays(data)
-    if not (np.any(y == 0) or np.any(y == 1)):
+    if x.ndim != 2 or y.shape != (len(x),):
+        raise ValueError(f"expected (k, n_in) rows and k labels, got {x.shape} and {y.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
+    if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be in {0, 1}")
     rng = np.random.default_rng(cfg.rng_seed)
 
@@ -289,20 +270,19 @@ def gradient_check(mlp: Mlp, x, label: int, epsilon: float = 1e-5) -> float:
     return worst
 
 
-def oversample(data, seed: int = 0):
-    """Resample the minority class with replacement until counts are equal;
-    every original sample is retained."""
-    data = list(data)
-    pos = [p for p in data if p.label == 1]
-    neg = [p for p in data if p.label == 0]
-    if not pos or not neg:
+def oversample(y, seed: int = 0) -> np.ndarray:
+    """Row indices that balance the labels ``y``: every row once, then
+    minority rows drawn with replacement until the class counts are equal."""
+    y = np.asarray(y)
+    pos, neg = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    if not len(pos) or not len(neg):
         raise ValueError("oversample needs both classes present")
+    everything = np.arange(len(y))
     if len(pos) == len(neg):
-        return data
+        return everything
     minority, gap = (pos, len(neg) - len(pos)) if len(pos) < len(neg) else (neg, len(pos) - len(neg))
     rng = np.random.default_rng(seed)
-    extra = [minority[i] for i in rng.integers(0, len(minority), size=gap)]
-    return data + extra
+    return np.concatenate([everything, minority[rng.integers(0, len(minority), size=gap)]])
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +306,11 @@ def save_mlp(mlp: Mlp, path) -> None:
             for w, b in zip(mlp.weights, mlp.biases)
         ],
     }
+    write_json(doc, path)
+
+
+def write_json(doc, path) -> None:
+    """``doc`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -378,13 +363,13 @@ def json_array(doc: dict, name: str, dtype, path, where: str = "") -> np.ndarray
                      f"{np.dtype(dtype).name} values")
 
 
-def read_model(path, kind: str, what: str, fields: dict, layer_fields: dict):
-    """A model file's document and its layer objects.  The shared envelope
-    must hold ``kind`` (errors call such a file a ``what`` file) and the
-    format version, the document ``fields`` and a non-empty ``layers`` list,
-    and every layer ``layer_fields``.  Each layer comes paired with its place
-    in the file (``"layer i "``) for error messages."""
-    doc = read_json(path)
+def model_layers(doc, path, kind: str, what: str, fields: dict, layer_fields: dict) -> list:
+    """The layer objects of the model document ``doc`` read from ``path``.
+    The shared envelope must hold ``kind`` (errors call such a file a
+    ``what`` file) and the format version, the document ``fields`` and a
+    non-empty ``layers`` list, and every layer ``layer_fields``.  Each layer
+    comes paired with its place in the file (``"layer i "``) for error
+    messages."""
     if require_fields(doc, {"kind": object}, path)["kind"] != kind:
         raise ValueError(f"{path}: not a {what} file (kind={doc.get('kind')!r})")
     if doc.get("version") != MODEL_FORMAT_VERSION:
@@ -392,13 +377,15 @@ def read_model(path, kind: str, what: str, fields: dict, layer_fields: dict):
     layers = require_fields(doc, {**fields, "layers": list}, path)["layers"]
     if not layers:
         raise ValueError(f"{path}: field 'layers' must be a non-empty list")
-    return doc, [(f"layer {i} ", require_fields(l, layer_fields, path, f"layer {i} "))
-                 for i, l in enumerate(layers)]
+    return [(f"layer {i} ", require_fields(l, layer_fields, path, f"layer {i} "))
+            for i, l in enumerate(layers)]
 
 
-def load_mlp(path) -> Mlp:
-    doc, layers = read_model(path, "mlp", "float-network", {"activation": str},
-                             {"fan_in": int, "fan_out": int, "weights": list, "bias": list})
+def build_mlp(doc, path) -> Mlp:
+    """The float network that the model document ``doc``, read from
+    ``path``, holds."""
+    layers = model_layers(doc, path, "mlp", "float-network", {"activation": str},
+                          {"fan_in": int, "fan_out": int, "weights": list, "bias": list})
     if "trained" in doc:  # optional: a file without it holds a trained net
         require_fields(doc, {"trained": bool}, path)
     shape = [layers[0][1]["fan_in"]] + [l["fan_out"] for _, l in layers]
@@ -406,3 +393,7 @@ def load_mlp(path) -> Mlp:
                for where, l in layers]
     biases = [json_array(l, "bias", np.float64, path, where) for where, l in layers]
     return Mlp(shape, doc["activation"], weights, biases, trained=doc.get("trained", True))
+
+
+def load_mlp(path) -> Mlp:
+    return build_mlp(read_json(path), path)

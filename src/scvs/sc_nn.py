@@ -33,14 +33,14 @@ bit-identical.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import sc_core as sc
-from .ref_nn import Mlp, MODEL_FORMAT_VERSION, json_array, read_model, require_fields
+from .ref_nn import (Mlp, MODEL_FORMAT_VERSION, json_array, model_layers, read_json,
+                     require_fields, write_json)
 from .sc_core import BitStream, GateKind, Lfsr, WordSequence
 
 
@@ -71,6 +71,9 @@ class ScLayer:
                  weights_q: np.ndarray, bias_q: np.ndarray | None):
         self.fan_in = int(fan_in)
         self.fan_out = int(fan_out)
+        if self.fan_in < 1 or self.fan_out < 1:
+            raise ValueError(f"fan_in and fan_out must be >= 1, "
+                             f"got {self.fan_in} and {self.fan_out}")
         self.norm_shift = int(norm_shift)
         self.scale = float(scale)
         self.weights_q = np.asarray(weights_q, dtype=np.int32).reshape(fan_out, fan_in)
@@ -522,25 +525,38 @@ def save_sc_network(net: ScNetwork, path) -> None:
             for l in net.layers
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
-def load_sc_network(path) -> ScNetwork:
-    doc, entries = read_model(
-        path, "sc_network", "hardware-network",
+def build_sc_network(doc, path) -> ScNetwork:
+    """The hardware network that the model document ``doc``, read from
+    ``path``, holds; a constructor's range error names the file and the place
+    in it (``layer i ``, ``lfsr1 ``)."""
+    entries = model_layers(
+        doc, path, "sc_network", "hardware-network",
         {"width": int, "stream_len": int, "lfsr1": dict, "lfsr2": dict},
         {"fan_in": int, "fan_out": int, "norm_shift": int, "scale": float, "weights": list,
          "bias": object})
+
+    def placed(where, cls, *args):
+        try:
+            return cls(*args)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {where}{exc}") from None
+
     layers = [
-        ScLayer(l["fan_in"], l["fan_out"], l["norm_shift"], l["scale"],
-                json_array(l, "weights", np.int32, path, where),
-                None if l["bias"] is None else json_array(l, "bias", np.int32, path, where))
+        placed(where, ScLayer, l["fan_in"], l["fan_out"], l["norm_shift"], l["scale"],
+               json_array(l, "weights", np.int32, path, where),
+               None if l["bias"] is None else json_array(l, "bias", np.int32, path, where))
         for where, l in entries
     ]
     gens = [(f"{k} ", require_fields(doc[k], {"taps": list, "seed": int}, path, f"{k} "))
             for k in ("lfsr1", "lfsr2")]
-    lfsr1, lfsr2 = (Lfsr(doc["width"], tuple(json_array(g, "taps", np.int64, path, where).tolist()),
-                         g["seed"]) for where, g in gens)
-    return ScNetwork(layers, lfsr1, lfsr2, stream_len=doc["stream_len"], width=doc["width"])
+    lfsr1, lfsr2 = (placed(where, Lfsr, doc["width"],
+                           tuple(json_array(g, "taps", np.int64, path, where).tolist()), g["seed"])
+                    for where, g in gens)
+    return placed("", ScNetwork, layers, lfsr1, lfsr2, doc["stream_len"], doc["width"])
+
+
+def load_sc_network(path) -> ScNetwork:
+    return build_sc_network(read_json(path), path)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import mpe, ref_nn, sc_nn
 from .mpe import FeatureScaler, Molecule, MpeVector
-from .ref_nn import LabeledPair, Mlp, TrainConfig
+from .ref_nn import Mlp, TrainConfig
 
 log = logging.getLogger(__name__)
 
@@ -133,21 +133,19 @@ def _split(target: TargetData, rng: np.random.Generator, fractions) -> tuple:
     return np.concatenate(train), np.concatenate(test)
 
 
-def _labeled_pairs(sides, scaler: FeatureScaler) -> list:
-    """One LabeledPair per index of each (target, indices) side, its row
-    scaled with the rest of the side in one transform."""
-    return [
-        LabeledPair(row, target.labels[i].item(), target.target_id, target.ids[i])
-        for target, idx in sides
-        for i, row in zip(idx.tolist(), scaler.transform(target.pair_matrix[idx]))
-    ]
+def pair_arrays(sides, scaler: FeatureScaler) -> tuple:
+    """``(x, y)`` of the (target, indices) sides: the scaled pair rows of
+    every index, stacked side after side, and their labels."""
+    x = np.vstack([target.pair_matrix[idx] for target, idx in sides])
+    return scaler.transform(x), np.concatenate([target.labels[idx] for target, idx in sides])
 
 
 def build_split(targets, spec: SplitSpec, scaler: FeatureScaler | None = None):
     """Per target, a seeded sample of actives and decoys goes to the training
     side (paired with the crystal ligand); everything else is test.  The
     feature scaler is fitted on training rows only when not supplied.
-    Returns (train_pairs, test_pairs, scaler)."""
+    Returns (train, test, scaler), each side a list of (target, indices)
+    pairs indexing ``target.compounds`` and ``target.pair_matrix``."""
     fractions = (spec.active_fraction, spec.decoy_fraction)
     train, test = [], []
     for t in targets:
@@ -163,7 +161,7 @@ def build_split(targets, spec: SplitSpec, scaler: FeatureScaler | None = None):
         raise SplitError("test set is empty; lower the split fractions")
     if scaler is None:
         scaler = FeatureScaler().fit(np.vstack([t.pair_matrix[idx] for t, idx in train]))
-    return _labeled_pairs(train, scaler), _labeled_pairs(test, scaler), scaler
+    return train, test, scaler
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +314,10 @@ def per_target_protocol(target: TargetData, cfg: TrainConfig,
             f"target {target.target_id}: cannot hold both classes on both "
             f"sides of the {train_fraction:.0%} split")
     scaler = FeatureScaler().fit(target.pair_matrix[train])
-    train_pairs = ref_nn.oversample(_labeled_pairs([(target, train)], scaler),
-                                    seed=cfg.rng_seed)
+    x, y = pair_arrays([(target, train)], scaler)
+    rows = ref_nn.oversample(y, seed=cfg.rng_seed)
     mlp, _ = ref_nn.train_adam(ref_nn.init_mlp(shape, "tanh", seed=cfg.rng_seed),
-                               train_pairs, cfg)
+                               x[rows], y[rows], cfg)
     test_target = TargetData(target.target_id, target.crystal, [target.compounds[i] for i in test])
     return mlp, compute_metrics(score_library(mlp, test_target, scaler))
 

@@ -226,21 +226,18 @@ def criterion_9_descriptor_oracle(molecules: int = 500) -> str:
 def criterion_10_desk_scale_end_to_end() -> str:
     t0 = time.time()
     targets = synth.make_benchmark(seed=2024)
-    train_pairs, test_pairs, scaler = screening.build_split(targets, screening.SplitSpec(seed=7))
+    train, test, scaler = screening.build_split(targets, screening.SplitSpec(seed=7))
+    x, y = screening.pair_arrays(train, scaler)
     cfg = TrainConfig(epochs=60, batch_size=64, rng_seed=3)
     sw, _ = ref_nn.train_adam(
-        ref_nn.init_mlp(ref_nn.ARCH_SHAPES["64"], "tanh", seed=1), train_pairs, cfg)
+        ref_nn.init_mlp(ref_nn.ARCH_SHAPES["64"], "tanh", seed=1), x, y, cfg)
     relu, _ = ref_nn.train_adam(
-        ref_nn.init_mlp(ref_nn.ARCH_SHAPES["48"], "relu", seed=2), train_pairs, cfg)
-    hw = quantize_weights(relu, calib=np.stack([p.features for p in train_pairs]))
+        ref_nn.init_mlp(ref_nn.ARCH_SHAPES["48"], "relu", seed=2), x, y, cfg)
+    hw = quantize_weights(relu, calib=x)
 
-    test_ids = {}
-    for p in test_pairs:
-        test_ids.setdefault(p.target_id, set()).add(p.compound_id)
     sw_aucs, hw_aucs = [], []
-    for t in targets:
-        sub = screening.TargetData(
-            t.target_id, t.crystal, [c for c in t.compounds if c[0] in test_ids[t.target_id]])
+    for t, idx in test:
+        sub = screening.TargetData(t.target_id, t.crystal, [t.compounds[i] for i in idx])
         sw_aucs.append(screening.auc(screening.score_library(sw, sub, scaler)))
         hw_aucs.append(screening.auc(screening.score_library(hw, sub, scaler)))
     sw_mean, hw_mean = float(np.mean(sw_aucs)), float(np.mean(hw_aucs))

@@ -2,6 +2,7 @@
 corpus, exit codes, determinism, config handling."""
 
 import argparse
+import hashlib
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scvs import mpe, ref_nn, sc_nn
+from scvs import cli, mpe, ref_nn, sc_nn
 from scvs.cli import RunConfig, build_parser, load_config, main
 
 DATA = Path(__file__).parent / "data"
@@ -184,6 +185,33 @@ class TestQuantize:
         err = capsys.readouterr().err
         assert str(calib) in err and "23" in err and "24" in err
         assert "Traceback" not in err and not (tmp_path / "hw.json").exists()
+
+
+    @pytest.mark.parametrize("value", ["nan", "x"])
+    def test_calib_bad_value_exit_1(self, workspace, tmp_path, capsys, value):
+        ws, _ = workspace
+        calib = tmp_path / "bad.csv"
+        calib.write_text((ws / "feats.csv").read_text() + ",".join([value] * 24) + "\n")
+        assert run("quantize", "--model", ws / "relu48.json", "--calib", calib,
+                   "--out", tmp_path / "hw.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {calib}: ")
+        assert "Traceback" not in err and not (tmp_path / "hw.json").exists()
+
+
+class TestLoadModel:
+    def test_each_model_file_read_once(self, workspace, monkeypatch):
+        ws, _ = workspace
+        read, paths = ref_nn.read_json, []
+
+        def counting_read_json(path):
+            paths.append(path)
+            return read(path)
+
+        monkeypatch.setattr(ref_nn, "read_json", counting_read_json)
+        assert isinstance(cli.load_model(ws / "hw48.json"), sc_nn.ScNetwork)
+        assert isinstance(cli.load_model(ws / "relu48.json"), ref_nn.Mlp)
+        assert paths == [ws / "hw48.json", ws / "relu48.json"]
 
 
 class TestEvaluate:
@@ -463,6 +491,38 @@ class TestWrongFieldTypes:
         assert "Traceback" not in err
 
 
+# hardware-model values of the right type but out of range: (path to the
+# value, value, the place and message the error must show)
+RANGE_ERRORS = [
+    (("lfsr1", "seed"), 0, "lfsr1 seed must be a nonzero state"),
+    (("width",), 3, "lfsr1 seed must be a nonzero state"),
+    (("stream_len",), 0, "stream_len must be >= 1"),
+    (("layers", 0, "scale"), 0, "layer 0 scale must be positive"),
+    (("layers", 0, "fan_in"), -1, "layer 0 fan_in and fan_out must be >= 1"),
+]
+
+
+class TestModelRangeErrors:
+    @pytest.mark.parametrize("path,value,message", RANGE_ERRORS, ids=[
+        f"{'.'.join(map(str, path))}={value!r}" for path, value, _ in RANGE_ERRORS])
+    def test_exit_1_names_file_and_place(self, workspace, tmp_path, capsys, path, value,
+                                         message):
+        ws, manifest = workspace
+        doc = json.loads((ws / "hw48.json").read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "hw48.json"
+        bad.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", bad, "--manifest", manifest,
+                   "--cache", ws / "cache.csv", "--scaler", ws / "scaler.json",
+                   "--report", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}")
+        assert "Traceback" not in err
+
+
 # every output flag of each subcommand, with the file name it writes there
 OUTPUT_FLAGS = {
     "descriptors": {"--out": "cache.csv", "--scatter": "scatter.csv"},
@@ -684,3 +744,95 @@ class TestCliSurface:
         assert (cfg.data_dir, cfg.models_dir, cfg.reports_dir) == tuple(
             str(tmp_path / env) for env in ("SCVS_DATA_DIR", "SCVS_MODELS_DIR",
                                             "SCVS_REPORTS_DIR"))
+
+
+# sha256 of every file the walkthrough below writes.
+WALKTHROUGH_SHA256 = {
+    "bench/manifest.json":
+        "3eb23e1c0d28fdac591e0a7f7fe01e740600adf39694dd63599b50633f1d04c7",
+    "bench/synt00/actives.csv":
+        "908b1d59317db95b3309e8d5a621e597e96c445dcfa1e5691da5f0a3b913412a",
+    "bench/synt00/crystal.csv":
+        "8bb9b96e0a7e728483162b45dac7e104a1b9936bd6c2f7b4c8d3f9d418a9889f",
+    "bench/synt00/decoys.csv":
+        "9c60536bc6e0a3a5c1f8817cc0bbfc53fdf4a05ecf050b8c6fe73d1ea3ed422f",
+    "bench/synt01/actives.csv":
+        "b996b3d3f3c98ad5ea4d9d522b690110de17942712b24d423b0b0272217d0fbc",
+    "bench/synt01/crystal.csv":
+        "c3d20a62ef48d9a6235f33a416e84d18a3000d372e1af3e309fe5772ed8252da",
+    "bench/synt01/decoys.csv":
+        "84eca9e95ad73f25667ffcaba495d8fb6106532ff0771d470abcfa120dc9cc4a",
+    "bench/synt02/actives.csv":
+        "630ac324aa1892124dcfda8a11d221b92fd365cde44d7b833835b78674baeca5",
+    "bench/synt02/crystal.csv":
+        "2ffcdb27640696598fe972b81bccec74a052ee246641667203880e77bd0311c2",
+    "bench/synt02/decoys.csv":
+        "298c30c48f8be293cb52a95af8abb450ba690e3df06a706abbf696015762a33e",
+    "cache.csv":
+        "02e83995d052b8378d93a2cde16cec0a889201e9de9e15927023a84714026c4b",
+    "cmp.csv":
+        "4a8a7802e54cf3f088ad6e261aaa19031b532b1bcabe25d296cac602697ee3ce",
+    "cmp.json":
+        "853090b9bcda98a4ef18b5bfc28b50b2da4b88a9e3034f860b84a0ae9aab1b1d",
+    "feats.csv":
+        "4419607e8fa17052110ac23c66502f1a017e870946677bb0b8317dce1e145a4b",
+    "gates.csv":
+        "ab91bc652b659fd4414a763f447b2f5682c9a9cc3d86b622fdbc87b519476a54",
+    "hw.csv":
+        "2579143082867eb891a991616acf7f351a694b883491e0cd2d3b3106e11a8dbc",
+    "hw48.json":
+        "2d3013b64bb67c5a6d251d6598adc257dce5cc24a50f02db92a2498214b59770",
+    "hw_report.json":
+        "8136e95bd6db780c7da0131b44fe32a9a4584e3d9cf35e614c4e9043baa71ad3",
+    "pt.json":
+        "15779f576061af4c9b0af58aaeae4ec82d7f091ded774c48d9579065733d8aed",
+    "relu48.json":
+        "2393bf9e0f00c24b387eb28c74df0a9f92cea48256ea8b182f55a842e69589e9",
+    "scaler.json":
+        "1476fd245690da1ea443623e865ed28aac53caf74312387d1011fd2595cd6a86",
+    "scatter.csv":
+        "f91ad7cc9680d42621f323a59504806f5bcdbc39c6a7072dd4fb61beb651060b",
+    "sw.csv":
+        "03c8e700338e9267d342d5dcc98c61419c66f3ad745ff630cef037a4d3cbc371",
+    "sw_report.json":
+        "429fd8efc12d3c489cc2b0f10c6af32cf291ff2e161f00d414ecd96f38e16a26",
+    "train_log.json":
+        "3902aadb9796cae60078fe0d544d1a5762d26db9b3c91e76e624c1cf0be05e65",
+}
+
+
+class TestWalkthroughBytes:
+    """The README walkthrough on a small bench, run with relative paths from
+    a fresh directory: any change that moves a byte of any output fails."""
+
+    def test_every_output_file_pinned(self, tmp_path, monkeypatch):
+        for env in ("SCVS_DATA_DIR", "SCVS_MODELS_DIR", "SCVS_REPORTS_DIR"):
+            monkeypatch.delenv(env, raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert run("make-bench", "--out-dir", "bench", "--seed", "7", "--targets", "3",
+                   "--actives", "16", "--decoys", "48") == 0
+        molecules = [p for t in json.loads(Path("bench/manifest.json").read_text())["targets"]
+                     for p in (t["crystal_ligand"], t["actives"], t["decoys"])]
+        common = ["--manifest", "bench/manifest.json", "--cache", "cache.csv"]
+        for argv in (
+                ["descriptors", *molecules, "--out", "cache.csv", "--scatter", "scatter.csv"],
+                ["train", *common, "--arch", "48", "--activation", "relu",
+                 "--out", "relu48.json", "--scaler-out", "scaler.json",
+                 "--log-out", "train_log.json", "--features-out", "feats.csv",
+                 "--epochs", "5", "--batch-size", "32"],
+                ["quantize", "--model", "relu48.json", "--calib", "feats.csv",
+                 "--out", "hw48.json"],
+                ["evaluate", "--model", "hw48.json", *common, "--scaler", "scaler.json",
+                 "--report", "hw_report.json", "--csv", "hw.csv"],
+                ["evaluate", "--model", "relu48.json", *common, "--scaler", "scaler.json",
+                 "--report", "sw_report.json", "--csv", "sw.csv"],
+                ["compare", "--report-a", "sw_report.json", "--report-b", "hw_report.json",
+                 "--out", "cmp.json", "--csv", "cmp.csv"],
+                ["per-target", *common, "--arch", "12", "--epochs", "3",
+                 "--batch-size", "16", "--out", "pt.json"],
+                ["sc-bench", "--out", "gates.csv", "--step", "0.5"]):
+            assert run(*argv) == 0, argv
+        got = {p.relative_to(tmp_path).as_posix():
+               hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+        assert got == WALKTHROUGH_SHA256

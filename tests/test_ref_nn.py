@@ -6,7 +6,6 @@ import pytest
 
 from scvs import ref_nn
 from scvs.ref_nn import (
-    LabeledPair,
     Mlp,
     TrainConfig,
     forward,
@@ -30,14 +29,14 @@ def _pairwise_auc(scores, labels):
 def _toy_separable(n=200, seed=0):
     # Two well-separated 2D blobs, zero-padded up to the 24-wide input.
     rng = np.random.default_rng(seed)
-    pairs = []
+    x, y = np.zeros((n, 24)), np.zeros(n)
     for i in range(n):
         label = i % 2
         center = 0.5 if label else -0.5
         f = np.zeros(24)
         f[:2] = rng.normal(center, 0.15, size=2)
-        pairs.append(LabeledPair(np.clip(f, -1, 1), label, "toy", f"c{i}"))
-    return pairs
+        x[i], y[i] = np.clip(f, -1, 1), label
+    return x, y
 
 
 class TestForward:
@@ -88,19 +87,17 @@ class TestTraining:
         pairs = _toy_separable(40)
         mlp = init_mlp([24, 12, 6, 1], "relu", seed=3)
         before = [w.copy() for w in mlp.weights]
-        trained, _ = train_adam(mlp, pairs, TrainConfig(learning_rate=0.0, epochs=3,
-                                                        val_fraction=0.0))
+        trained, _ = train_adam(mlp, *pairs, TrainConfig(learning_rate=0.0, epochs=3,
+                                                         val_fraction=0.0))
         for w0, w1 in zip(before, trained.weights):
             np.testing.assert_array_equal(w0, w1)
 
     def test_single_step_matches_hand_computed_adam(self):
-        pair = LabeledPair(np.linspace(-1, 1, 24), 1, "t", "c")
+        x, y = np.linspace(-1, 1, 24)[None, :], np.array([1.0])
         mlp = init_mlp([24, 4, 1], "relu", seed=5)
         cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=1, val_fraction=0.0)
 
         # Independent gradient: central finite differences on the loss.
-        x, y = ref_nn.pairs_to_arrays([pair])
-
         def loss_of(m):
             z = forward_batch(m, x)[0]
             return float(np.maximum(z, 0) - z * y[0] + np.log1p(np.exp(-np.abs(z))))
@@ -122,17 +119,16 @@ class TestTraining:
                 # First Adam step: m_hat = g, v_hat = g^2.
                 flat -= cfg.learning_rate * g / (np.abs(g) + cfg.eps)
 
-        trained, _ = train_adam(mlp, [pair], cfg)
+        trained, _ = train_adam(mlp, x, y, cfg)
         for a, b in zip(trained.weights + trained.biases, expect.weights + expect.biases):
             np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_separable_toy_reaches_high_auc(self):
-        pairs = _toy_separable(200)
+        x, y = _toy_separable(200)
         mlp = init_mlp([24, 12, 6, 1], "relu", seed=7)
         trained, history = train_adam(
-            mlp, pairs, TrainConfig(epochs=200, batch_size=32, val_fraction=0.0,
-                                    rng_seed=1))
-        x, y = ref_nn.pairs_to_arrays(pairs)
+            mlp, x, y, TrainConfig(epochs=200, batch_size=32, val_fraction=0.0,
+                                   rng_seed=1))
         auc = _pairwise_auc(forward_batch(trained, x), y)
         assert auc > 0.99
         assert history["train_loss"][-1] < history["train_loss"][0]
@@ -140,14 +136,26 @@ class TestTraining:
     def test_fixed_seed_bit_identical_curves(self):
         pairs = _toy_separable(60)
         cfg = TrainConfig(epochs=5, batch_size=16, rng_seed=11)
-        _, h1 = train_adam(init_mlp([24, 12, 6, 1], "tanh", seed=1), pairs, cfg)
-        _, h2 = train_adam(init_mlp([24, 12, 6, 1], "tanh", seed=1), pairs, cfg)
+        _, h1 = train_adam(init_mlp([24, 12, 6, 1], "tanh", seed=1), *pairs, cfg)
+        _, h2 = train_adam(init_mlp([24, 12, 6, 1], "tanh", seed=1), *pairs, cfg)
         assert h1["train_loss"] == h2["train_loss"]
         assert h1["val_loss"] == h2["val_loss"]
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            train_adam(init_mlp([24, 2, 1], "relu"), [], TrainConfig())
+            train_adam(init_mlp([24, 2, 1], "relu"), np.empty((0, 24)), np.empty(0),
+                       TrainConfig())
+
+    @pytest.mark.parametrize("x, y, match", [
+        (np.zeros((4, 24)), [0, 1, 2, 0], "labels must be in"),
+        (np.vstack([np.zeros((3, 24)), np.full((1, 24), np.nan)]), [0, 1, 0, 1],
+         "must be finite"),
+        (np.zeros((4, 24)), [0, 1, 0], "k labels"),
+        (np.zeros(24), [1], "k labels"),
+    ], ids=["label-2", "nan-row", "short-y", "1-d-x"])
+    def test_malformed_data_rejected(self, x, y, match):
+        with pytest.raises(ValueError, match=match):
+            train_adam(init_mlp([24, 2, 1], "relu"), x, y, TrainConfig(epochs=1))
 
 
 class TestGradientCheck:
@@ -181,30 +189,26 @@ class TestGradientCheck:
 
 
 class TestOversample:
-    def _pairs(self, n_pos, n_neg):
-        mk = lambda label, i: LabeledPair(np.zeros(24) + 0.01 * i, label, "t", f"{label}-{i}")
-        return [mk(1, i) for i in range(n_pos)] + [mk(0, i) for i in range(n_neg)]
+    def _labels(self, n_pos, n_neg):
+        return np.array([1] * n_pos + [0] * n_neg)
 
     def test_minority_upsampled_to_balance(self):
-        out = oversample(self._pairs(10, 90), seed=0)
-        labels = [p.label for p in out]
+        y = self._labels(10, 90)
+        rows = oversample(y, seed=0)
+        labels = list(y[rows])
         assert labels.count(1) == labels.count(0) == 90
-        ids = {p.compound_id for p in out if p.label == 1}
-        assert ids == {f"1-{i}" for i in range(10)}  # originals all retained
+        assert set(rows[y[rows] == 1]) == set(range(10))  # originals all retained
 
     def test_balanced_unchanged(self):
-        pairs = self._pairs(5, 5)
-        assert oversample(pairs, seed=1) == pairs
+        np.testing.assert_array_equal(oversample(self._labels(5, 5), seed=1), np.arange(10))
 
     def test_deterministic_per_seed(self):
-        pairs = self._pairs(1, 5)
-        a = [p.compound_id for p in oversample(pairs, seed=42)]
-        b = [p.compound_id for p in oversample(pairs, seed=42)]
-        assert a == b
+        y = self._labels(1, 5)
+        np.testing.assert_array_equal(oversample(y, seed=42), oversample(y, seed=42))
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            oversample(self._pairs(5, 0), seed=0)
+            oversample(self._labels(5, 0), seed=0)
 
 
 class TestModelFile:

@@ -289,10 +289,11 @@ class TestReferenceFidelity:
         from scvs.ref_nn import TrainConfig, train_adam
 
         targets = synth.make_benchmark(seed=31, n_targets=4, n_actives=30, n_decoys=90)
-        train_pairs, _, _ = screening.build_split(targets, screening.SplitSpec(seed=1))
+        train, _, scaler = screening.build_split(targets, screening.SplitSpec(seed=1))
+        x, y = screening.pair_arrays(train, scaler)
         mlp, _ = train_adam(ref_nn.init_mlp([24, 48, 24, 1], "relu", seed=4),
-                            train_pairs, TrainConfig(epochs=30, batch_size=64, rng_seed=5))
-        net = quantize_weights(mlp, calib=np.stack([p.features for p in train_pairs]))
+                            x, y, TrainConfig(epochs=30, batch_size=64, rng_seed=5))
+        net = quantize_weights(mlp, calib=x)
         rng = np.random.default_rng(15)
         X = rng.uniform(-1, 1, (1000, 24))
         err = np.abs(net.simulator().infer_many(X, chunk=32) -

@@ -23,6 +23,7 @@ from scvs.screening import (
     build_split,
     compute_metrics,
     enrichment_factor,
+    pair_arrays,
     per_target_protocol,
     score_library,
     threshold_table,
@@ -65,7 +66,7 @@ class TestBuildSplit:
         # 50% of 10 actives and 10% of 100 decoys train; the other 95 test.
         rng = np.random.default_rng(0)
         t = _target(rng, n_act=10, n_dec=100)
-        train, test, scaler = build_split([t], SplitSpec(seed=1))
+        ((_, train),), ((_, test),), scaler = build_split([t], SplitSpec(seed=1))
         assert len(train) == 5 + 10
         assert len(test) == 110 - 15
         assert scaler.fitted
@@ -86,16 +87,17 @@ class TestBuildSplit:
         targets = [_target(rng, f"t{i}") for i in range(3)]
         a_train, a_test, _ = build_split(targets, SplitSpec(seed=11))
         b_train, b_test, _ = build_split(targets, SplitSpec(seed=11))
-        key = lambda pairs: [(p.target_id, p.compound_id) for p in pairs]
+        key = lambda sides: [(t.target_id, t.ids[i]) for t, idx in sides for i in idx]
         assert key(a_train) == key(b_train) and key(a_test) == key(b_test)
         assert not set(key(a_train)) & set(key(a_test))
 
     def test_features_are_scaled_and_24_wide(self):
         rng = np.random.default_rng(4)
-        train, test, _ = build_split([_target(rng)], SplitSpec(seed=5))
-        for p in train + test:
-            assert p.features.shape == (24,)
-            assert np.all(np.abs(p.features) <= 1.0)
+        train, test, scaler = build_split([_target(rng)], SplitSpec(seed=5))
+        for side in (train, test):
+            x, _ = pair_arrays(side, scaler)
+            assert x.shape[1:] == (24,)
+            assert np.all(np.abs(x) <= 1.0)
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
@@ -200,10 +202,12 @@ def _digest(records) -> str:
     return h.hexdigest()
 
 
-def _pair_records(pairs):
-    for p in pairs:
-        yield (p.target_id, p.compound_id, int(p.label))
-        yield p.features.tobytes()
+def _pair_records(sides, x, y):
+    # (target id, compound id, label) and the row bytes of every pair, in side order
+    keys = [(t.target_id, t.ids[i]) for t, idx in sides for i in idx.tolist()]
+    for key, row, label in zip(keys, x, y, strict=True):
+        yield (*key, int(label))
+        yield row.tobytes()
 
 
 class TestReportBytesGuard:
@@ -218,18 +222,29 @@ class TestReportBytesGuard:
 
     def test_build_split(self, bench):
         _, (train, test, scaler) = bench
-        assert _digest([*_pair_records(train), b"|", *_pair_records(test),
+        assert _digest([*_pair_records(train, *pair_arrays(train, scaler)), b"|",
+                        *_pair_records(test, *pair_arrays(test, scaler)),
                         scaler.mins.tobytes(), scaler.maxs.tobytes()]) == \
             "cb7760f3dfc2407e881bacd2babecdf3741f7711d00ab2d78890ad7355f01615"
 
     def test_per_target_protocol_split(self, bench, monkeypatch):
         targets, _ = bench
-        seen = []
+        seen, calls = [], {}
         train_adam, score = ref_nn.train_adam, screening.score_library
+        arrays, oversample = screening.pair_arrays, ref_nn.oversample
 
-        def recording_train_adam(mlp, pairs, cfg):
-            seen.extend(_pair_records(pairs))
-            return train_adam(mlp, pairs, cfg)
+        def recording_pair_arrays(sides, scaler):
+            calls["sides"] = sides
+            return arrays(sides, scaler)
+
+        def recording_oversample(y, seed=0):
+            calls["rows"] = oversample(y, seed=seed)
+            return calls["rows"]
+
+        def recording_train_adam(mlp, x, y, cfg):
+            ((target, idx),) = calls["sides"]
+            seen.extend(_pair_records([(target, idx[calls["rows"]])], x, y))
+            return train_adam(mlp, x, y, cfg)
 
         def recording_score(model, target, scaler):
             ranked = score(model, target, scaler)
@@ -237,6 +252,8 @@ class TestReportBytesGuard:
             seen.extend(ranked.entries)
             return ranked
 
+        monkeypatch.setattr(screening, "pair_arrays", recording_pair_arrays)
+        monkeypatch.setattr(ref_nn, "oversample", recording_oversample)
         monkeypatch.setattr(ref_nn, "train_adam", recording_train_adam)
         monkeypatch.setattr(screening, "score_library", recording_score)
         _, metrics = per_target_protocol(targets[0],
