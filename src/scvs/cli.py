@@ -17,6 +17,7 @@ import csv
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from . import mpe, ref_nn, sc_core, sc_nn, screening, synth
 from .mpe import FeatureScaler, MoleculeParseError
 from .ref_nn import NumericFailure, TrainConfig
 from .sc_core import GateKind, Lfsr
-from .screening import SplitSpec, TargetSet
+from .screening import SplitSpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -210,8 +211,8 @@ def load_targets(manifest_path: Path, cache: dict | None, k: float):
                 mols[key] = mpe.parse_molecules(p, _infer_format(p))
             if not mols["crystal_ligand"]:
                 raise ValidationError(f"target {tid}: crystal ligand file is empty")
-            ts = TargetSet(tid, mols["crystal_ligand"][0], mols["actives"], mols["decoys"])
-            targets.append(screening.target_descriptors(ts, k, cache))
+            targets.append(screening.target_descriptors(
+                tid, mols["crystal_ligand"][0], mols["actives"], mols["decoys"], k, cache))
         except (OSError, ValueError) as exc:
             failures.append({"target_id": tid, "error": str(exc)})
     return targets, failures
@@ -311,9 +312,13 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
     if args.calib:
         path = _require_file(_resolve(args.calib, cfg.models_dir))
         try:
-            calib = np.loadtxt(path, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # an empty file is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                calib = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValidationError(f"{path}: {exc}") from None
+        if not calib.size:
+            raise ValidationError(f"{path}: calibration file holds no rows")
         if calib.shape[1] != mlp.shape[0]:
             raise ValidationError(f"{path}: calibration rows hold {calib.shape[1]} values; "
                                   f"the model takes {mlp.shape[0]} inputs")
@@ -515,6 +520,9 @@ def cmd_sc_bench(args, cfg: RunConfig) -> int:
 
 
 def cmd_make_bench(args, cfg: RunConfig) -> int:
+    for flag in ("targets", "actives", "decoys"):
+        if getattr(args, flag) < 1:
+            raise ValidationError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     manifest = synth.write_benchmark(
         _resolve(args.out_dir, cfg.data_dir), seed=args.seed, n_targets=args.targets,
         n_actives=args.actives, n_decoys=args.decoys, k=cfg.k)

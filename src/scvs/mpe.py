@@ -42,64 +42,24 @@ class MoleculeParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-@dataclass(frozen=True)
-class Atom:
-    charge: float
-    x: float
-    y: float
-    z: float
-    element: str = ""
-
-    def __post_init__(self):
-        if not all(np.isfinite(v) for v in (self.charge, self.x, self.y, self.z)):
-            raise ValueError("atom charge and coordinates must be finite")
-
-
 class Molecule:
     """One molecule as columns in atom order: ``positions`` (n, 3) and
-    ``charges`` (n,) float64 arrays, and an n-tuple of ``elements``.
+    ``charges`` (n,) float64 arrays, and an n-tuple of ``elements``.  Values
+    are not checked for finiteness here: the parsers check each file's
+    columns once."""
 
-    ``Molecule(id, atoms)`` builds one from ``Atom`` records; the parsers
-    build from columns with ``from_arrays`` and create no per-atom objects.
-    """
+    __slots__ = ("id", "positions", "charges", "elements")
 
-    __slots__ = ("id", "positions", "charges", "elements", "_atoms")
-
-    def __init__(self, id: str, atoms):
-        atoms = list(atoms)
-        self._set(id, np.array([[a.x, a.y, a.z] for a in atoms], dtype=np.float64)
-                  .reshape(len(atoms), 3),
-                  np.array([a.charge for a in atoms], dtype=np.float64),
-                  tuple(a.element for a in atoms))
-        self._atoms = atoms
-
-    @classmethod
-    def from_arrays(cls, id: str, positions, charges, elements) -> "Molecule":
-        """A molecule over the given columns.  Values are not checked for
-        finiteness here: the parsers check each file's columns once."""
-        m = cls.__new__(cls)
-        m._set(id, positions, charges, tuple(elements))
-        return m
-
-    def _set(self, id, positions, charges, elements):
+    def __init__(self, id: str, positions, charges, elements):
         self.id = id
         self.positions = np.asarray(positions, dtype=np.float64)
         self.charges = np.asarray(charges, dtype=np.float64)
-        self.elements = elements
-        self._atoms = None
-        n = len(elements)
+        self.elements = tuple(elements)
+        n = len(self.elements)
         if self.positions.shape != (n, 3) or self.charges.shape != (n,):
             raise ValueError(f"molecule {id!r}: columns must hold one row per atom")
         if not n:
             raise ValueError(f"molecule {id!r} has no atoms")
-
-    @property
-    def atoms(self) -> list:
-        """``Atom`` records, derived from the columns on first access."""
-        if self._atoms is None:
-            self._atoms = [Atom(q, x, y, z, e) for (x, y, z), q, e in zip(
-                self.positions.tolist(), self.charges.tolist(), self.elements)]
-        return self._atoms
 
 
 @dataclass(frozen=True)
@@ -141,13 +101,13 @@ class MpeVector:
         return float(self.negatives[0])
 
 
-def pairing_energy(a: Atom, b: Atom, k: float = DEFAULT_K, indices=None) -> float:
-    """E = K q_a q_b / r for one atom pair."""
-    r = np.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
+def pairing_energy(m: Molecule, i: int, j: int, k: float = DEFAULT_K) -> float:
+    """E = K q_i q_j / r_ij for atoms i and j of ``m``, one pair at a time."""
+    (xi, yi, zi), (xj, yj, zj) = m.positions[i], m.positions[j]
+    r = np.sqrt((xi - xj) ** 2 + (yi - yj) ** 2 + (zi - zj) ** 2)
     if r == 0.0:
-        where = f"atoms {indices[0]} and {indices[1]}" if indices else "two atoms"
-        raise ValueError(f"{where} are coincident; pairing energy undefined")
-    return k * a.charge * b.charge / r
+        raise ValueError(f"atoms {i} and {j} are coincident; pairing energy undefined")
+    return k * m.charges[i] * m.charges[j] / r
 
 
 def mpe_vector(m: Molecule, k: float = DEFAULT_K) -> MpeVector:
@@ -193,19 +153,14 @@ def mpe_vector(m: Molecule, k: float = DEFAULT_K) -> MpeVector:
     return MpeVector(top(e > 0, ascending=False), top(e < 0, ascending=True))
 
 
-def emit_scatter(entries):
-    """(id, most positive, most negative) rows for external plotting, from
-    (molecule_id, MpeVector) entries."""
-    return [(mol_id, v.most_positive, v.most_negative) for mol_id, v in entries]
-
-
 def write_scatter_csv(path, entries) -> None:
-    """entries: iterable of (molecule_id, MpeVector); 9 significant digits."""
+    """(id, most positive, most negative) rows for external plotting, from
+    (molecule_id, MpeVector) entries; 9 significant digits."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["molecule_id", "most_positive", "most_negative"])
-        for mol_id, hi, lo in emit_scatter(entries):
-            w.writerow([mol_id, format(hi, ".9g"), format(lo, ".9g")])
+        for mol_id, v in entries:
+            w.writerow([mol_id, format(v.most_positive, ".9g"), format(v.most_negative, ".9g")])
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +255,7 @@ def _molecules(ids, starts, ends, values, elements) -> list:
     charge array and the element list."""
     pos = np.ascontiguousarray(values[:, :3])
     q = values[:, 3].copy()
-    return [Molecule.from_arrays(mol_id, pos[s:e], q[s:e], elements[s:e])
+    return [Molecule(mol_id, pos[s:e], q[s:e], elements[s:e])
             for mol_id, s, e in zip(ids, starts, ends)]
 
 

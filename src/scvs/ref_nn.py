@@ -381,18 +381,30 @@ def model_layers(doc, path, kind: str, what: str, fields: dict, layer_fields: di
             for i, l in enumerate(layers)]
 
 
+def placed(path, where: str, build, *args):
+    """``build(*args)``; a ValueError it raises is prefixed with the file and
+    the place in it (``layer i ``, ``lfsr1 ``, or none for the network)."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {where}{exc}") from None
+
+
 def build_mlp(doc, path) -> Mlp:
     """The float network that the model document ``doc``, read from
-    ``path``, holds."""
+    ``path``, holds; a constructor's or reshape's error names the file and
+    the place in it."""
     layers = model_layers(doc, path, "mlp", "float-network", {"activation": str},
                           {"fan_in": int, "fan_out": int, "weights": list, "bias": list})
     if "trained" in doc:  # optional: a file without it holds a trained net
         require_fields(doc, {"trained": bool}, path)
     shape = [layers[0][1]["fan_in"]] + [l["fan_out"] for _, l in layers]
-    weights = [json_array(l, "weights", np.float64, path, where).reshape(l["fan_out"], l["fan_in"])
+    weights = [placed(path, where, np.reshape, json_array(l, "weights", np.float64, path, where),
+                      (l["fan_out"], l["fan_in"]))
                for where, l in layers]
     biases = [json_array(l, "bias", np.float64, path, where) for where, l in layers]
-    return Mlp(shape, doc["activation"], weights, biases, trained=doc.get("trained", True))
+    return placed(path, "", Mlp, shape, doc["activation"], weights, biases,
+                  doc.get("trained", True))
 
 
 def load_mlp(path) -> Mlp:

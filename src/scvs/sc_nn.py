@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sc_core as sc
-from .ref_nn import (Mlp, MODEL_FORMAT_VERSION, json_array, model_layers, read_json,
+from .ref_nn import (Mlp, MODEL_FORMAT_VERSION, json_array, model_layers, placed, read_json,
                      require_fields, write_json)
 from .sc_core import BitStream, GateKind, Lfsr, WordSequence
 
@@ -537,25 +537,18 @@ def build_sc_network(doc, path) -> ScNetwork:
         {"width": int, "stream_len": int, "lfsr1": dict, "lfsr2": dict},
         {"fan_in": int, "fan_out": int, "norm_shift": int, "scale": float, "weights": list,
          "bias": object})
-
-    def placed(where, cls, *args):
-        try:
-            return cls(*args)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {where}{exc}") from None
-
     layers = [
-        placed(where, ScLayer, l["fan_in"], l["fan_out"], l["norm_shift"], l["scale"],
+        placed(path, where, ScLayer, l["fan_in"], l["fan_out"], l["norm_shift"], l["scale"],
                json_array(l, "weights", np.int32, path, where),
                None if l["bias"] is None else json_array(l, "bias", np.int32, path, where))
         for where, l in entries
     ]
     gens = [(f"{k} ", require_fields(doc[k], {"taps": list, "seed": int}, path, f"{k} "))
             for k in ("lfsr1", "lfsr2")]
-    lfsr1, lfsr2 = (placed(where, Lfsr, doc["width"],
+    lfsr1, lfsr2 = (placed(path, where, Lfsr, doc["width"],
                            tuple(json_array(g, "taps", np.int64, path, where).tolist()), g["seed"])
                     for where, g in gens)
-    return placed("", ScNetwork, layers, lfsr1, lfsr2, doc["stream_len"], doc["width"])
+    return placed(path, "", ScNetwork, layers, lfsr1, lfsr2, doc["stream_len"], doc["width"])
 
 
 def load_sc_network(path) -> ScNetwork:

@@ -34,21 +34,6 @@ class SplitError(ValueError):
 
 
 @dataclass
-class TargetSet:
-    """Molecule-level view of one target."""
-
-    target_id: str
-    crystal_ligand: Molecule
-    actives: list
-    decoys: list
-
-    def __post_init__(self):
-        dup = {m.id for m in self.actives} & {m.id for m in self.decoys}
-        if dup:
-            raise ValueError(f"target {self.target_id}: ids in both classes: {sorted(dup)[:5]}")
-
-
-@dataclass
 class TargetData:
     """Descriptor-level view: what scoring and training actually consume.
 
@@ -79,27 +64,32 @@ class TargetData:
         return int(np.count_nonzero(self.labels == 0))
 
 
-def target_descriptors(ts: TargetSet, k: float = mpe.DEFAULT_K,
-                       cache: dict | None = None) -> TargetData:
-    """Compute or look up descriptors; per-compound failures are skipped with
-    a warning and counted, a failing crystal ligand fails the target."""
+def target_descriptors(target_id: str, crystal_ligand: Molecule, actives, decoys,
+                       k: float = mpe.DEFAULT_K, cache: dict | None = None) -> TargetData:
+    """Compute or look up descriptors of one target's molecules; an id among
+    both the actives and the decoys fails the target.  Per-compound failures
+    are skipped with a warning and counted, a failing crystal ligand fails
+    the target."""
+    dup = {m.id for m in actives} & {m.id for m in decoys}
+    if dup:
+        raise ValueError(f"target {target_id}: ids in both classes: {sorted(dup)[:5]}")
 
     def resolve(mol: Molecule) -> MpeVector:
         if cache is not None and mol.id in cache:
             return cache[mol.id]
         return mpe.mpe_vector(mol, k)
 
-    crystal = resolve(ts.crystal_ligand)
+    crystal = resolve(crystal_ligand)
     compounds = []
     skipped = 0
-    for mols, label in ((ts.actives, 1), (ts.decoys, 0)):
+    for mols, label in ((actives, 1), (decoys, 0)):
         for mol in mols:
             try:
                 compounds.append((mol.id, resolve(mol), label))
             except ValueError as exc:
-                log.warning("target %s: skipping %s: %s", ts.target_id, mol.id, exc)
+                log.warning("target %s: skipping %s: %s", target_id, mol.id, exc)
                 skipped += 1
-    return TargetData(ts.target_id, crystal, compounds, n_skipped=skipped)
+    return TargetData(target_id, crystal, compounds, n_skipped=skipped)
 
 
 @dataclass

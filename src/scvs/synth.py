@@ -82,7 +82,7 @@ def realize_molecule(vec: MpeVector, mol_id: str, k: float = mpe.DEFAULT_K) -> M
         xs, charges = [0.0], [0.0]
     positions = np.zeros((len(xs), 3))
     positions[:, 0] = xs
-    return Molecule.from_arrays(mol_id, positions, charges, ("C",) * len(xs))
+    return Molecule(mol_id, positions, charges, ("C",) * len(xs))
 
 
 def _write_csv_atoms(path: Path, molecules) -> None:

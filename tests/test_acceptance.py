@@ -195,8 +195,8 @@ def criterion_9_descriptor_oracle(molecules: int = 500) -> str:
 
     def brute(m):
         energies = []
-        for i, j in itertools.combinations(range(len(m.atoms)), 2):
-            energies.append((mpe.pairing_energy(m.atoms[i], m.atoms[j], indices=(i, j)), i, j))
+        for i, j in itertools.combinations(range(len(m.charges)), 2):
+            energies.append((mpe.pairing_energy(m, i, j), i, j))
         pos = sorted([e for e in energies if e[0] > 0], key=lambda t: (-t[0], t[1], t[2]))[:6]
         neg = sorted([e for e in energies if e[0] < 0], key=lambda t: (t[0], t[1], t[2]))[:6]
         p, q = np.zeros(6), np.zeros(6)
@@ -206,19 +206,19 @@ def criterion_9_descriptor_oracle(molecules: int = 500) -> str:
 
     for _ in range(molecules):
         n = int(rng.integers(1, 13))
-        m = mpe.Molecule("m", [
-            mpe.Atom(float(rng.normal(0, 0.5)), *rng.uniform(-6, 6, 3)) for _ in range(n)])
+        # per atom: its charge, then x, y, z
+        rows = np.array([[rng.normal(0, 0.5), *rng.uniform(-6, 6, 3)] for _ in range(n)])
+        m = mpe.Molecule("m", rows[:, 1:], rows[:, 0], ("",) * n)
         got = mpe.mpe_vector(m).features
         np.testing.assert_allclose(got, brute(m), atol=1e-12)
 
         perm = rng.permutation(n)
-        shuffled = mpe.Molecule("m", [m.atoms[i] for i in perm])
+        shuffled = mpe.Molecule("m", m.positions[perm], m.charges[perm], m.elements)
         np.testing.assert_allclose(mpe.mpe_vector(shuffled).features, got, atol=1e-9)
 
         qmat, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         shift = rng.uniform(-20, 20, 3)
-        moved = mpe.Molecule("m", [
-            mpe.Atom(a.charge, *(qmat @ np.array([a.x, a.y, a.z]) + shift)) for a in m.atoms])
+        moved = mpe.Molecule("m", m.positions @ qmat.T + shift, m.charges, m.elements)
         np.testing.assert_allclose(mpe.mpe_vector(moved).features, got, atol=1e-9)
     return f"{molecules} random molecules match brute force; permutation and rigid-motion invariance at 1e-9"
 

@@ -199,6 +199,16 @@ class TestQuantize:
         assert "Traceback" not in err and not (tmp_path / "hw.json").exists()
 
 
+    def test_empty_calib_exit_1(self, workspace, tmp_path, capsys):
+        ws, _ = workspace
+        calib = tmp_path / "empty.csv"
+        calib.write_text("")
+        assert run("quantize", "--model", ws / "relu48.json", "--calib", calib,
+                   "--out", tmp_path / "hw.json") == 1
+        assert capsys.readouterr().err == f"error: {calib}: calibration file holds no rows\n"
+        assert not (tmp_path / "hw.json").exists()
+
+
 class TestLoadModel:
     def test_each_model_file_read_once(self, workspace, monkeypatch):
         ws, _ = workspace
@@ -468,27 +478,52 @@ WRONG_TYPES = [
 ]
 
 
+def _evaluate_edited(workspace, tmp_path, name, path, value):
+    """Exit code of ``evaluate`` on the walkthrough's files with the JSON file
+    ``name`` edited to hold ``value`` at ``path``, and the edited file."""
+    ws, manifest = workspace
+    doc = json.loads((manifest if name == "manifest.json" else ws / name).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / name
+    bad.write_text(json.dumps(doc))
+    files = {"model": ws / "hw48.json", "manifest": manifest, "scaler": ws / "scaler.json"}
+    files[{"manifest.json": "manifest", "scaler.json": "scaler"}.get(name, "model")] = bad
+    return run("evaluate", "--model", files["model"], "--manifest", files["manifest"],
+               "--cache", ws / "cache.csv", "--scaler", files["scaler"],
+               "--report", tmp_path / "r.json"), bad
+
+
+# float-model values of the right type that the network rejects: (path to
+# the value, value, the place and message the error must show)
+FLOAT_MODEL_VALUES = [
+    (("activation",), "sigmoid", "activation must be tanh or relu, got 'sigmoid'"),
+    (("layers", 0, "fan_out"), 47,
+     "layer 0 cannot reshape array of size 1152 into shape (47,24)"),
+]
+
+
 class TestWrongFieldTypes:
     @pytest.mark.parametrize("name,path,value", WRONG_TYPES, ids=[
         f"{name}:{'.'.join(map(str, path))}={value!r}" for name, path, value in WRONG_TYPES])
     def test_exit_1_names_file_and_field(self, workspace, tmp_path, capsys, name, path, value):
-        ws, manifest = workspace
-        doc = json.loads((manifest if name == "manifest.json" else ws / name).read_text())
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        bad = tmp_path / name
-        bad.write_text(json.dumps(doc))
-        files = {"model": ws / "hw48.json", "manifest": manifest, "scaler": ws / "scaler.json"}
-        files[{"manifest.json": "manifest", "scaler.json": "scaler"}.get(name, "model")] = bad
-        assert run("evaluate", "--model", files["model"], "--manifest", files["manifest"],
-                   "--cache", ws / "cache.csv", "--scaler", files["scaler"],
-                   "--report", tmp_path / "r.json") == 1
+        code, bad = _evaluate_edited(workspace, tmp_path, name, path, value)
+        assert code == 1
         err = capsys.readouterr().err
         field = [key for key in path if isinstance(key, str)][-1]
         assert err.startswith("error: ") and str(bad) in err and repr(field) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path,value,message", FLOAT_MODEL_VALUES, ids=[
+        f"{'.'.join(map(str, path))}={value!r}" for path, value, _ in FLOAT_MODEL_VALUES])
+    def test_float_model_value_exit_1_names_file_and_place(self, workspace, tmp_path, capsys,
+                                                           path, value, message):
+        code, bad = _evaluate_edited(workspace, tmp_path, "relu48.json", path, value)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: {message}\n"
 
 
 # hardware-model values of the right type but out of range: (path to the
@@ -507,17 +542,8 @@ class TestModelRangeErrors:
         f"{'.'.join(map(str, path))}={value!r}" for path, value, _ in RANGE_ERRORS])
     def test_exit_1_names_file_and_place(self, workspace, tmp_path, capsys, path, value,
                                          message):
-        ws, manifest = workspace
-        doc = json.loads((ws / "hw48.json").read_text())
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        bad = tmp_path / "hw48.json"
-        bad.write_text(json.dumps(doc))
-        assert run("evaluate", "--model", bad, "--manifest", manifest,
-                   "--cache", ws / "cache.csv", "--scaler", ws / "scaler.json",
-                   "--report", tmp_path / "r.json") == 1
+        code, bad = _evaluate_edited(workspace, tmp_path, "hw48.json", path, value)
+        assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: {message}")
         assert "Traceback" not in err
@@ -576,6 +602,15 @@ class TestScBench:
         # correlated regime: exact order statistics / similarity laws
         stdout = capsys.readouterr().out
         assert "XNOR correlated" in stdout
+
+
+class TestMakeBench:
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    @pytest.mark.parametrize("flag", ["--targets", "--actives", "--decoys"])
+    def test_count_below_1_exit_1_names_flag(self, tmp_path, capsys, flag, value):
+        assert run("make-bench", "--out-dir", tmp_path / "bench", flag, value) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
+        assert not (tmp_path / "bench").exists()
 
 
 class TestPerTarget:

@@ -12,7 +12,6 @@ import pytest
 
 from scvs import mpe
 from scvs.mpe import (
-    Atom,
     FeatureScaler,
     Molecule,
     MoleculeParseError,
@@ -28,8 +27,8 @@ DATA = Path(__file__).parent / "data"
 def brute_force_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> MpeVector:
     """Materialize every pair energy, sort, take the extremes."""
     energies = []
-    for i, j in itertools.combinations(range(len(m.atoms)), 2):
-        energies.append((pairing_energy(m.atoms[i], m.atoms[j], k, (i, j)), i, j))
+    for i, j in itertools.combinations(range(len(m.charges)), 2):
+        energies.append((pairing_energy(m, i, j, k), i, j))
     pos = sorted([e for e in energies if e[0] > 0], key=lambda t: (-t[0], t[1], t[2]))[:6]
     neg = sorted([e for e in energies if e[0] < 0], key=lambda t: (t[0], t[1], t[2]))[:6]
     p = np.zeros(6)
@@ -41,44 +40,42 @@ def brute_force_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> MpeVector:
 
 def random_molecule(rng, max_atoms=12) -> Molecule:
     n = int(rng.integers(1, max_atoms + 1))
-    atoms = [
-        Atom(float(rng.normal(0, 0.5)), *rng.uniform(-5, 5, 3), "C") for _ in range(n)
-    ]
-    return Molecule("rnd", atoms)
+    # per atom: its charge, then x, y, z
+    rows = np.array([[rng.normal(0, 0.5), *rng.uniform(-5, 5, 3)] for _ in range(n)])
+    return Molecule("rnd", rows[:, 1:], rows[:, 0], ("C",) * n)
 
 
 class TestPairingEnergy:
     def test_unit_distance_opposite_charges(self):
-        a = Atom(0.5, 0, 0, 0)
-        b = Atom(-0.5, 1, 0, 0)
-        assert pairing_energy(a, b, k=1.0) == -0.25
+        m = Molecule("p", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5], "CC")
+        assert pairing_energy(m, 0, 1, k=1.0) == -0.25
 
     def test_coulomb_constant_hand_arithmetic(self):
-        a = Atom(1.0, 0, 0, 0)
-        b = Atom(1.0, 0, 0, 2)
-        assert pairing_energy(a, b) == pytest.approx(166.03185)
+        m = Molecule("p", [[0, 0, 0], [0, 0, 2]], [1.0, 1.0], "CC")
+        assert pairing_energy(m, 0, 1) == pytest.approx(166.03185)
 
     def test_zero_charge_yields_zero(self):
-        assert pairing_energy(Atom(0.0, 0, 0, 0), Atom(0.7, 1, 1, 1), k=1.0) == 0.0
+        m = Molecule("p", [[0, 0, 0], [1, 1, 1]], [0.0, 0.7], "CC")
+        assert pairing_energy(m, 0, 1, k=1.0) == 0.0
 
     def test_coincident_atoms_named(self):
-        a = Atom(0.1, 1, 2, 3)
+        positions = np.arange(30.0).reshape(10, 3)
+        positions[9] = positions[4]
+        m = Molecule("c", positions, np.full(10, 0.1), "C" * 10)
         with pytest.raises(ValueError, match="atoms 4 and 9"):
-            pairing_energy(a, a, indices=(4, 9))
+            pairing_energy(m, 4, 9)
 
 
 class TestMpeVector:
     def test_two_atom_negative_pair(self):
-        m = Molecule("p", [Atom(1.0, 0, 0, 0), Atom(-1.0, 1, 0, 0)])
+        m = Molecule("p", [[0, 0, 0], [1, 0, 0]], [1.0, -1.0], "CC")
         v = mpe_vector(m, k=1.0)
         assert v.positives.tolist() == [0.0] * 6
         assert v.negatives.tolist() == [-1.0, 0, 0, 0, 0, 0]
 
     def test_square_matches_brute_force(self):
-        m = Molecule("sq", [
-            Atom(0.5, 0, 0, 0), Atom(-0.5, 1, 0, 0),
-            Atom(0.5, 1, 1, 0), Atom(-0.5, 0, 1, 0),
-        ])
+        m = Molecule("sq", [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+                     [0.5, -0.5, 0.5, -0.5], "CCCC")
         v = mpe_vector(m, k=1.0)
         b = brute_force_vector(m, k=1.0)
         np.testing.assert_allclose(v.features, b.features)
@@ -87,7 +84,7 @@ class TestMpeVector:
         np.testing.assert_allclose(v.positives[:2], [0.25 / np.sqrt(2)] * 2)
 
     def test_single_atom_all_zero(self):
-        v = mpe_vector(Molecule("x", [Atom(0.4, 0, 0, 0)]))
+        v = mpe_vector(Molecule("x", [[0, 0, 0]], [0.4], "C"))
         assert not v.features.any()
 
     def test_brute_force_fuzz(self):
@@ -101,8 +98,9 @@ class TestMpeVector:
         rng = np.random.default_rng(1)
         for _ in range(20):
             m = random_molecule(rng, max_atoms=9)
-            perm = rng.permutation(len(m.atoms))
-            shuffled = Molecule(m.id, [m.atoms[i] for i in perm])
+            perm = rng.permutation(len(m.charges))
+            shuffled = Molecule(m.id, m.positions[perm], m.charges[perm],
+                                [m.elements[i] for i in perm])
             np.testing.assert_allclose(
                 mpe_vector(m).features, mpe_vector(shuffled).features, atol=1e-12)
 
@@ -113,10 +111,7 @@ class TestMpeVector:
             # random rotation via QR, plus a translation
             qmat, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             shift = rng.uniform(-10, 10, 3)
-            moved = Molecule(m.id, [
-                Atom(a.charge, *(qmat @ np.array([a.x, a.y, a.z]) + shift), a.element)
-                for a in m.atoms
-            ])
+            moved = Molecule(m.id, m.positions @ qmat.T + shift, m.charges, m.elements)
             np.testing.assert_allclose(
                 mpe_vector(m).features, mpe_vector(moved).features, atol=1e-9)
 
@@ -125,13 +120,12 @@ class TestMpeVector:
         for _ in range(10):
             m = random_molecule(rng, max_atoms=8)
             c = 2.5
-            scaled = Molecule(m.id, [
-                Atom(a.charge * c, a.x, a.y, a.z, a.element) for a in m.atoms])
+            scaled = Molecule(m.id, m.positions, m.charges * c, m.elements)
             np.testing.assert_allclose(
                 mpe_vector(scaled).features, c ** 2 * mpe_vector(m).features, atol=1e-9)
 
     def test_overflowing_energy_names_molecule(self):
-        m = Molecule("big", [Atom(1e200, 0, 0, 0), Atom(1e200, 1, 0, 0)])
+        m = Molecule("big", [[0, 0, 0], [1, 0, 0]], [1e200, 1e200], "CC")
         with pytest.raises(ValueError, match="'big': atoms 0 and 1 give a non-finite"):
             mpe_vector(m)
 
@@ -144,7 +138,7 @@ class TestMpeVector:
             MpeVector(np.zeros(6), -p)
 
     def test_coincident_atoms_error_names_indices(self):
-        m = Molecule("bad", [Atom(0.1, 0, 0, 0), Atom(0.2, 0, 0, 0)])
+        m = Molecule("bad", [[0, 0, 0], [0, 0, 0]], [0.1, 0.2], "CC")
         with pytest.raises(ValueError, match="atoms 0 and 1"):
             mpe_vector(m)
 
@@ -153,9 +147,9 @@ class TestParsers:
     def test_mol2_fixture_two_molecules(self):
         mols = parse_molecules(DATA / "fixture.mol2", "mol2-subset")
         assert [m.id for m in mols] == ["ethanol_frag", "salt_pair"]
-        assert [len(m.atoms) for m in mols] == [3, 2]
-        assert mols[0].atoms[1].charge == pytest.approx(-0.3856)
-        assert mols[1].atoms[1].element == "Cl"
+        assert [len(m.charges) for m in mols] == [3, 2]
+        assert mols[0].charges[1] == pytest.approx(-0.3856)
+        assert mols[1].elements[1] == "Cl"
 
     def test_empty_file_is_empty_list(self, tmp_path):
         p = tmp_path / "empty.mol2"
@@ -168,7 +162,7 @@ class TestParsers:
     def test_csv_fixture(self):
         mols = parse_molecules(DATA / "fixture_atoms.csv", "csv-atoms")
         assert [m.id for m in mols] == ["pair_neg", "square", "lone", "triangle", "chain"]
-        assert [len(m.atoms) for m in mols] == [2, 4, 1, 3, 4]
+        assert [len(m.charges) for m in mols] == [2, 4, 1, 3, 4]
 
     def test_nan_charge_rejected_with_line(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -188,18 +182,11 @@ class TestParsers:
         with pytest.raises(MoleculeParseError, match="header"):
             parse_molecules(p, "csv-atoms")
 
-    def test_columns_and_atoms_agree(self):
-        m = Molecule("p", [Atom(1.0, 0, 0, 0, "N"), Atom(-1.0, 1, 2, 3, "O")])
-        assert m.positions.tolist() == [[0, 0, 0], [1, 2, 3]]
-        assert m.charges.tolist() == [1.0, -1.0] and m.elements == ("N", "O")
-        back = Molecule.from_arrays("p", m.positions, m.charges, m.elements)
-        assert back.atoms == m.atoms
-
     def test_empty_or_ragged_columns_rejected(self):
         with pytest.raises(ValueError, match="has no atoms"):
-            Molecule("e", [])
+            Molecule("e", np.zeros((0, 3)), np.zeros(0), ())
         with pytest.raises(ValueError, match="one row per atom"):
-            Molecule.from_arrays("r", np.zeros((2, 3)), np.zeros(3), ("C", "C"))
+            Molecule("r", np.zeros((2, 3)), np.zeros(3), ("C", "C"))
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -207,23 +194,28 @@ class TestParsers:
 
 
 class TestScatter:
-    def test_two_atom_pair_row(self):
-        m = Molecule("p", [Atom(1.0, 0, 0, 0), Atom(-1.0, 1, 0, 0)])
-        rows = mpe.emit_scatter([(m.id, mpe_vector(m, k=1.0))])
-        assert rows == [("p", 0.0, -1.0)]
+    def test_two_atom_pair_row(self, tmp_path):
+        m = Molecule("p", [[0, 0, 0], [1, 0, 0]], [1.0, -1.0], "CC")
+        path = tmp_path / "scatter.csv"
+        mpe.write_scatter_csv(path, [(m.id, mpe_vector(m, k=1.0))])
+        assert path.read_text().splitlines()[1:] == ["p,0,-1"]
 
     def test_empty_input_header_only(self, tmp_path):
         path = tmp_path / "scatter.csv"
         mpe.write_scatter_csv(path, [])
         assert path.read_text().strip() == "molecule_id,most_positive,most_negative"
 
-    def test_fixture_rows_match_vectors(self):
+    def test_fixture_rows_match_vectors(self, tmp_path):
         mols = parse_molecules(DATA / "fixture_atoms.csv", "csv-atoms")
-        rows = mpe.emit_scatter([(m.id, mpe_vector(m)) for m in mols])
+        path = tmp_path / "scatter.csv"
+        mpe.write_scatter_csv(path, [(m.id, mpe_vector(m)) for m in mols])
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
         assert len(rows) == 5
         for (mol_id, hi, lo), m in zip(rows, mols):
             v = mpe_vector(m)
-            assert (hi, lo) == (v.most_positive, v.most_negative)
+            assert (mol_id, hi, lo) == (m.id, format(v.most_positive, ".9g"),
+                                        format(v.most_negative, ".9g"))
 
 
 class TestDescriptorCache:

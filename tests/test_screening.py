@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scvs import mpe, ref_nn, screening, synth
-from scvs.mpe import Atom, FeatureScaler, Molecule, MpeVector
+from scvs.mpe import FeatureScaler, Molecule, MpeVector
 from scvs.ref_nn import TrainConfig
 from scvs.sc_nn import quantize_weights
 from scvs.screening import (
@@ -17,7 +17,6 @@ from scvs.screening import (
     SplitError,
     SplitSpec,
     TargetData,
-    TargetSet,
     UndefinedMetric,
     auc,
     build_split,
@@ -387,23 +386,21 @@ class TestPerTargetProtocol:
 
 class TestTargetTypes:
     def test_duplicate_ids_across_classes_rejected(self):
-        m = Molecule("same", [Atom(0.1, 0, 0, 0)])
+        m = Molecule("same", [[0, 0, 0]], [0.1], "C")
         with pytest.raises(ValueError, match="both classes"):
-            TargetSet("t", m, [m], [m])
+            screening.target_descriptors("t", m, [m], [m])
 
     def test_descriptor_conversion_counts_failures(self):
-        good = Molecule("ok", [Atom(0.5, 0, 0, 0), Atom(-0.5, 1, 0, 0)])
-        bad = Molecule("bad", [Atom(0.5, 0, 0, 0), Atom(0.5, 0, 0, 0)])
-        ts = TargetSet("t", good, [good], [bad])
-        data = screening.target_descriptors(ts)
+        good = Molecule("ok", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5], "CC")
+        bad = Molecule("bad", [[0, 0, 0], [0, 0, 0]], [0.5, 0.5], "CC")
+        data = screening.target_descriptors("t", good, [good], [bad])
         assert data.n_skipped == 1
         assert [c[0] for c in data.compounds] == ["ok"]
 
     def test_cache_lookup_used(self):
-        m = Molecule("m1", [Atom(0.5, 0, 0, 0), Atom(-0.5, 1, 0, 0)])
+        m = Molecule("m1", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5], "CC")
         fake = MpeVector(np.array([9.0, 0, 0, 0, 0, 0]), np.zeros(6))
-        ts = TargetSet("t", m, [m], [])
-        data = screening.target_descriptors(ts, cache={"m1": fake})
+        data = screening.target_descriptors("t", m, [m], [], cache={"m1": fake})
         assert data.crystal.most_positive == 9.0
 
 
