@@ -248,17 +248,18 @@ def cmd_descriptors(args, cfg: RunConfig) -> int:
         except (OSError, MoleculeParseError) as exc:  # their messages name the file
             errors.append(str(exc))
             continue
-        for m in mols:
-            try:
-                entries.append((m.id, mpe.mpe_vector(m, cfg.k)))
-            except ValueError as exc:
-                errors.append(f"{path}: {exc}")
+        for m, v in zip(mols, mpe.mpe_vectors(mols, cfg.k)):
+            if isinstance(v, ValueError):
+                errors.append(f"{path}: {v}")
+            else:
+                entries.append((m.id, v))
     out = _output(args.out, cfg.data_dir)
     mpe.write_descriptor_cache(out, entries)
     print(f"wrote {len(entries)} descriptor rows to {out}")
     if args.scatter:
-        mpe.write_scatter_csv(_output(args.scatter, cfg.data_dir), entries)
-        print(f"wrote scatter data for {len(entries)} molecules to {args.scatter}")
+        scatter = _output(args.scatter, cfg.data_dir)
+        mpe.write_scatter_csv(scatter, entries)
+        print(f"wrote scatter data for {len(entries)} molecules to {scatter}")
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
     return EXIT_IO if errors else EXIT_OK
@@ -523,6 +524,8 @@ def cmd_make_bench(args, cfg: RunConfig) -> int:
     for flag in ("targets", "actives", "decoys"):
         if getattr(args, flag) < 1:
             raise ValidationError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     manifest = synth.write_benchmark(
         _resolve(args.out_dir, cfg.data_dir), seed=args.seed, n_targets=args.targets,
         n_actives=args.actives, n_decoys=args.decoys, k=cfg.k)

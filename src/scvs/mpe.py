@@ -18,6 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 from operator import itemgetter
 
@@ -114,43 +115,83 @@ def mpe_vector(m: Molecule, k: float = DEFAULT_K) -> MpeVector:
     """Descriptor of one molecule from all C(n,2) pairing energies.
 
     Strictly positive energies compete for the positive half, strictly
-    negative for the negative half; exact zeros belong to neither.  Ties
-    break on (energy, lower atom index, higher atom index) so the result is
-    deterministic under reordering-stable input.  A pair whose energy
-    overflows to a non-finite value raises ValueError naming the molecule.
+    negative for the negative half; exact zeros belong to neither.  Only
+    values are kept, so the output depends only on the multiset of pair
+    energies.  Coincident atoms, or a pair whose energy overflows to a
+    non-finite value, raise ValueError naming the molecule and the atoms.
     """
-    n = len(m.charges)
-    if n == 1:
-        return MpeVector(np.zeros(6), np.zeros(6))
-    pos, q = m.positions, m.charges
-    ii, jj = np.triu_indices(n, 1)
-    # Huge coordinates or charges overflow (inf, or inf/inf = nan); the
-    # finiteness check below reports them instead of a RuntimeWarning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = np.linalg.norm(pos[ii] - pos[jj], axis=1)
-        coincident = np.nonzero(d == 0.0)[0]
-        if coincident.size:
-            c = coincident[0]
-            raise ValueError(
+    (v,) = mpe_vectors([m], k)
+    if isinstance(v, ValueError):
+        raise v
+    return v
+
+
+# Molecules of one atom count are described together, in chunks of about
+# this many atom pairs: 64 molecules of 24 atoms, whose (chunk, pairs, 3)
+# temporaries stay near 2 MB, and never fewer than one molecule.
+DESCRIPTOR_CHUNK_PAIRS = 64 * 276
+
+
+def mpe_vectors(mols, k: float = DEFAULT_K) -> list:
+    """``mpe_vector`` of each molecule, in order; a molecule that fails gets
+    the ValueError ``mpe_vector`` would raise in its slot instead."""
+    out = [None] * len(mols)
+    by_size = {}
+    for i, m in enumerate(mols):
+        by_size.setdefault(len(m.charges), []).append(i)
+    for n, members in by_size.items():
+        step = max(1, DESCRIPTOR_CHUNK_PAIRS // max(1, n * (n - 1) // 2))
+        for s in range(0, len(members), step):
+            chunk = members[s:s + step]
+            for i, v in zip(chunk, _describe([mols[i] for i in chunk], k)):
+                out[i] = v
+    return out
+
+
+def _describe(mols, k) -> list:
+    """Descriptors (or ValueErrors) of molecules of one atom count."""
+    ii, jj = np.triu_indices(len(mols[0].charges), 1)
+    pos = np.stack([m.positions for m in mols])
+    q = np.stack([m.charges for m in mols])
+    # Huge coordinates or charges overflow (inf, or inf/inf = nan), and
+    # coincident atoms divide by zero; both are reported below instead of
+    # as a RuntimeWarning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d = np.linalg.norm(pos[:, ii] - pos[:, jj], axis=2)
+        e = k * q[:, ii] * q[:, jj] / d
+    coincident = d == 0.0
+    bad = ~np.isfinite(e)
+    # Zero-pad to at least six pairs: unused slots are exactly +0.0.
+    pad = np.zeros((len(mols), max(6 - len(ii), 0)))
+    positives = _extremes(np.hstack([np.where(e > 0, e, 0.0), pad]), largest=True)
+    negatives = _extremes(np.hstack([np.where(e < 0, e, 0.0), pad]), largest=False)
+    out = []
+    for r, (m, c_any, b_any) in enumerate(zip(mols, coincident.any(axis=1).tolist(),
+                                               bad.any(axis=1).tolist())):
+        if c_any:
+            c = np.argmax(coincident[r])
+            out.append(ValueError(
                 f"molecule {m.id!r}: atoms {ii[c]} and {jj[c]} are coincident; "
-                "pairing energy undefined")
-        e = k * q[ii] * q[jj] / d
-    bad = np.nonzero(~np.isfinite(e))[0]
-    if bad.size:
-        c = bad[0]
-        raise ValueError(
-            f"molecule {m.id!r}: atoms {ii[c]} and {jj[c]} give a non-finite "
-            "pairing energy")
+                "pairing energy undefined"))
+        elif b_any:
+            c = np.argmax(bad[r])
+            out.append(ValueError(
+                f"molecule {m.id!r}: atoms {ii[c]} and {jj[c]} give a non-finite "
+                "pairing energy"))
+        else:
+            out.append(MpeVector(positives[r], negatives[r]))
+    return out
 
-    def top(mask, ascending):
-        idx = np.nonzero(mask)[0]
-        keys = e[idx] if ascending else -e[idx]
-        order = idx[np.lexsort((jj[idx], ii[idx], keys))][:6]
-        out = np.zeros(6)
-        out[: len(order)] = e[order]
-        return out
 
-    return MpeVector(top(e > 0, ascending=False), top(e < 0, ascending=True))
+def _extremes(x, largest: bool) -> np.ndarray:
+    """The six largest values of each row of x, descending, or the six
+    smallest, ascending."""
+    w = x.shape[1]
+    if w > 6:
+        x = np.partition(x, w - 6 if largest else 5, axis=1)
+        x = x[:, w - 6:] if largest else x[:, :6]
+    x = np.sort(x, axis=1)
+    return np.ascontiguousarray(x[:, ::-1]) if largest else x
 
 
 def write_scatter_csv(path, entries) -> None:
@@ -170,7 +211,9 @@ def write_scatter_csv(path, entries) -> None:
 # its numeric columns in one pass (``_float_columns``).  Only when that pass
 # finds a fault are the rows re-scanned one at a time (``_check_rows``), to
 # raise the first fault in file order with its line, as a row-at-a-time
-# reader would.
+# reader would.  A csv-atoms file or descriptor cache without quotes is
+# split whole on commas (``_split_plain``); every other one goes through the
+# csv module.  Results and errors are the same either way.
 
 
 def parse_molecules(path, format: str) -> list:
@@ -196,13 +239,16 @@ def _finite(value: str, what: str, path, line_no: int) -> float:
     return v
 
 
-def _decoded(path, newline):
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _decoded(path, data: bytes, newline):
     """A text stream over the file's lines before its first undecodable
     one, and the MoleculeParseError for that line (else None).  The caller
     raises that error only after checking the rows read from the stream, so
     an earlier malformed row still wins."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     fault = None
     try:
         data.decode("utf-8")
@@ -213,27 +259,70 @@ def _decoded(path, newline):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline), fault
 
 
-def _read_rows(path):
-    """Every csv row of the file, and a MoleculeParseError for the decoding
-    or csv error that ended it early (else None); see ``_decoded``."""
-    text, fault = _decoded(path, newline="")
+def _split_plain(data: bytes, width: int):
+    """The fields of every line, column by column, when the csv module
+    would read each line as exactly ``line.split(",")`` with ``width``
+    fields; else None.  That holds for a file that decodes as UTF-8, holds
+    no quote and no NUL, has no CR outside a CRLF, and whose every line
+    holds width - 1 commas and is no longer than ``csv.field_size_limit()``."""
+    if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    commas = np.searchsorted(np.flatnonzero(buf == ord(",")), ends)
+    # Byte lengths bound character lengths, so a long multi-byte line is
+    # declined here and left to the csv module.
+    if (np.diff(commas, prepend=0) != width - 1).any() \
+            or np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
+        return None
+    fields = text.replace("\r\n", ",").replace("\n", ",").split(",")
+    if data.endswith(b"\n"):
+        fields.pop()  # the empty field after the last line end
+    return [fields[c::width] for c in range(width)]
+
+
+def _read_table(path, width: int):
+    """(header, columns, rows, stopped) of a csv file; ``header`` is None
+    for an empty file.  A plain file (``_split_plain``) gives the fields of
+    its data rows column by column in ``columns``, and ``rows`` None.  Any
+    other file gives ``columns`` None, its data ``rows`` as read by the csv
+    module, and in ``stopped`` a MoleculeParseError for the decoding or csv
+    error that ended them early (else None); see ``_decoded``."""
+    data = _read_bytes(path)
+    columns = _split_plain(data, width)
+    if columns is not None:
+        return [c[0] for c in columns], [c[1:] for c in columns], None, None
+    text, stopped = _decoded(path, data, newline="")
     reader = csv.reader(text)
-    out = []
+    rows = []
     try:
-        out.extend(reader)
+        rows.extend(reader)
     except csv.Error as exc:
-        return out, MoleculeParseError(path, reader.line_num, str(exc))
-    return out, fault
+        stopped = MoleculeParseError(path, reader.line_num, str(exc))
+    return (rows.pop(0) if rows else None), None, rows, stopped
 
 
-def _float_columns(rows, cols):
-    """(len(rows), len(cols)) float64 array of the given fields of every
-    row, each converted with float(); None if any is unparseable or not
-    finite."""
-    out = np.empty((len(rows), len(cols)))
+def _row_columns(rows, width: int) -> list:
+    """The fields of rows that all hold ``width`` of them, column by column;
+    None if any row holds another number."""
+    if list(map(len, rows)).count(width) != len(rows):
+        return None
+    return [list(map(itemgetter(c), rows)) for c in range(width)]
+
+
+def _float_columns(columns, n: int):
+    """(n, len(columns)) float64 array of the n fields of each column, each
+    converted with float(); None if any is unparseable or not finite."""
+    out = np.empty((n, len(columns)))
     try:
-        for j, c in enumerate(cols):
-            out[:, j] = np.fromiter(map(float, map(itemgetter(c), rows)), np.float64, len(rows))
+        for j, col in enumerate(columns):
+            out[:, j] = np.fromiter(map(float, col), np.float64, n)
     except ValueError:
         return None
     return out if np.isfinite(out).all() else None
@@ -259,6 +348,20 @@ def _molecules(ids, starts, ends, values, elements) -> list:
             for mol_id, s, e in zip(ids, starts, ends)]
 
 
+def _grouped(ids, values, elements) -> list:
+    """Molecules of the atom rows grouped by id in order of first
+    appearance; a molecule's rows keep file order, so they need not be
+    contiguous."""
+    group_of = dict.fromkeys(ids)
+    for g, mol_id in enumerate(group_of):
+        group_of[mol_id] = g
+    group = np.fromiter(map(group_of.__getitem__, ids), np.intp, len(ids))
+    order = np.argsort(group, kind="stable")
+    ends = np.cumsum(np.bincount(group)).tolist()
+    return _molecules(list(group_of), [0] + ends[:-1], ends, values[order],
+                      [elements[i] for i in order.tolist()])
+
+
 def _parse_mol2(path) -> list:
     blocks = []  # (name, index of the block's first atom row)
     line_nos, rows = [], []
@@ -274,7 +377,7 @@ def _parse_mol2(path) -> list:
         return None
 
     line_no = 0
-    text, undecodable = _decoded(path, newline=None)
+    text, undecodable = _decoded(path, _read_bytes(path), newline=None)
     for line_no, raw in enumerate(text, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -303,7 +406,7 @@ def _parse_mol2(path) -> list:
         # Past the decoded lines a block may still gain atoms.
         fault = undecodable or empty_block(line_no)
     cols = (2, 3, 4, 8)
-    values = _float_columns(rows, cols)
+    values = _float_columns([map(itemgetter(c), rows) for c in cols], len(rows))
     if values is None:
         _check_rows(path, line_nos, rows, cols)
     if fault is not None:
@@ -314,39 +417,60 @@ def _parse_mol2(path) -> list:
                       values, [f[5].split(".")[0] for f in rows])
 
 
-def _parse_csv_atoms(path) -> list:
-    rows, stopped = _read_rows(path)
-    if not rows:
+def _read_csv(path, width: int, check_header, convert, keep, rescan):
+    """``convert(columns)`` of the data rows of a csv file, or None for an
+    empty file.  ``check_header(header)`` raises for a bad header.
+    ``convert`` returns None on any fault; the rows are then read as the
+    csv module reads them, the blank ones (``keep(row)`` false) dropped, and
+    converted again, and if that fails too ``rescan(path, line_nos, rows)``
+    raises the first fault in file order.  A decoding or csv error that
+    ended the rows early is raised after that."""
+    header, columns, rows, stopped = _read_table(path, width)
+    if header is None:
         if stopped is not None:
             raise stopped
-        return []
-    if [h.strip() for h in rows.pop(0)] != CSV_ATOM_COLUMNS:
-        raise MoleculeParseError(path, 1, f"header must be {','.join(CSV_ATOM_COLUMNS)}")
-    line_nos = range(2, len(rows) + 2)
-    nonblank = list(map(str.strip, map("".join, rows)))
-    if not all(nonblank):
-        line_nos = list(compress(line_nos, nonblank))
-        rows = list(compress(rows, nonblank))
-    cols = (2, 3, 4, 5)
-    values = None
-    if list(map(len, rows)).count(6) == len(rows):
-        values = _float_columns(rows, cols)
-    if values is None:
-        _check_rows(path, line_nos, rows, cols, width=6)
+        return None
+    check_header(header)
+    out = None
+    if columns is not None:
+        out = convert(columns)
+        if out is None:
+            rows = list(zip(*columns))
+    if out is None:
+        line_nos = range(2, len(rows) + 2)
+        kept = list(map(keep, rows))
+        if not all(kept):
+            line_nos = list(compress(line_nos, kept))
+            rows = list(compress(rows, kept))
+        columns = _row_columns(rows, width)
+        if columns is not None:
+            out = convert(columns)
+        if out is None:
+            rescan(path, line_nos, rows)
     if stopped is not None:
         raise stopped
-    # Group rows by id in order of first appearance; the stable sort keeps
-    # file order within a molecule, so its rows need not be contiguous.
-    ids = list(map(str.strip, map(itemgetter(0), rows)))
-    group_of = dict.fromkeys(ids)
-    for g, mol_id in enumerate(group_of):
-        group_of[mol_id] = g
-    group = np.fromiter(map(group_of.__getitem__, ids), np.intp, len(ids))
-    order = np.argsort(group, kind="stable")
-    ends = np.cumsum(np.bincount(group, minlength=len(group_of))).tolist()
-    elements = list(map(str.strip, map(itemgetter(1), rows)))
-    return _molecules(list(group_of), [0] + ends[:-1], ends, values[order],
-                      [elements[i] for i in order.tolist()])
+    return out
+
+
+def _parse_csv_atoms(path) -> list:
+    def check_header(header):
+        if [h.strip() for h in header] != CSV_ATOM_COLUMNS:
+            raise MoleculeParseError(path, 1, f"header must be {','.join(CSV_ATOM_COLUMNS)}")
+
+    width = len(CSV_ATOM_COLUMNS)
+    return _read_csv(path, width, check_header, _atom_molecules,
+                     lambda row: "".join(row).strip(),
+                     partial(_check_rows, cols=(2, 3, 4, 5), width=width)) or []
+
+
+def _atom_molecules(columns):
+    """Molecules of the csv-atoms columns; None if a coordinate or charge
+    is unparseable or not finite (a blank row fails here too)."""
+    values = _float_columns(columns[2:], len(columns[0]))
+    if values is None:
+        return None
+    return _grouped(list(map(str.strip, columns[0])), values,
+                    list(map(str.strip, columns[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -366,32 +490,27 @@ def read_descriptor_cache(path) -> dict:
     """Descriptor vectors by molecule id.  Every row must hold 13 fields that
     form a valid descriptor, and ids must be unique within the file; a
     malformed row raises MoleculeParseError naming the file and line."""
-    rows, stopped = _read_rows(path)
-    if not rows:
-        if stopped is not None:
-            raise stopped
-        return {}
-    if rows.pop(0) != CACHE_COLUMNS:
-        raise MoleculeParseError(path, 1, "not a descriptor cache (bad header)")
-    line_nos = range(2, len(rows) + 2)
-    if not all(rows):
-        line_nos = list(compress(line_nos, rows))
-        rows = list(filter(None, rows))
-    ids = list(map(itemgetter(0), rows))
-    width = len(CACHE_COLUMNS)
-    out = values = None
-    if list(map(len, rows)).count(width) == len(rows) and len(set(ids)) == len(ids):
-        values = _float_columns(rows, range(1, width))
-    if values is not None:
-        try:
-            out = {mol_id: MpeVector(v[:6], v[6:]) for mol_id, v in zip(ids, values)}
-        except ValueError:
-            pass  # a descriptor out of sign or order: re-scanned below
-    if out is None:
-        _check_cache_rows(path, line_nos, rows)
-    if stopped is not None:
-        raise stopped
-    return out
+    def check_header(header):
+        if header != CACHE_COLUMNS:
+            raise MoleculeParseError(path, 1, "not a descriptor cache (bad header)")
+
+    return _read_csv(path, len(CACHE_COLUMNS), check_header, _cache_entries, len,
+                     _check_cache_rows) or {}
+
+
+def _cache_entries(columns):
+    """Descriptor vectors by id of the cache's columns; None if an id
+    repeats or a row is not a valid descriptor."""
+    ids = columns[0]
+    if len(set(ids)) != len(ids):
+        return None
+    values = _float_columns(columns[1:], len(ids))
+    if values is None:
+        return None
+    try:
+        return {mol_id: MpeVector(v[:6], v[6:]) for mol_id, v in zip(ids, values)}
+    except ValueError:
+        return None  # a descriptor out of sign or order
 
 
 def _check_cache_rows(path, line_nos, rows) -> None:

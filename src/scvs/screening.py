@@ -74,21 +74,22 @@ def target_descriptors(target_id: str, crystal_ligand: Molecule, actives, decoys
     if dup:
         raise ValueError(f"target {target_id}: ids in both classes: {sorted(dup)[:5]}")
 
-    def resolve(mol: Molecule) -> MpeVector:
-        if cache is not None and mol.id in cache:
-            return cache[mol.id]
-        return mpe.mpe_vector(mol, k)
-
-    crystal = resolve(crystal_ligand)
+    mols = [crystal_ligand, *actives, *decoys]
+    cache = cache or {}
+    computed = iter(mpe.mpe_vectors([m for m in mols if m.id not in cache], k))
+    vectors = [cache[m.id] if m.id in cache else next(computed) for m in mols]
+    if isinstance(vectors[0], ValueError):
+        raise vectors[0]
+    crystal = vectors[0]
     compounds = []
     skipped = 0
-    for mols, label in ((actives, 1), (decoys, 0)):
-        for mol in mols:
-            try:
-                compounds.append((mol.id, resolve(mol), label))
-            except ValueError as exc:
-                log.warning("target %s: skipping %s: %s", target_id, mol.id, exc)
-                skipped += 1
+    labels = [1] * len(actives) + [0] * len(decoys)
+    for mol, vec, label in zip(mols[1:], vectors[1:], labels):
+        if isinstance(vec, ValueError):
+            log.warning("target %s: skipping %s: %s", target_id, mol.id, vec)
+            skipped += 1
+        else:
+            compounds.append((mol.id, vec, label))
     return TargetData(target_id, crystal, compounds, n_skipped=skipped)
 
 

@@ -58,6 +58,15 @@ class TestDescriptors:
                    "--scatter", scatter) == 0
         assert len(scatter.read_text().strip().splitlines()) == 1 + 5
 
+    def test_scatter_path_printed_as_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SCVS_DATA_DIR", str(tmp_path))
+        assert run("descriptors", DATA / "fixture_atoms.csv", "--out", "c.csv",
+                   "--scatter", "s.csv") == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == [f"wrote 5 descriptor rows to {tmp_path / 'c.csv'}",
+                                    f"wrote scatter data for 5 molecules to {tmp_path / 's.csv'}"]
+        assert (tmp_path / "s.csv").is_file()
+
     def test_overflowing_descriptor_exit_2_no_inf_row(self, tmp_path, capsys):
         mols = tmp_path / "mols.csv"
         mols.write_text((DATA / "fixture_atoms.csv").read_text() + HUGE_ROWS)
@@ -610,6 +619,12 @@ class TestMakeBench:
     def test_count_below_1_exit_1_names_flag(self, tmp_path, capsys, flag, value):
         assert run("make-bench", "--out-dir", tmp_path / "bench", flag, value) == 1
         assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
+        assert not (tmp_path / "bench").exists()
+
+    def test_negative_seed_exit_1_writes_nothing(self, tmp_path, capsys):
+        assert run("make-bench", "--out-dir", tmp_path / "bench", "--seed", "-1",
+                   "--targets", "1", "--actives", "2", "--decoys", "2") == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not (tmp_path / "bench").exists()
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scvs import mpe
+from scvs import mpe, synth
 from scvs.mpe import (
     FeatureScaler,
     Molecule,
@@ -141,6 +141,102 @@ class TestMpeVector:
         m = Molecule("bad", [[0, 0, 0], [0, 0, 0]], [0.1, 0.2], "CC")
         with pytest.raises(ValueError, match="atoms 0 and 1"):
             mpe_vector(m)
+
+
+def lexsort_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> MpeVector:
+    """The one-molecule descriptor as first written: every pair energy,
+    then a lexsort on (energy, lower atom index, higher atom index)."""
+    n = len(m.charges)
+    if n == 1:
+        return MpeVector(np.zeros(6), np.zeros(6))
+    pos, q = m.positions, m.charges
+    ii, jj = np.triu_indices(n, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.linalg.norm(pos[ii] - pos[jj], axis=1)
+        coincident = np.nonzero(d == 0.0)[0]
+        if coincident.size:
+            c = coincident[0]
+            raise ValueError(
+                f"molecule {m.id!r}: atoms {ii[c]} and {jj[c]} are coincident; "
+                "pairing energy undefined")
+        e = k * q[ii] * q[jj] / d
+    bad = np.nonzero(~np.isfinite(e))[0]
+    if bad.size:
+        c = bad[0]
+        raise ValueError(
+            f"molecule {m.id!r}: atoms {ii[c]} and {jj[c]} give a non-finite "
+            "pairing energy")
+
+    def top(mask, ascending):
+        idx = np.nonzero(mask)[0]
+        keys = e[idx] if ascending else -e[idx]
+        order = idx[np.lexsort((jj[idx], ii[idx], keys))][:6]
+        out = np.zeros(6)
+        out[: len(order)] = e[order]
+        return out
+
+    return MpeVector(top(e > 0, ascending=False), top(e < 0, ascending=True))
+
+
+def _vector_outcome(v):
+    """('ok', feature bytes) of a vector, ('error', message) of a ValueError."""
+    if isinstance(v, ValueError):
+        return ("error", str(v))
+    return ("ok", v.features.tobytes())
+
+
+def _called(fn, m):
+    try:
+        return fn(m)
+    except ValueError as exc:
+        return exc
+
+
+class TestBatchedDescriptors:
+    @staticmethod
+    def _library(rng):
+        """Mixed atom counts in random order; the 24-atom molecules span
+        three chunks, and one of them is coincident and one overflows, both
+        in the middle of a chunk.  200-atom molecules take a chunk each.
+        Grid positions and a small charge alphabet give tied and exactly
+        zero energies."""
+        chunk = mpe.DESCRIPTOR_CHUNK_PAIRS // (24 * 23 // 2)
+        sizes = [24] * (2 * chunk + 20) + [200] * 3
+        for n in (1, 2, 3, 7):
+            sizes += [n] * 15
+        rng.shuffle(sizes)
+        mols = []
+        for i, n in enumerate(sizes):
+            if rng.random() < 0.5:
+                pos = rng.integers(-3, 4, (n, 3)).astype(float)
+                pos[:, 0] += np.arange(n) * 10  # grid atoms, never coincident
+                q = rng.choice([-0.5, -0.0, 0.0, 0.25, 0.5], n)
+            else:
+                pos = rng.uniform(-5, 5, (n, 3))
+                q = rng.normal(0, 0.5, n)
+            mols.append(Molecule(f"m{i}", pos, q, "C" * n))
+        big = [i for i, n in enumerate(sizes) if n == 24]
+        coincident, huge = mols[big[10]], mols[big[chunk + 5]]
+        coincident.positions[17] = coincident.positions[3]
+        huge.charges[[2, 9]] = 1e200
+        tiny = mols[sizes.index(2)]
+        tiny.positions[1] = tiny.positions[0]
+        return mols
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_equals_single_and_lexsort(self, seed):
+        mols = self._library(np.random.default_rng(seed))
+        got = [_vector_outcome(v) for v in mpe.mpe_vectors(mols)]
+        single = [_vector_outcome(_called(mpe_vector, m)) for m in mols]
+        reference = [_vector_outcome(_called(lexsort_vector, m)) for m in mols]
+        assert got == single == reference
+        errors = [g[1] for g in got if g[0] == "error"]
+        assert len(errors) == 3
+        assert sum("coincident" in e for e in errors) == 2
+        assert sum("non-finite" in e for e in errors) == 1
+
+    def test_empty_list(self):
+        assert mpe.mpe_vectors([]) == []
 
 
 class TestParsers:
@@ -404,29 +500,37 @@ def _as_tuples(mols):
 _BAD_NUMBERS = ["abc", "", "1.2.3", "nan", "NaN", "inf", "-Infinity", "1e400", "0x1", "1,5"]
 
 
-def _number(rng, v):
-    """A valid spelling of v: plain, exponent, padded, quoted or signed."""
+def _number(rng, v, plain=False):
+    """A valid spelling of v: plain, exponent, padded, quoted or signed;
+    never quoted when ``plain``."""
     text = rng.choice([repr(v), f"{v:.6g}", f"{v:e}", f"+{v!r}" if str(v)[0] != "-" else repr(v)])
     text = rng.choice(["", " ", "  "]) + text + rng.choice(["", " "])
-    return f'"{text}"' if rng.random() < 0.2 else text
+    return f'"{text}"' if not plain and rng.random() < 0.2 else text
 
 
-def _csv_rows(rng):
+def _csv_rows(rng, plain=False):
     """Data rows of a valid csv-atoms file, ids interleaved, each a list of
-    raw field texts."""
+    raw field texts; without quotes when ``plain``, and then with each
+    molecule's rows kept together half the time."""
     rows = []
+    ids = ["m{}", " m{} ", "mol_{}"] if plain else ["m{}", " m{} ", '"m,{}"', "mol_{}"]
+    elements = ["C", " N ", "Cl", "O" if plain else '"O"']
     for i in range(rng.randint(1, 6)):
-        mol_id = rng.choice([f"m{i}", f" m{i} ", f'"m,{i}"', f"mol_{i}"])
+        mol_id = rng.choice(ids).format(i)
         for _ in range(rng.randint(1, 5)):
-            xyz = [_number(rng, round(rng.uniform(-9, 9), rng.randint(0, 6))) for _ in range(3)]
-            q = _number(rng, rng.choice([0.0, -0.0, round(rng.gauss(0, 0.5), 4)]))
-            rows.append([mol_id, rng.choice(["C", " N ", "Cl", '"O"']), *xyz, q])
-    rng.shuffle(rows)
+            xyz = [_number(rng, round(rng.uniform(-9, 9), rng.randint(0, 6)), plain)
+                   for _ in range(3)]
+            q = _number(rng, rng.choice([0.0, -0.0, round(rng.gauss(0, 0.5), 4)]), plain)
+            rows.append([mol_id, rng.choice(elements), *xyz, q])
+    if not plain or rng.random() < 0.5:
+        rng.shuffle(rows)
     return rows
 
 
-def _write_csv(path, rows, rng):
-    blanks = ["", ",,,,,", "   ", " , ", ",,,,,,,"]
+def _write_csv(path, rows, rng, plain=False):
+    """Rows with blank ones in between, LF or CRLF line ends; a plain file's
+    blank rows hold five commas, as its data rows do."""
+    blanks = [",,,,,", " , ,, , ,"] if plain else ["", ",,,,,", "   ", " , ", ",,,,,,,"]
     lines = [",".join(mpe.CSV_ATOM_COLUMNS)]
     for row in rows:
         while rng.random() < 0.15:
@@ -482,13 +586,16 @@ def _cache_rows(rng):
     return rows
 
 
-def _write_cache(path, rows, rng):
+def _write_cache(path, rows, rng, plain=False):
+    """Rows with empty lines in between, or, when ``plain``, none and LF or
+    CRLF line ends."""
     lines = [",".join(mpe.CACHE_COLUMNS)]
     for row in rows:
-        if rng.random() < 0.15:
+        if not plain and rng.random() < 0.15:
             lines.append("")
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    end = rng.choice(["\n", "\r\n"]) if plain else "\n"
+    path.write_text(end.join(lines) + end, newline="")
 
 
 def _mutate_cache_row(rng, row, rows):
@@ -515,20 +622,41 @@ def _fault_rows(rng, rows):
     return rng.sample(range(len(rows)), min(len(rows), rng.randint(1, 2)))
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a plain file left the one-split path")
+
+
+def _cache_bytes(cache):
+    return {k: v.features.tobytes() for k, v in cache.items()}
+
+
 class TestParserDifferential:
     SEEDS = range(60)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_csv_atoms_matches_reference(self, tmp_path, seed):
+    def test_csv_atoms_matches_reference(self, tmp_path, monkeypatch, seed):
+        self._csv_atoms_case(tmp_path, monkeypatch, seed, plain=False)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_plain_csv_atoms_matches_reference(self, tmp_path, monkeypatch, seed):
+        self._csv_atoms_case(tmp_path, monkeypatch, seed, plain=True)
+
+    @staticmethod
+    def _csv_atoms_case(tmp_path, monkeypatch, seed, plain):
+        """A valid file, then the same with one or two rows broken; a plain
+        valid file must split without the csv module."""
         rng = random.Random(seed)
-        rows = _csv_rows(rng)
+        rows = _csv_rows(rng, plain)
         path = tmp_path / "atoms.csv"
-        _write_csv(path, rows, rng)
+        _write_csv(path, rows, rng, plain)
         want = reference_csv_atoms(path)
-        assert _as_tuples(parse_molecules(path, "csv-atoms")) == want
+        with monkeypatch.context() as m:
+            if plain:
+                m.setattr(csv, "reader", _refuse)
+            assert _as_tuples(parse_molecules(path, "csv-atoms")) == want
         for i in _fault_rows(rng, rows):
             rows[i] = _mutate_row(rng, rows[i])
-        _write_csv(path, rows, rng)
+        _write_csv(path, rows, rng, plain)
         want = _outcome(reference_csv_atoms, path)
         got = _outcome(lambda p: _as_tuples(parse_molecules(p, "csv-atoms")), path)
         assert got == want
@@ -556,21 +684,119 @@ class TestParserDifferential:
         assert got == want
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_cache_matches_reference(self, tmp_path, seed):
+    def test_cache_matches_reference(self, tmp_path, monkeypatch, seed):
+        self._cache_case(tmp_path, monkeypatch, seed, plain=False)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_plain_cache_matches_reference(self, tmp_path, monkeypatch, seed):
+        self._cache_case(tmp_path, monkeypatch, seed, plain=True)
+
+    @staticmethod
+    def _cache_case(tmp_path, monkeypatch, seed, plain):
+        """As ``_csv_atoms_case``, for a descriptor cache."""
         rng = random.Random(seed)
         rows = _cache_rows(rng)
         path = tmp_path / "cache.csv"
-        _write_cache(path, rows, rng)
+        _write_cache(path, rows, rng, plain)
         want = reference_cache(path)
-        got = mpe.read_descriptor_cache(path)
-        assert {k: v.features.tobytes() for k, v in got.items()} == want
+        with monkeypatch.context() as m:
+            if plain:
+                m.setattr(csv, "reader", _refuse)
+            got = mpe.read_descriptor_cache(path)
+        assert _cache_bytes(got) == want
         assert list(got) == list(want)
         for i in _fault_rows(rng, rows):
             rows[i] = _mutate_cache_row(rng, rows[i], rows)
-        _write_cache(path, rows, rng)
+        _write_cache(path, rows, rng, plain)
         want = _outcome(reference_cache, path)
-        got = _outcome(lambda p: {k: v.features.tobytes() for k, v in
-                                  mpe.read_descriptor_cache(p).items()}, path)
+        got = _outcome(lambda p: _cache_bytes(mpe.read_descriptor_cache(p)), path)
+        assert got == want
+
+    def test_written_files_take_the_one_split_path(self, tmp_path, monkeypatch):
+        # What make-bench and descriptors write (CRLF csv-atoms, a CRLF
+        # cache) and a hand-written LF file all split without the csv module
+        # and convert without a row-by-row re-scan.
+        bench = tmp_path / "bench"
+        synth.write_benchmark(bench, seed=3, n_targets=1, n_actives=3, n_decoys=3)
+        lf = tmp_path / "lf.csv"
+        lf.write_text((DATA / "fixture_atoms.csv").read_text().replace("\r\n", "\n"))
+        atoms = sorted(bench.glob("*/*.csv")) + [lf]
+        want = [reference_csv_atoms(p) for p in atoms]
+        cache = tmp_path / "cache.csv"
+        mpe.write_descriptor_cache(cache, [(m.id, mpe_vector(m)) for p in atoms
+                                           for m in parse_molecules(p, "csv-atoms")])
+        want_cache = reference_cache(cache)
+        monkeypatch.setattr(csv, "reader", _refuse)
+        monkeypatch.setattr(mpe, "_row_columns", _refuse)
+        assert [_as_tuples(parse_molecules(p, "csv-atoms")) for p in atoms] == want
+        assert _cache_bytes(mpe.read_descriptor_cache(cache)) == want_cache
+        assert len(want_cache) == 1 + 3 + 3 + 5
+
+    # Edge cases around the one-split path, for (csv-atoms, cache): what each
+    # file holds after its header line; every one must read as the
+    # reference reader reads it, whichever path it takes.
+    EDGE_BODIES = {
+        "lone CR": ("m,C,0,0,0,0.5\rm,C,1,0,0,-0.5\n", "c0" + ",0" * 12 + "\rc1" + ",0" * 12),
+        "lone CR in a field": ("m,C\r,0,0,0,0.5\n", "c0\r" + ",0" * 12 + "\n"),
+        "NUL byte": ("m,C\0,0,0,0,0.5\nm,C,1,0,0,-0.5\n", "c\0" + ",0" * 12 + "\n"),
+        "trailing blank line": ("m,C,0,0,0,0.5\nm,C,1,0,0,-0.5\n\n", "c0" + ",0" * 12 + "\n\n"),
+        "comma-only row": ("m,C,0,0,0,0.5\n,,,,,\nm,C,1,0,0,-0.5\n",
+                           "c0" + ",0" * 12 + "\n" + "," * 12 + "\n"),
+        "no final line end": ("m,C,0,0,0,0.5\r\nm,C,1,0,0,-0.5", "c0" + ",0" * 12),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGE_BODIES))
+    @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
+    def test_edge_case_matches_reference(self, tmp_path, fmt, case):
+        atoms, cache = self.EDGE_BODIES[case]
+        header = mpe.CSV_ATOM_COLUMNS if fmt == "csv-atoms" else mpe.CACHE_COLUMNS
+        path = tmp_path / "f.csv"
+        path.write_bytes((",".join(header) + "\n" + (atoms if fmt == "csv-atoms" else cache))
+                         .encode())
+        self._assert_matches(path, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
+    def test_padded_header_matches_reference(self, tmp_path, fmt):
+        header = mpe.CSV_ATOM_COLUMNS if fmt == "csv-atoms" else mpe.CACHE_COLUMNS
+        row = "m,C,0,0,0,0.5" if fmt == "csv-atoms" else "c0" + ",0" * 12
+        path = tmp_path / "f.csv"
+        path.write_text(", ".join(f" {h}" for h in header) + " \n" + row + "\n")
+        self._assert_matches(path, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
+    def test_line_over_field_size_limit(self, tmp_path, fmt):
+        # Under a lowered limit every line below is too long for the one
+        # split, but only the second file holds a field that is: the csv
+        # module reads the first as the reference does and rejects the
+        # second at that field's line.
+        header = mpe.CSV_ATOM_COLUMNS if fmt == "csv-atoms" else mpe.CACHE_COLUMNS
+        path = tmp_path / "f.csv"
+        old = csv.field_size_limit(20)
+        try:
+            for mol_id in ("m" * 10, "m" * 21):
+                row = f"{mol_id},C,0,0,0,0.5" if fmt == "csv-atoms" else mol_id + ",0" * 12
+                path.write_text(",".join(header) + "\n" + row + "\n")
+                if len(mol_id) <= 20:
+                    self._assert_matches(path, fmt)
+                    continue
+                with pytest.raises(MoleculeParseError,
+                                   match=rf"^{path}:2: field larger than field limit \(20\)"):
+                    if fmt == "cache":
+                        mpe.read_descriptor_cache(path)
+                    else:
+                        parse_molecules(path, fmt)
+        finally:
+            csv.field_size_limit(old)
+        assert csv.field_size_limit() == old
+
+    @staticmethod
+    def _assert_matches(path, fmt):
+        if fmt == "csv-atoms":
+            want = _outcome(reference_csv_atoms, path)
+            got = _outcome(lambda p: _as_tuples(parse_molecules(p, "csv-atoms")), path)
+        else:
+            want = _outcome(reference_cache, path)
+            got = _outcome(lambda p: _cache_bytes(mpe.read_descriptor_cache(p)), path)
         assert got == want
 
     @pytest.mark.parametrize("fmt", ["csv-atoms", "mol2-subset", "cache"])

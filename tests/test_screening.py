@@ -397,6 +397,30 @@ class TestTargetTypes:
         assert data.n_skipped == 1
         assert [c[0] for c in data.compounds] == ["ok"]
 
+    def test_failures_warned_in_order_and_cache_kept(self, caplog):
+        def pair(mol_id, gap):
+            return Molecule(mol_id, [[0, 0, 0], [gap, 0, 0]], [0.5, -0.5], "CC")
+
+        crystal = pair("x", 1.0)
+        actives = [pair("a0", 0.0), pair("a1", 2.0), pair("a2", 0.0)]
+        decoys = [pair("d0", 0.0), pair("d1", 3.0)]
+        fake = MpeVector(np.zeros(6), np.array([-9.0, 0, 0, 0, 0, 0]))
+        with caplog.at_level("WARNING", logger="scvs.screening"):
+            data = screening.target_descriptors("t", crystal, actives, decoys,
+                                                cache={"a1": fake})
+        assert [c[0] for c in data.compounds] == ["a1", "d1"]
+        assert data.compounds[0][1] is fake and data.n_skipped == 3
+        assert [r.getMessage().split(":")[1] for r in caplog.records] == [
+            " skipping a0", " skipping a2", " skipping d0"]
+
+    def test_failing_crystal_fails_target_before_any_warning(self, caplog):
+        crystal = Molecule("x", [[0, 0, 0], [0, 0, 0]], [0.5, 0.5], "CC")
+        bad = Molecule("b", [[1, 1, 1], [1, 1, 1]], [0.5, 0.5], "CC")
+        with caplog.at_level("WARNING", logger="scvs.screening"):
+            with pytest.raises(ValueError, match="^molecule 'x': atoms 0 and 1 are coincident"):
+                screening.target_descriptors("t", crystal, [bad], [])
+        assert not caplog.records
+
     def test_cache_lookup_used(self):
         m = Molecule("m1", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5], "CC")
         fake = MpeVector(np.array([9.0, 0, 0, 0, 0, 0]), np.zeros(6))
