@@ -88,6 +88,20 @@ class MpeVector:
         object.__setattr__(self, "positives", p)
         object.__setattr__(self, "negatives", n)
 
+    @classmethod
+    def _rows(cls, values) -> list:
+        """One vector per row of an (n, 12) float64 array that has passed
+        ``_rows_valid``; each wraps views of its row, as the constructor
+        would, without checking the row again."""
+        new, put = object.__new__, object.__setattr__
+        out = []
+        for p, n in zip(values[:, :6], values[:, 6:]):
+            v = new(cls)
+            put(v, "positives", p)
+            put(v, "negatives", n)
+            out.append(v)
+        return out
+
     @property
     def features(self) -> np.ndarray:
         """The 12 values in network order: positives then negatives."""
@@ -127,7 +141,7 @@ def mpe_vector(m: Molecule, k: float = DEFAULT_K) -> MpeVector:
 
 
 # Molecules of one atom count are described together, in chunks of about
-# this many atom pairs: 64 molecules of 24 atoms, whose (chunk, pairs, 3)
+# this many atom pairs: 64 molecules of 24 atoms, whose (3, chunk, pairs)
 # temporaries stay near 2 MB, and never fewer than one molecule.
 DESCRIPTOR_CHUNK_PAIRS = 64 * 276
 
@@ -151,36 +165,55 @@ def mpe_vectors(mols, k: float = DEFAULT_K) -> list:
 def _describe(mols, k) -> list:
     """Descriptors (or ValueErrors) of molecules of one atom count."""
     ii, jj = np.triu_indices(len(mols[0].charges), 1)
-    pos = np.stack([m.positions for m in mols])
+    # Coordinate-major (3, m, n), so each pair gather is one take along
+    # the last axis.
+    pos = np.stack([m.positions.T for m in mols], axis=1)
     q = np.stack([m.charges for m in mols])
     # Huge coordinates or charges overflow (inf, or inf/inf = nan), and
     # coincident atoms divide by zero; both are reported below instead of
     # as a RuntimeWarning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d = np.linalg.norm(pos[:, ii] - pos[:, jj], axis=2)
-        e = k * q[:, ii] * q[:, jj] / d
+        sq = np.take(pos, ii, axis=-1)
+        sq -= np.take(pos, jj, axis=-1)
+        sq *= sq
+        # (dx² + dy²) + dz²: the order np.linalg.norm sums three values in
+        d = np.sqrt((sq[0] + sq[1]) + sq[2])
+        e = k * np.take(q, ii, axis=1) * np.take(q, jj, axis=1) / d
     coincident = d == 0.0
     bad = ~np.isfinite(e)
-    # Zero-pad to at least six pairs: unused slots are exactly +0.0.
-    pad = np.zeros((len(mols), max(6 - len(ii), 0)))
-    positives = _extremes(np.hstack([np.where(e > 0, e, 0.0), pad]), largest=True)
-    negatives = _extremes(np.hstack([np.where(e < 0, e, 0.0), pad]), largest=False)
-    out = []
-    for r, (m, c_any, b_any) in enumerate(zip(mols, coincident.any(axis=1).tolist(),
-                                               bad.any(axis=1).tolist())):
-        if c_any:
+    positives, negatives = np.where(e > 0, e, 0.0), np.where(e < 0, e, 0.0)
+    if len(ii) < 6:
+        # Zero-pad to six pairs: unused slots are exactly +0.0.
+        pad = np.zeros((len(mols), 6 - len(ii)))
+        positives, negatives = np.hstack([positives, pad]), np.hstack([negatives, pad])
+    any_coincident = coincident.any(axis=1)
+    failed = any_coincident | bad.any(axis=1)
+    rows = np.hstack([_extremes(positives, largest=True),
+                      _extremes(negatives, largest=False)])[~failed]
+    # Finite energies always give valid rows; were one not, the constructor
+    # would raise its rule's error here.
+    out = (MpeVector._rows(rows) if _rows_valid(rows)
+           else [MpeVector(v[:6], v[6:]) for v in rows])
+    for r in np.flatnonzero(failed).tolist():
+        if any_coincident[r]:
             c = np.argmax(coincident[r])
-            out.append(ValueError(
-                f"molecule {m.id!r}: atoms {ii[c]} and {jj[c]} are coincident; "
-                "pairing energy undefined"))
-        elif b_any:
-            c = np.argmax(bad[r])
-            out.append(ValueError(
-                f"molecule {m.id!r}: atoms {ii[c]} and {jj[c]} give a non-finite "
-                "pairing energy"))
+            error = ValueError(f"molecule {mols[r].id!r}: atoms {ii[c]} and {jj[c]} are "
+                               "coincident; pairing energy undefined")
         else:
-            out.append(MpeVector(positives[r], negatives[r]))
+            c = np.argmax(bad[r])
+            error = ValueError(f"molecule {mols[r].id!r}: atoms {ii[c]} and {jj[c]} give a "
+                               "non-finite pairing energy")
+        out.insert(r, error)  # ascending r: every earlier slot is already filled
     return out
+
+
+def _rows_valid(values) -> bool:
+    """Whether every row of an (n, 12) array is a valid descriptor by
+    ``MpeVector``'s rule: all values finite, the positives nonnegative and
+    non-increasing, the negatives nonpositive and non-decreasing."""
+    p, n = values[:, :6], values[:, 6:]
+    return bool(np.isfinite(values).all() and (p[:, 5] >= 0).all() and (n[:, 5] <= 0).all()
+                and (p[:, :-1] >= p[:, 1:]).all() and (n[:, :-1] <= n[:, 1:]).all())
 
 
 def _extremes(x, largest: bool) -> np.ndarray:
@@ -505,12 +538,9 @@ def _cache_entries(columns):
     if len(set(ids)) != len(ids):
         return None
     values = _float_columns(columns[1:], len(ids))
-    if values is None:
+    if values is None or not _rows_valid(values):
         return None
-    try:
-        return {mol_id: MpeVector(v[:6], v[6:]) for mol_id, v in zip(ids, values)}
-    except ValueError:
-        return None  # a descriptor out of sign or order
+    return dict(zip(ids, MpeVector._rows(values)))
 
 
 def _check_cache_rows(path, line_nos, rows) -> None:

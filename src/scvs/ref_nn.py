@@ -405,7 +405,3 @@ def build_mlp(doc, path) -> Mlp:
     biases = [json_array(l, "bias", np.float64, path, where) for where, l in layers]
     return placed(path, "", Mlp, shape, doc["activation"], weights, biases,
                   doc.get("trained", True))
-
-
-def load_mlp(path) -> Mlp:
-    return build_mlp(read_json(path), path)

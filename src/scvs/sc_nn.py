@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sc_core as sc
-from .ref_nn import (Mlp, MODEL_FORMAT_VERSION, json_array, model_layers, placed, read_json,
+from .ref_nn import (Mlp, MODEL_FORMAT_VERSION, json_array, model_layers, placed,
                      require_fields, write_json)
 from .sc_core import BitStream, GateKind, Lfsr, WordSequence
 
@@ -114,7 +114,7 @@ class ScNetwork:
         self.lfsr2 = lfsr2
         self.stream_len = int(stream_len)
         self.width = int(width)
-        self._sim = None
+        self._engine = None  # (rank, prefix tables) of the bit-true simulator
 
     @property
     def input_width(self) -> int:
@@ -131,9 +131,10 @@ class ScNetwork:
         return a
 
     def simulator(self) -> "ScSimulator":
-        if self._sim is None:
-            self._sim = ScSimulator(self)
-        return self._sim
+        """A bit-true simulator of this network.  The engine's tables are
+        built once and kept here; they hold no reference back to the
+        network, so a dropped network frees them at once."""
+        return ScSimulator(self)
 
 
 def min_norm_shift(n_inputs: int, stream_len: int, width: int) -> int:
@@ -408,22 +409,26 @@ class ScSimulator:
 
     Counts generator instantiations (two for any network) and saturation
     events.  Inference is a pure function of (network, input); repeat runs
-    are bit-identical.
+    are bit-identical.  The tables are built by the first simulator of a
+    network and shared by the later ones.
     """
 
     def __init__(self, net: ScNetwork):
         self.net = net
         self.saturation_count = 0
         self.rng_instantiations = len({(g.width, g.taps, g.seed) for g in (net.lfsr1, net.lfsr2)})
-        x_window, w_windows = _windows(net.lfsr1, net.lfsr2, net.stream_len, len(net.layers))
-        order = np.argsort(x_window.words, kind="stable")
-        self._rank = _rank(x_window)
-        self._tables = []
-        for layer, w_window in zip(net.layers, w_windows):
-            wq = layer.weights_q
-            if layer.bias_q is not None:
-                wq = np.concatenate([wq, layer.bias_q[:, None]], axis=1)
-            self._tables.append(_prefix_tables(order, w_window, wq))
+        if net._engine is None:
+            x_window, w_windows = _windows(net.lfsr1, net.lfsr2, net.stream_len,
+                                           len(net.layers))
+            order = np.argsort(x_window.words, kind="stable")
+            tables = []
+            for layer, w_window in zip(net.layers, w_windows):
+                wq = layer.weights_q
+                if layer.bias_q is not None:
+                    wq = np.concatenate([wq, layer.bias_q[:, None]], axis=1)
+                tables.append(_prefix_tables(order, w_window, wq))
+            net._engine = _rank(x_window), tables
+        self._rank, self._tables = net._engine
 
     def _prefix_apc(self, li: int, words: np.ndarray, counts: list | None = None):
         """APC of layer ``li`` for its (k, fan_in) input words.  Appends the
@@ -452,9 +457,6 @@ class ScSimulator:
                                               layer_apc)
         self.saturation_count += saturations
         return scores, words
-
-    def infer(self, x) -> float:
-        return float(self._run(np.asarray(x, dtype=np.float64)[None, :], self._prefix_apc)[0][0])
 
     def infer_many(self, x: np.ndarray, chunk: int = 128) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -549,7 +551,3 @@ def build_sc_network(doc, path) -> ScNetwork:
                            tuple(json_array(g, "taps", np.int64, path, where).tolist()), g["seed"])
                     for where, g in gens)
     return placed(path, "", ScNetwork, layers, lfsr1, lfsr2, doc["stream_len"], doc["width"])
-
-
-def load_sc_network(path) -> ScNetwork:
-    return build_sc_network(read_json(path), path)

@@ -110,9 +110,9 @@ class TestDescriptors:
 class TestTrain:
     def test_model_round_trips_and_forward_reproducible(self, workspace):
         ws, _ = workspace
-        mlp = ref_nn.load_mlp(ws / "relu48.json")
+        mlp = cli.load_model(ws / "relu48.json")
         x = np.linspace(-1, 1, 24)
-        assert ref_nn.forward(mlp, x) == ref_nn.forward(ref_nn.load_mlp(ws / "relu48.json"), x)
+        assert ref_nn.forward(mlp, x) == ref_nn.forward(cli.load_model(ws / "relu48.json"), x)
         log = json.loads((ws / "log.json").read_text())
         assert log["n_train_pairs"] > 0 and log["shape"] == [24, 48, 24, 1]
 
@@ -176,8 +176,8 @@ class TestQuantize:
 
     def test_dequantized_weights_near_originals(self, workspace):
         ws, _ = workspace
-        mlp = ref_nn.load_mlp(ws / "relu48.json")
-        net = sc_nn.load_sc_network(ws / "hw48.json")
+        mlp = cli.load_model(ws / "relu48.json")
+        net = cli.load_model(ws / "hw48.json")
         for w, layer in zip(mlp.weights, net.layers):
             dq = layer.weights_q / 2048.0 * layer.scale
             clipped = np.clip(w, -layer.scale, layer.scale)

@@ -4,11 +4,14 @@ fixtures, feature scaling."""
 import csv
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scvs import mpe, synth
 from scvs.mpe import (
@@ -237,6 +240,71 @@ class TestBatchedDescriptors:
 
     def test_empty_list(self):
         assert mpe.mpe_vectors([]) == []
+
+    def test_distances_sum_in_norm_order_on_3d_coordinates(self):
+        # The bench molecules lie on the x axis.  Here y and z are as large
+        # as x, so summing the squares as dx² + (dy² + dz²) instead of
+        # np.linalg.norm's (dx² + dy²) + dz² moves a bit of some descriptor.
+        rng = np.random.default_rng(23)
+        mols = [Molecule(f"m{i}", rng.uniform(-50, 50, (24, 3)), rng.normal(0, 0.5, 24),
+                         "C" * 24) for i in range(40)]
+        got = [_vector_outcome(v) for v in mpe.mpe_vectors(mols)]
+        assert got == [_vector_outcome(lexsort_vector(m)) for m in mols]
+
+        def other_order(m):
+            ii, jj = np.triu_indices(24, 1)
+            sq = (m.positions[ii] - m.positions[jj]) ** 2
+            e = mpe.DEFAULT_K * m.charges[ii] * m.charges[jj] / np.sqrt(
+                sq[:, 0] + (sq[:, 1] + sq[:, 2]))
+            return ("ok", np.concatenate([np.sort(np.where(e > 0, e, 0.0))[::-1][:6],
+                                          np.sort(np.where(e < 0, e, 0.0))[:6]]).tobytes())
+
+        assert got != [other_order(m) for m in mols]
+
+
+# Descriptor slot values: signed zeros, the smallest subnormal, ties and
+# extremes, plus any finite magnitude.
+_MAGNITUDES = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.0, 300.0, 1e308]) | st.floats(0, 1e308)
+_ANY_VALUE = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                              1.0, -1.0]) | st.floats()
+
+
+@st.composite
+def _descriptor_rows(draw):
+    """A sorted, signed row of 12, then up to two slots overwritten with any
+    value and up to one pair of slots swapped."""
+    p = sorted(draw(st.lists(_MAGNITUDES, min_size=6, max_size=6)), reverse=True)
+    n = sorted(-v for v in draw(st.lists(_MAGNITUDES, min_size=6, max_size=6)))
+    row = np.array(p + n)
+    for i, v in draw(st.lists(st.tuples(st.integers(0, 11), _ANY_VALUE), max_size=2)):
+        row[i] = v
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=1)):
+        row[[i, j]] = row[[j, i]]
+    return row
+
+
+class TestRowsValid:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_descriptor_rows(), min_size=1, max_size=4))
+    def test_matches_constructor_row_by_row(self, rows):
+        values = np.array(rows)
+        wanted = []
+        for v in values:
+            try:
+                wanted.append(MpeVector(v[:6], v[6:]))
+            except ValueError:
+                wanted.append(None)
+            assert mpe._rows_valid(v[None]) == (wanted[-1] is not None)
+        assert mpe._rows_valid(values) == all(w is not None for w in wanted)
+        if mpe._rows_valid(values):
+            for got, want in zip(MpeVector._rows(values), wanted):
+                for field in ("positives", "negatives"):
+                    g, w = getattr(got, field), getattr(want, field)
+                    assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+    def test_empty_matrix_is_valid(self):
+        assert mpe._rows_valid(np.empty((0, 12)))
+        assert MpeVector._rows(np.empty((0, 12))) == []
 
 
 class TestParsers:

@@ -4,7 +4,7 @@ oversampling."""
 import numpy as np
 import pytest
 
-from scvs import ref_nn
+from scvs import cli, ref_nn
 from scvs.ref_nn import (
     Mlp,
     TrainConfig,
@@ -217,7 +217,7 @@ class TestModelFile:
         mlp.trained = True
         path = tmp_path / "m.json"
         ref_nn.save_mlp(mlp, path)
-        loaded = ref_nn.load_mlp(path)
+        loaded = cli.load_model(path)
         x = np.linspace(-1, 1, 24)
         assert forward(loaded, x) == pytest.approx(forward(mlp, x), abs=1e-15)
         assert loaded.activation == "tanh" and loaded.trained

@@ -1,14 +1,16 @@
 """Hardware network tests: quantization, the OR-gate ReLU, single neurons,
 whole-network inference and the fixed-point reference."""
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scvs import ref_nn, sc_core as sc, sc_nn
+from scvs import cli, ref_nn, sc_core as sc, sc_nn
 from scvs.sc_core import GateKind, Lfsr
 from scvs.sc_nn import (
     CorrelationViolation,
@@ -171,27 +173,27 @@ class TestScNetwork:
         layer = ScLayer(1, 1, 1, 1.0, np.array([[2047]]), None)
         net = ScNetwork([layer], default_lfsr1(), default_lfsr2())
         for v in (-0.75, -0.25, 0.25, 0.75):
-            assert net.simulator().infer([v]) == pytest.approx(v, abs=0.05)
+            assert net.simulator().infer_many([v])[0] == pytest.approx(v, abs=0.05)
 
     def test_zero_input_matches_reference(self):
         rng = np.random.default_rng(3)
         _, net = _random_net([24, 12, 6, 1], 7, rng)
         x = np.zeros(24)
-        assert net.simulator().infer(x) == pytest.approx(
+        assert net.simulator().infer_many(x)[0] == pytest.approx(
             fixed_point_reference(net, x), abs=0.05)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(3)
         _, net = _random_net([24, 12, 6, 1], 7, rng)
         with pytest.raises(ValueError):
-            net.simulator().infer(np.zeros(10))
+            net.simulator().infer_many(np.zeros(10))
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(4)
         _, net = _random_net([24, 12, 6, 1], 11, rng)
         x = rng.uniform(-1, 1, 24)
-        a = ScNetwork(net.layers, net.lfsr1, net.lfsr2).simulator().infer(x)
-        b = ScNetwork(net.layers, net.lfsr1, net.lfsr2).simulator().infer(x)
+        a = ScNetwork(net.layers, net.lfsr1, net.lfsr2).simulator().infer_many(x)[0]
+        b = ScNetwork(net.layers, net.lfsr1, net.lfsr2).simulator().infer_many(x)[0]
         assert a == b
 
     def test_two_rng_economy(self):
@@ -206,13 +208,30 @@ class TestScNetwork:
         X = rng.uniform(-1, 1, (7, 24))
         sim = net.simulator()
         batch = sim.infer_many(X, chunk=3)
-        singles = np.array([sim.infer(x) for x in X])
+        singles = np.array([sim.infer_many(x)[0] for x in X])
         np.testing.assert_array_equal(batch, singles)
 
     def test_simulator_cached_across_equivalent_phases(self):
         rng = np.random.default_rng(9)
         _, net = _random_net([24, 12, 6, 1], 21, rng)
-        assert net.simulator() is net.simulator()
+        a, b = net.simulator(), net.simulator()
+        assert a._rank is b._rank
+        assert all(ta is tb for ta, tb in zip(a._tables, b._tables))
+
+    def test_dropped_network_frees_its_tables(self):
+        # No reference cycle holds the tables: reference counting alone
+        # frees them once the network and its simulators are gone.
+        rng = np.random.default_rng(9)
+        _, net = _random_net([24, 12, 6, 1], 21, rng)
+        gc.disable()
+        try:
+            sim = net.simulator()
+            sim.infer_many(rng.uniform(-1, 1, (3, 24)))
+            packs, rank = weakref.ref(sim._tables[0].packs), weakref.ref(sim._rank)
+            del net, sim
+            assert packs() is None and rank() is None
+        finally:
+            gc.enable()
 
     def test_mismatched_generators_rejected(self):
         layer = ScLayer(1, 1, 1, 1.0, np.array([[100]]), None)
@@ -309,7 +328,7 @@ class TestSimulatorAgainstNeuronOp:
         _, net = _random_net([24, 12, 6, 1], 37, rng)
         x = rng.uniform(-1, 1, 24)
         sim = net.simulator()
-        got = sim.infer(x)
+        got = sim.infer_many(x)[0]
 
         words = sc.encode_array(x)
         streams = [sc.to_stochastic(sc.FixedWord(int(w)), r1) for w in words]
@@ -547,7 +566,7 @@ class TestSaturation:
         layer = ScLayer(4, 1, 0, 1.0, np.full((1, 4), 2047, dtype=np.int32), None)
         net = ScNetwork([layer], default_lfsr1(), default_lfsr2())
         sim = net.simulator()
-        out = sim.infer([0.9, 0.9, 0.9, 0.9])
+        out = sim.infer_many([0.9, 0.9, 0.9, 0.9])[0]
         assert sim.saturation_count == 1
         assert out == (2048 - 1) / 2048  # clamped to the top word
 
@@ -594,9 +613,9 @@ class TestNetworkFile:
         _, net = _random_net([24, 12, 6, 1], 23, rng)
         path = tmp_path / "hw.json"
         sc_nn.save_sc_network(net, path)
-        loaded = sc_nn.load_sc_network(path)
+        loaded = cli.load_model(path)
         x = rng.uniform(-1, 1, 24)
-        assert loaded.simulator().infer(x) == net.simulator().infer(x)
+        assert loaded.simulator().infer_many(x)[0] == net.simulator().infer_many(x)[0]
 
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(22)
@@ -611,4 +630,4 @@ class TestNetworkFile:
         path = tmp_path / "m.json"
         ref_nn.save_mlp(mlp, path)
         with pytest.raises(ValueError, match="kind"):
-            sc_nn.load_sc_network(path)
+            sc_nn.build_sc_network(ref_nn.read_json(path), path)
