@@ -3,9 +3,9 @@
 For every atom pair of a molecule the pairing energy is E_ij = K q_i q_j /
 r_ij from the partial charges and the interatomic distance; a compound is
 described by its six highest positive and six lowest negative energies
-(zero-padded when fewer exist), a 12-value vector.  Two such vectors,
-crystal ligand first, feed the similarity network after per-feature scaling
-into the bipolar range.
+(zero-padded when fewer exist): a (12,) float64 row, positives then
+negatives.  Two such rows, crystal ligand first, feed the similarity
+network after per-feature scaling into the bipolar range.
 
 Inputs are mol2 atom blocks (charges precomputed upstream, e.g. by a force
 field) or a flat csv-atoms table; no charge assignment happens here.
@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress
 from operator import itemgetter
@@ -63,57 +62,19 @@ class Molecule:
             raise ValueError(f"molecule {id!r} has no atoms")
 
 
-@dataclass(frozen=True)
-class MpeVector:
-    """Six highest positive energies (descending) and six lowest negative
-    energies (ascending); unused slots are exactly zero.  Every value is
-    finite."""
-
-    positives: np.ndarray
-    negatives: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.positives, dtype=np.float64)
-        n = np.asarray(self.negatives, dtype=np.float64)
-        if p.shape != (6,) or n.shape != (6,):
-            raise ValueError("descriptor halves must hold six values each")
-        # Plain-list comparisons: this runs once per cached or computed vector.
-        pl, nl = p.tolist(), n.tolist()
-        if not all(map(math.isfinite, pl + nl)):
-            raise ValueError("descriptor values must be finite")
-        if pl[5] < 0 or pl != sorted(pl, reverse=True):
-            raise ValueError("positives must be nonnegative and sorted descending")
-        if nl[5] > 0 or nl != sorted(nl):
-            raise ValueError("negatives must be nonpositive and sorted ascending")
-        object.__setattr__(self, "positives", p)
-        object.__setattr__(self, "negatives", n)
-
-    @classmethod
-    def _rows(cls, values) -> list:
-        """One vector per row of an (n, 12) float64 array that has passed
-        ``_rows_valid``; each wraps views of its row, as the constructor
-        would, without checking the row again."""
-        new, put = object.__new__, object.__setattr__
-        out = []
-        for p, n in zip(values[:, :6], values[:, 6:]):
-            v = new(cls)
-            put(v, "positives", p)
-            put(v, "negatives", n)
-            out.append(v)
-        return out
-
-    @property
-    def features(self) -> np.ndarray:
-        """The 12 values in network order: positives then negatives."""
-        return np.concatenate([self.positives, self.negatives])
-
-    @property
-    def most_positive(self) -> float:
-        return float(self.positives[0])
-
-    @property
-    def most_negative(self) -> float:
-        return float(self.negatives[0])
+def descriptor_fault(values) -> str | None:
+    """Why the 12 values, positives then negatives, are not a descriptor, or
+    None if they are one: every value finite, the positives nonnegative and
+    non-increasing, the negatives nonpositive and non-decreasing."""
+    v = list(map(float, values))
+    p, n = v[:6], v[6:]
+    if not all(map(math.isfinite, v)):
+        return "descriptor values must be finite"
+    if p[5] < 0 or p != sorted(p, reverse=True):
+        return "positives must be nonnegative and sorted descending"
+    if n[5] > 0 or n != sorted(n):
+        return "negatives must be nonpositive and sorted ascending"
+    return None
 
 
 def pairing_energy(m: Molecule, i: int, j: int, k: float = DEFAULT_K) -> float:
@@ -125,8 +86,8 @@ def pairing_energy(m: Molecule, i: int, j: int, k: float = DEFAULT_K) -> float:
     return k * m.charges[i] * m.charges[j] / r
 
 
-def mpe_vector(m: Molecule, k: float = DEFAULT_K) -> MpeVector:
-    """Descriptor of one molecule from all C(n,2) pairing energies.
+def mpe_vector(m: Molecule, k: float = DEFAULT_K) -> np.ndarray:
+    """Descriptor row of one molecule from all C(n,2) pairing energies.
 
     Strictly positive energies compete for the positive half, strictly
     negative for the negative half; exact zeros belong to neither.  Only
@@ -188,12 +149,9 @@ def _describe(mols, k) -> list:
         positives, negatives = np.hstack([positives, pad]), np.hstack([negatives, pad])
     any_coincident = coincident.any(axis=1)
     failed = any_coincident | bad.any(axis=1)
-    rows = np.hstack([_extremes(positives, largest=True),
-                      _extremes(negatives, largest=False)])[~failed]
-    # Finite energies always give valid rows; were one not, the constructor
-    # would raise its rule's error here.
-    out = (MpeVector._rows(rows) if _rows_valid(rows)
-           else [MpeVector(v[:6], v[6:]) for v in rows])
+    # Finite energies always give rows that pass ``_rows_valid``.
+    out = list(np.hstack([_extremes(positives, largest=True),
+                          _extremes(negatives, largest=False)])[~failed])
     for r in np.flatnonzero(failed).tolist():
         if any_coincident[r]:
             c = np.argmax(coincident[r])
@@ -208,9 +166,8 @@ def _describe(mols, k) -> list:
 
 
 def _rows_valid(values) -> bool:
-    """Whether every row of an (n, 12) array is a valid descriptor by
-    ``MpeVector``'s rule: all values finite, the positives nonnegative and
-    non-increasing, the negatives nonpositive and non-decreasing."""
+    """Whether every row of an (n, 12) array is a descriptor by
+    ``descriptor_fault``'s rule, tested on the whole array at once."""
     p, n = values[:, :6], values[:, 6:]
     return bool(np.isfinite(values).all() and (p[:, 5] >= 0).all() and (n[:, 5] <= 0).all()
                 and (p[:, :-1] >= p[:, 1:]).all() and (n[:, :-1] <= n[:, 1:]).all())
@@ -229,12 +186,11 @@ def _extremes(x, largest: bool) -> np.ndarray:
 
 def write_scatter_csv(path, entries) -> None:
     """(id, most positive, most negative) rows for external plotting, from
-    (molecule_id, MpeVector) entries; 9 significant digits."""
+    (molecule_id, descriptor row) entries; 9 significant digits."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["molecule_id", "most_positive", "most_negative"])
-        for mol_id, v in entries:
-            w.writerow([mol_id, format(v.most_positive, ".9g"), format(v.most_negative, ".9g")])
+        w.writerows([mol_id, format(v[0], ".9g"), format(v[6], ".9g")] for mol_id, v in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +467,17 @@ def _atom_molecules(columns):
 
 
 def write_descriptor_cache(path, entries) -> None:
-    """entries: iterable of (molecule_id, MpeVector); 9 significant digits."""
+    """entries: iterable of (molecule_id, descriptor row); 9 significant
+    digits."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CACHE_COLUMNS)
-        for mol_id, vec in entries:
-            w.writerow([mol_id] + [format(v, ".9g") for v in vec.features])
+        w.writerows([mol_id, *(format(v, ".9g") for v in row.tolist())]
+                    for mol_id, row in entries)
 
 
 def read_descriptor_cache(path) -> dict:
-    """Descriptor vectors by molecule id.  Every row must hold 13 fields that
+    """Descriptor rows by molecule id.  Every row must hold 13 fields that
     form a valid descriptor, and ids must be unique within the file; a
     malformed row raises MoleculeParseError naming the file and line."""
     def check_header(header):
@@ -532,15 +489,15 @@ def read_descriptor_cache(path) -> dict:
 
 
 def _cache_entries(columns):
-    """Descriptor vectors by id of the cache's columns; None if an id
-    repeats or a row is not a valid descriptor."""
+    """Descriptor rows by id of the cache's columns, views of one checked
+    (n, 12) array; None if an id repeats or a row is not a descriptor."""
     ids = columns[0]
     if len(set(ids)) != len(ids):
         return None
     values = _float_columns(columns[1:], len(ids))
     if values is None or not _rows_valid(values):
         return None
-    return dict(zip(ids, MpeVector._rows(values)))
+    return dict(zip(ids, values))
 
 
 def _check_cache_rows(path, line_nos, rows) -> None:
@@ -557,10 +514,9 @@ def _check_cache_rows(path, line_nos, rows) -> None:
             raise MoleculeParseError(
                 path, line_no,
                 f"molecule {row[0]!r}: expected {len(CACHE_COLUMNS)} fields, got {len(row)}")
-        try:
-            MpeVector(np.array(vals[:6]), np.array(vals[6:]))
-        except ValueError as exc:
-            raise MoleculeParseError(path, line_no, f"molecule {row[0]!r}: {exc}") from None
+        fault = descriptor_fault(vals)
+        if fault:
+            raise MoleculeParseError(path, line_no, f"molecule {row[0]!r}: {fault}")
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +580,7 @@ class FeatureScaler:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def pair_features(ligand: MpeVector, candidate: MpeVector) -> np.ndarray:
+def pair_features(ligand: np.ndarray, candidate: np.ndarray) -> np.ndarray:
     """Raw 24-value network input: crystal ligand descriptors then candidate."""
-    return np.concatenate([ligand.features, candidate.features])
+    return np.concatenate([ligand, candidate])
 

@@ -125,11 +125,6 @@ def forward_batch(mlp: Mlp, x: np.ndarray, keep: bool = False):
     return out
 
 
-def forward(mlp: Mlp, x) -> float:
-    """Pre-sigmoid output of the final neuron for one 24-value input."""
-    return float(forward_batch(mlp, np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
 def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> float:
     # max(z,0) - z*y + log(1 + exp(-|z|)): stable for large |z|
     return float(np.mean(np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))))

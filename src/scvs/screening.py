@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mpe, ref_nn, sc_nn
-from .mpe import FeatureScaler, Molecule, MpeVector
+from .mpe import FeatureScaler, Molecule
 from .ref_nn import Mlp, TrainConfig
 
 log = logging.getLogger(__name__)
@@ -37,13 +37,14 @@ class SplitError(ValueError):
 class TargetData:
     """Descriptor-level view: what scoring and training actually consume.
 
-    Built once from ``compounds``: the ``ids`` (Python strings, whose order
-    ranks ties), the int ``labels`` and the raw ``(n, 24)`` ``pair_matrix``,
-    each row the crystal ligand's 12 features then the compound's."""
+    Descriptors are (12,) float64 rows.  Built once from ``compounds``: the
+    ``ids`` (Python strings, whose order ranks ties), the int ``labels`` and
+    the raw ``(n, 24)`` ``pair_matrix``, each row the crystal ligand's 12
+    features then the compound's."""
 
     target_id: str
-    crystal: MpeVector
-    compounds: list  # (compound_id, MpeVector, label)
+    crystal: np.ndarray
+    compounds: list  # (compound_id, descriptor row, label)
     n_skipped: int = 0
     ids: list = field(init=False, repr=False, compare=False)
     labels: np.ndarray = field(init=False, repr=False, compare=False)
@@ -52,16 +53,8 @@ class TargetData:
     def __post_init__(self):
         self.ids = [c[0] for c in self.compounds]
         self.labels = np.array([c[2] for c in self.compounds], dtype=int)
-        rows = np.array([(v.positives, v.negatives) for _, v, _ in self.compounds]).reshape(-1, 12)
-        self.pair_matrix = np.hstack([np.broadcast_to(self.crystal.features, rows.shape), rows])
-
-    @property
-    def n_actives(self) -> int:
-        return int(np.count_nonzero(self.labels == 1))
-
-    @property
-    def n_decoys(self) -> int:
-        return int(np.count_nonzero(self.labels == 0))
+        rows = np.array([c[1] for c in self.compounds]).reshape(-1, 12)
+        self.pair_matrix = np.hstack([np.broadcast_to(self.crystal, rows.shape), rows])
 
 
 def target_descriptors(target_id: str, crystal_ligand: Molecule, actives, decoys,

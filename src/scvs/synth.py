@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mpe
-from .mpe import Molecule, MpeVector
+from .mpe import Molecule
 from .screening import TargetData
 
 POS_RANGE = (20.0, 260.0)
@@ -30,18 +30,18 @@ ACTIVE_NOISE = 14.0
 _PAIR_SPACING = 1.0e5  # Angstrom between realized atom pairs; cross terms < 0.01
 
 
-def _sorted_vector(pos_vals: np.ndarray, neg_vals: np.ndarray) -> MpeVector:
-    pos = np.sort(np.maximum(pos_vals, 1.0))[::-1]
-    neg = np.sort(np.minimum(neg_vals, -1.0))
-    return MpeVector(pos, neg)
+def _sorted_vector(pos_vals: np.ndarray, neg_vals: np.ndarray) -> np.ndarray:
+    """One descriptor row: positives descending, then negatives ascending."""
+    return np.concatenate([np.sort(np.maximum(pos_vals, 1.0))[::-1],
+                           np.sort(np.minimum(neg_vals, -1.0))])
 
 
-def _active(rng, center: np.ndarray) -> MpeVector:
+def _active(rng, center: np.ndarray) -> np.ndarray:
     noisy = center + rng.normal(0.0, ACTIVE_NOISE, size=12)
     return _sorted_vector(noisy[:6], noisy[6:])
 
 
-def _decoy(rng) -> MpeVector:
+def _decoy(rng) -> np.ndarray:
     return _sorted_vector(rng.uniform(*POS_RANGE, size=6), rng.uniform(*NEG_RANGE, size=6))
 
 
@@ -63,14 +63,14 @@ def make_benchmark(seed: int = 2024, n_targets: int = 10, n_actives: int = 60,
     return targets
 
 
-def realize_molecule(vec: MpeVector, mol_id: str, k: float = mpe.DEFAULT_K) -> Molecule:
+def realize_molecule(vec: np.ndarray, mol_id: str, k: float = mpe.DEFAULT_K) -> Molecule:
     """A molecule whose pairing-energy descriptor reproduces ``vec``.
 
     Twelve atom pairs at unit distance, far enough apart that cross-pair
     energies (< 0.01) never displace the intended extremes."""
     xs, charges = [], []
     slot = 0
-    for e in np.concatenate([vec.positives, vec.negatives]):
+    for e in vec:
         if e == 0.0:
             continue
         q = float(np.sqrt(abs(e) / k))

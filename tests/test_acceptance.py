@@ -209,17 +209,17 @@ def criterion_9_descriptor_oracle(molecules: int = 500) -> str:
         # per atom: its charge, then x, y, z
         rows = np.array([[rng.normal(0, 0.5), *rng.uniform(-6, 6, 3)] for _ in range(n)])
         m = mpe.Molecule("m", rows[:, 1:], rows[:, 0], ("",) * n)
-        got = mpe.mpe_vector(m).features
+        got = mpe.mpe_vector(m)
         np.testing.assert_allclose(got, brute(m), atol=1e-12)
 
         perm = rng.permutation(n)
         shuffled = mpe.Molecule("m", m.positions[perm], m.charges[perm], m.elements)
-        np.testing.assert_allclose(mpe.mpe_vector(shuffled).features, got, atol=1e-9)
+        np.testing.assert_allclose(mpe.mpe_vector(shuffled), got, atol=1e-9)
 
         qmat, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         shift = rng.uniform(-20, 20, 3)
         moved = mpe.Molecule("m", m.positions @ qmat.T + shift, m.charges, m.elements)
-        np.testing.assert_allclose(mpe.mpe_vector(moved).features, got, atol=1e-9)
+        np.testing.assert_allclose(mpe.mpe_vector(moved), got, atol=1e-9)
     return f"{molecules} random molecules match brute force; permutation and rigid-motion invariance at 1e-9"
 
 

@@ -112,7 +112,8 @@ class TestTrain:
         ws, _ = workspace
         mlp = cli.load_model(ws / "relu48.json")
         x = np.linspace(-1, 1, 24)
-        assert ref_nn.forward(mlp, x) == ref_nn.forward(cli.load_model(ws / "relu48.json"), x)
+        assert (ref_nn.forward_batch(mlp, x)[0]
+                == ref_nn.forward_batch(cli.load_model(ws / "relu48.json"), x)[0])
         log = json.loads((ws / "log.json").read_text())
         assert log["n_train_pairs"] > 0 and log["shape"] == [24, 48, 24, 1]
 

@@ -18,7 +18,7 @@ from scvs.mpe import (
     FeatureScaler,
     Molecule,
     MoleculeParseError,
-    MpeVector,
+    descriptor_fault,
     mpe_vector,
     pairing_energy,
     parse_molecules,
@@ -27,7 +27,7 @@ from scvs.mpe import (
 DATA = Path(__file__).parent / "data"
 
 
-def brute_force_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> MpeVector:
+def brute_force_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> np.ndarray:
     """Materialize every pair energy, sort, take the extremes."""
     energies = []
     for i, j in itertools.combinations(range(len(m.charges)), 2):
@@ -38,7 +38,7 @@ def brute_force_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> MpeVector:
     n = np.zeros(6)
     p[: len(pos)] = [e[0] for e in pos]
     n[: len(neg)] = [e[0] for e in neg]
-    return MpeVector(p, n)
+    return np.concatenate([p, n])
 
 
 def random_molecule(rng, max_atoms=12) -> Molecule:
@@ -70,32 +70,34 @@ class TestPairingEnergy:
 
 
 class TestMpeVector:
+    """The descriptor row: positives then negatives, 12 float64 values."""
+
     def test_two_atom_negative_pair(self):
         m = Molecule("p", [[0, 0, 0], [1, 0, 0]], [1.0, -1.0], "CC")
         v = mpe_vector(m, k=1.0)
-        assert v.positives.tolist() == [0.0] * 6
-        assert v.negatives.tolist() == [-1.0, 0, 0, 0, 0, 0]
+        assert v[:6].tolist() == [0.0] * 6
+        assert v[6:].tolist() == [-1.0, 0, 0, 0, 0, 0]
 
     def test_square_matches_brute_force(self):
         m = Molecule("sq", [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
                      [0.5, -0.5, 0.5, -0.5], "CCCC")
         v = mpe_vector(m, k=1.0)
         b = brute_force_vector(m, k=1.0)
-        np.testing.assert_allclose(v.features, b.features)
+        np.testing.assert_allclose(v, b)
         # 4 edges at -0.25, two diagonals at +0.25/sqrt(2)
-        np.testing.assert_allclose(v.negatives[:4], [-0.25] * 4)
-        np.testing.assert_allclose(v.positives[:2], [0.25 / np.sqrt(2)] * 2)
+        np.testing.assert_allclose(v[6:10], [-0.25] * 4)
+        np.testing.assert_allclose(v[:2], [0.25 / np.sqrt(2)] * 2)
 
     def test_single_atom_all_zero(self):
         v = mpe_vector(Molecule("x", [[0, 0, 0]], [0.4], "C"))
-        assert not v.features.any()
+        assert not v.any()
 
     def test_brute_force_fuzz(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             m = random_molecule(rng)
             np.testing.assert_allclose(
-                mpe_vector(m).features, brute_force_vector(m).features, atol=1e-12)
+                mpe_vector(m), brute_force_vector(m), atol=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
@@ -105,7 +107,7 @@ class TestMpeVector:
             shuffled = Molecule(m.id, m.positions[perm], m.charges[perm],
                                 [m.elements[i] for i in perm])
             np.testing.assert_allclose(
-                mpe_vector(m).features, mpe_vector(shuffled).features, atol=1e-12)
+                mpe_vector(m), mpe_vector(shuffled), atol=1e-12)
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(2)
@@ -116,7 +118,7 @@ class TestMpeVector:
             shift = rng.uniform(-10, 10, 3)
             moved = Molecule(m.id, m.positions @ qmat.T + shift, m.charges, m.elements)
             np.testing.assert_allclose(
-                mpe_vector(m).features, mpe_vector(moved).features, atol=1e-9)
+                mpe_vector(m), mpe_vector(moved), atol=1e-9)
 
     def test_charge_scaling_law(self):
         rng = np.random.default_rng(3)
@@ -125,7 +127,7 @@ class TestMpeVector:
             c = 2.5
             scaled = Molecule(m.id, m.positions, m.charges * c, m.elements)
             np.testing.assert_allclose(
-                mpe_vector(scaled).features, c ** 2 * mpe_vector(m).features, atol=1e-9)
+                mpe_vector(scaled), c ** 2 * mpe_vector(m), atol=1e-9)
 
     def test_overflowing_energy_names_molecule(self):
         m = Molecule("big", [[0, 0, 0], [1, 0, 0]], [1e200, 1e200], "CC")
@@ -135,10 +137,8 @@ class TestMpeVector:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_values_rejected(self, bad):
         p = np.array([bad, 0, 0, 0, 0, 0.0])
-        with pytest.raises(ValueError, match="finite"):
-            MpeVector(p, np.zeros(6))
-        with pytest.raises(ValueError, match="finite"):
-            MpeVector(np.zeros(6), -p)
+        for row in (np.concatenate([p, np.zeros(6)]), np.concatenate([np.zeros(6), -p])):
+            assert descriptor_fault(row) == "descriptor values must be finite"
 
     def test_coincident_atoms_error_names_indices(self):
         m = Molecule("bad", [[0, 0, 0], [0, 0, 0]], [0.1, 0.2], "CC")
@@ -146,12 +146,12 @@ class TestMpeVector:
             mpe_vector(m)
 
 
-def lexsort_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> MpeVector:
+def lexsort_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> np.ndarray:
     """The one-molecule descriptor as first written: every pair energy,
     then a lexsort on (energy, lower atom index, higher atom index)."""
     n = len(m.charges)
     if n == 1:
-        return MpeVector(np.zeros(6), np.zeros(6))
+        return np.zeros(12)
     pos, q = m.positions, m.charges
     ii, jj = np.triu_indices(n, 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -178,14 +178,20 @@ def lexsort_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> MpeVector:
         out[: len(order)] = e[order]
         return out
 
-    return MpeVector(top(e > 0, ascending=False), top(e < 0, ascending=True))
+    return np.concatenate([top(e > 0, ascending=False), top(e < 0, ascending=True)])
+
+
+def _row_bytes(v):
+    """A descriptor row's dtype, shape and bytes."""
+    return (v.dtype.str, v.shape, v.tobytes())
 
 
 def _vector_outcome(v):
-    """('ok', feature bytes) of a vector, ('error', message) of a ValueError."""
+    """('ok', row bytes) of a descriptor row, ('error', message) of a
+    ValueError."""
     if isinstance(v, ValueError):
         return ("error", str(v))
-    return ("ok", v.features.tobytes())
+    return ("ok", _row_bytes(v))
 
 
 def _called(fn, m):
@@ -229,7 +235,8 @@ class TestBatchedDescriptors:
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_equals_single_and_lexsort(self, seed):
         mols = self._library(np.random.default_rng(seed))
-        got = [_vector_outcome(v) for v in mpe.mpe_vectors(mols)]
+        rows = mpe.mpe_vectors(mols)
+        got = [_vector_outcome(v) for v in rows]
         single = [_vector_outcome(_called(mpe_vector, m)) for m in mols]
         reference = [_vector_outcome(_called(lexsort_vector, m)) for m in mols]
         assert got == single == reference
@@ -237,6 +244,7 @@ class TestBatchedDescriptors:
         assert len(errors) == 3
         assert sum("coincident" in e for e in errors) == 2
         assert sum("non-finite" in e for e in errors) == 1
+        assert all(mpe._rows_valid(v[None]) for v in rows if not isinstance(v, ValueError))
 
     def test_empty_list(self):
         assert mpe.mpe_vectors([]) == []
@@ -256,8 +264,8 @@ class TestBatchedDescriptors:
             sq = (m.positions[ii] - m.positions[jj]) ** 2
             e = mpe.DEFAULT_K * m.charges[ii] * m.charges[jj] / np.sqrt(
                 sq[:, 0] + (sq[:, 1] + sq[:, 2]))
-            return ("ok", np.concatenate([np.sort(np.where(e > 0, e, 0.0))[::-1][:6],
-                                          np.sort(np.where(e < 0, e, 0.0))[:6]]).tobytes())
+            return ("ok", _row_bytes(np.concatenate([np.sort(np.where(e > 0, e, 0.0))[::-1][:6],
+                                                     np.sort(np.where(e < 0, e, 0.0))[:6]])))
 
         assert got != [other_order(m) for m in mols]
 
@@ -287,24 +295,21 @@ class TestRowsValid:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_descriptor_rows(), min_size=1, max_size=4))
     def test_matches_constructor_row_by_row(self, rows):
+        # descriptor_fault is the row-at-a-time rule that names a cache's
+        # faulty line; _rows_valid must agree with it on every row.
         values = np.array(rows)
-        wanted = []
-        for v in values:
-            try:
-                wanted.append(MpeVector(v[:6], v[6:]))
-            except ValueError:
-                wanted.append(None)
-            assert mpe._rows_valid(v[None]) == (wanted[-1] is not None)
-        assert mpe._rows_valid(values) == all(w is not None for w in wanted)
+        wanted = [descriptor_fault(v) is None for v in values]
+        for v, want in zip(values, wanted):
+            assert mpe._rows_valid(v[None]) == want
+        assert mpe._rows_valid(values) == all(wanted)
         if mpe._rows_valid(values):
-            for got, want in zip(MpeVector._rows(values), wanted):
-                for field in ("positives", "negatives"):
-                    g, w = getattr(got, field), getattr(want, field)
-                    assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+            ids = [f"c{i}" for i in range(len(values))]
+            got = mpe._cache_entries([ids] + [list(map(repr, c)) for c in values.T.tolist()])
+            assert [_row_bytes(v) for v in got.values()] == [_row_bytes(v) for v in values]
 
     def test_empty_matrix_is_valid(self):
         assert mpe._rows_valid(np.empty((0, 12)))
-        assert MpeVector._rows(np.empty((0, 12))) == []
+        assert mpe._cache_entries([[] for _ in mpe.CACHE_COLUMNS]) == {}
 
 
 class TestParsers:
@@ -378,8 +383,8 @@ class TestScatter:
         assert len(rows) == 5
         for (mol_id, hi, lo), m in zip(rows, mols):
             v = mpe_vector(m)
-            assert (mol_id, hi, lo) == (m.id, format(v.most_positive, ".9g"),
-                                        format(v.most_negative, ".9g"))
+            assert (mol_id, hi, lo) == (m.id, format(float(v[0]), ".9g"),
+                                        format(float(v[6]), ".9g"))
 
 
 class TestDescriptorCache:
@@ -391,7 +396,7 @@ class TestDescriptorCache:
         back = mpe.read_descriptor_cache(path)
         assert set(back) == {m.id for m in mols}
         for mol_id, vec in entries:
-            np.testing.assert_allclose(back[mol_id].features, vec.features,
+            np.testing.assert_allclose(back[mol_id], vec,
                                        rtol=1e-8, atol=1e-12)
 
 
@@ -549,7 +554,7 @@ def reference_cache(path):
                 raise MoleculeParseError(
                     path, line_no, f"molecule {row[0]!r}: negatives must be nonpositive "
                     "and sorted ascending")
-            out[row[0]] = np.array(vals).tobytes()
+            out[row[0]] = _row_bytes(np.array(vals))
     return out
 
 
@@ -695,7 +700,7 @@ def _refuse(*args, **kwargs):
 
 
 def _cache_bytes(cache):
-    return {k: v.features.tobytes() for k, v in cache.items()}
+    return {k: _row_bytes(v) for k, v in cache.items()}
 
 
 class TestParserDifferential:

@@ -8,7 +8,6 @@ from scvs import cli, ref_nn
 from scvs.ref_nn import (
     Mlp,
     TrainConfig,
-    forward,
     forward_batch,
     gradient_check,
     init_mlp,
@@ -42,14 +41,14 @@ def _toy_separable(n=200, seed=0):
 class TestForward:
     def test_zero_net_outputs_zero(self):
         mlp = Mlp([24, 12, 6, 1], "relu")
-        assert forward(mlp, np.random.default_rng(0).uniform(-1, 1, 24)) == 0.0
+        assert forward_batch(mlp, np.random.default_rng(0).uniform(-1, 1, 24))[0] == 0.0
 
     def test_constructed_absolute_value(self):
         mlp = Mlp([1, 2, 1], "relu",
                   weights=[np.array([[1.0], [-1.0]]), np.array([[1.0, 1.0]])],
                   biases=[np.zeros(2), np.zeros(1)])
         for x in (-1.3, -0.2, 0.0, 0.7, 2.5):
-            assert forward(mlp, [x]) == pytest.approx(abs(x))
+            assert forward_batch(mlp, [x])[0] == pytest.approx(abs(x))
 
     def test_matches_straight_line_evaluator(self):
         rng = np.random.default_rng(42)
@@ -64,7 +63,7 @@ class TestForward:
                     h = np.tanh(z) if activation == "tanh" else np.where(z > 0, z, 0.0)
                 else:
                     h = z
-            assert forward(mlp, x) == pytest.approx(h[0], abs=1e-12)
+            assert forward_batch(mlp, x)[0] == pytest.approx(h[0], abs=1e-12)
 
     def test_activation_bounds(self):
         rng = np.random.default_rng(1)
@@ -79,7 +78,7 @@ class TestForward:
     def test_nonfinite_input_flagged_with_layer(self):
         mlp = init_mlp([2, 2, 1], "relu", seed=0)
         with pytest.raises(ref_nn.NumericFailure, match="layer 0"):
-            forward(mlp, [np.inf, 0.0])
+            forward_batch(mlp, [np.inf, 0.0])
 
 
 class TestTraining:
@@ -219,7 +218,7 @@ class TestModelFile:
         ref_nn.save_mlp(mlp, path)
         loaded = cli.load_model(path)
         x = np.linspace(-1, 1, 24)
-        assert forward(loaded, x) == pytest.approx(forward(mlp, x), abs=1e-15)
+        assert forward_batch(loaded, x)[0] == pytest.approx(forward_batch(mlp, x)[0], abs=1e-15)
         assert loaded.activation == "tanh" and loaded.trained
 
     def test_save_byte_deterministic(self, tmp_path):

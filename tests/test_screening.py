@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scvs import mpe, ref_nn, screening, synth
-from scvs.mpe import FeatureScaler, Molecule, MpeVector
+from scvs.mpe import FeatureScaler, Molecule
 from scvs.ref_nn import TrainConfig
 from scvs.sc_nn import quantize_weights
 from scvs.screening import (
@@ -29,8 +29,9 @@ from scvs.screening import (
 )
 
 
-def _vec(rng) -> MpeVector:
-    return MpeVector(np.sort(rng.uniform(0, 100, 6))[::-1], np.sort(rng.uniform(-100, 0, 6)))
+def _vec(rng) -> np.ndarray:
+    return np.concatenate([np.sort(rng.uniform(0, 100, 6))[::-1],
+                           np.sort(rng.uniform(-100, 0, 6))])
 
 
 def _target(rng, tid="t0", n_act=10, n_dec=100) -> TargetData:
@@ -133,7 +134,7 @@ class TestScoreLibrary:
         by_id = {cid: (vec, label) for cid, vec, label in t.compounds}
         for cid, score, _ in ranked.entries:
             feats = scaler.transform(mpe.pair_features(t.crystal, by_id[cid][0]))
-            assert score == pytest.approx(ref_nn.forward(mlp, feats))
+            assert score == pytest.approx(ref_nn.forward_batch(mlp, feats)[0])
 
 
     @staticmethod
@@ -185,11 +186,12 @@ class TestTargetArrays:
         t = TargetData("t", _vec(rng), [("a\x00", _vec(rng), 1), ("a", _vec(rng), 0)])
         assert t.ids == ["a\x00", "a"] and all(type(i) is str for i in t.ids)
         assert t.labels.tolist() == [1, 0]
-        assert (t.n_actives, t.n_decoys) == (1, 1)
+        assert (np.count_nonzero(t.labels == 1), np.count_nonzero(t.labels == 0)) == (1, 1)
 
     def test_empty_target(self):
         t = TargetData("t", _vec(np.random.default_rng(17)), [])
-        assert t.pair_matrix.shape == (0, 24) and t.ids == [] and t.n_actives == 0
+        assert t.pair_matrix.shape == (0, 24) and t.ids == []
+        assert np.count_nonzero(t.labels == 1) == 0
         ranked = score_library(lambda f: 0.0, t, FeatureScaler(np.zeros(24), np.ones(24)))
         assert ranked.entries == [] and ranked.scores.shape == (0,)
 
@@ -404,7 +406,7 @@ class TestTargetTypes:
         crystal = pair("x", 1.0)
         actives = [pair("a0", 0.0), pair("a1", 2.0), pair("a2", 0.0)]
         decoys = [pair("d0", 0.0), pair("d1", 3.0)]
-        fake = MpeVector(np.zeros(6), np.array([-9.0, 0, 0, 0, 0, 0]))
+        fake = np.array([0.0] * 6 + [-9.0, 0, 0, 0, 0, 0])
         with caplog.at_level("WARNING", logger="scvs.screening"):
             data = screening.target_descriptors("t", crystal, actives, decoys,
                                                 cache={"a1": fake})
@@ -423,9 +425,9 @@ class TestTargetTypes:
 
     def test_cache_lookup_used(self):
         m = Molecule("m1", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5], "CC")
-        fake = MpeVector(np.array([9.0, 0, 0, 0, 0, 0]), np.zeros(6))
+        fake = np.array([9.0, 0, 0, 0, 0, 0] + [0.0] * 6)
         data = screening.target_descriptors("t", m, [m], [], cache={"m1": fake})
-        assert data.crystal.most_positive == 9.0
+        assert data.crystal[0] == 9.0
 
 
 class TestSyntheticBenchmark:
@@ -434,23 +436,30 @@ class TestSyntheticBenchmark:
         b = synth.make_benchmark(seed=3, n_targets=2, n_actives=5, n_decoys=7)
         for ta, tb in zip(a, b):
             assert ta.target_id == tb.target_id
-            np.testing.assert_array_equal(ta.crystal.features, tb.crystal.features)
+            np.testing.assert_array_equal(ta.crystal, tb.crystal)
             for (ida, va, la), (idb, vb, lb) in zip(ta.compounds, tb.compounds):
                 assert (ida, la) == (idb, lb)
-                np.testing.assert_array_equal(va.features, vb.features)
+                np.testing.assert_array_equal(va, vb)
 
     def test_counts_and_classes(self):
         targets = synth.make_benchmark(seed=4, n_targets=3, n_actives=6, n_decoys=9)
         assert len(targets) == 3
         for t in targets:
-            assert t.n_actives == 6 and t.n_decoys == 9
+            assert np.count_nonzero(t.labels == 1) == 6 and np.count_nonzero(t.labels == 0) == 9
+
+    @pytest.mark.parametrize("seed", [0, 3, 2024])
+    def test_every_row_is_a_descriptor(self, seed):
+        for t in synth.make_benchmark(seed=seed):
+            rows = np.array([t.crystal] + [v for _, v, _ in t.compounds])
+            assert rows.shape == (361, 12) and rows.dtype == np.float64
+            assert mpe._rows_valid(rows)
 
     def test_realized_molecule_reproduces_descriptor(self):
         targets = synth.make_benchmark(seed=8, n_targets=1, n_actives=2, n_decoys=2)
         for cid, vec, _ in targets[0].compounds:
             mol = synth.realize_molecule(vec, cid)
             back = mpe.mpe_vector(mol)
-            np.testing.assert_allclose(back.features, vec.features, rtol=1e-3, atol=0.02)
+            np.testing.assert_allclose(back, vec, rtol=1e-3, atol=0.02)
 
 
 class TestMetricsContainer:
