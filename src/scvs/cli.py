@@ -26,7 +26,7 @@ import numpy as np
 from . import mpe, ref_nn, sc_core, sc_nn, screening, synth
 from .mpe import FeatureScaler, MoleculeParseError
 from .ref_nn import NumericFailure, TrainConfig
-from .sc_core import GateKind, Lfsr
+from .sc_core import GateKind
 from .screening import SplitSpec
 
 EXIT_OK = 0
@@ -51,6 +51,7 @@ def _setting(default, *commands):
 
 
 _SC = ("quantize", "sc-bench")  # the subcommands that build SC streams
+_SPLIT, _TRAIN = SplitSpec(), TrainConfig()  # the library's defaults
 
 
 @dataclass
@@ -58,22 +59,22 @@ class RunConfig:
     """Resolved run parameters; embedded in every report for provenance."""
 
     k: float = mpe.DEFAULT_K  # descriptors' --K, declared in build_parser
-    width: int = _setting(12, *_SC)
+    width: int = _setting(sc_core.DEFAULT_WIDTH, *_SC)
     stream_len: int = _setting(4095, *_SC)
-    seed1: int = _setting(41, *_SC)
-    seed2: int = _setting(1987, *_SC)
+    seed1: int = _setting(sc_nn.DEFAULT_SEEDS[0], *_SC)
+    seed2: int = _setting(sc_nn.DEFAULT_SEEDS[1], *_SC)
     # Empty taps select a verified maximal polynomial for the width.
     taps1: str = _setting("", *_SC)
     taps2: str = _setting("", *_SC)
-    active_fraction: float = _setting(0.5, "train")
-    decoy_fraction: float = _setting(0.1, "train")
-    split_seed: int = _setting(0, "train")
-    learning_rate: float = _setting(0.001, "train")
-    epochs: int = _setting(50, "train", "per-target")
-    batch_size: int = _setting(256, "train", "per-target")
-    train_seed: int = _setting(0, "train", "per-target")
-    val_fraction: float = _setting(0.1, "train")
-    patience: int = _setting(10, "train")
+    active_fraction: float = _setting(_SPLIT.active_fraction, "train")
+    decoy_fraction: float = _setting(_SPLIT.decoy_fraction, "train")
+    split_seed: int = _setting(_SPLIT.seed, "train")
+    learning_rate: float = _setting(_TRAIN.learning_rate, "train")
+    epochs: int = _setting(_TRAIN.epochs, "train", "per-target")
+    batch_size: int = _setting(_TRAIN.batch_size, "train", "per-target")
+    train_seed: int = _setting(_TRAIN.rng_seed, "train", "per-target")
+    val_fraction: float = _setting(_TRAIN.val_fraction, "train")
+    patience: int = _setting(_TRAIN.patience, "train")
     clip_quantile: float = _setting(1.0, "quantize")
     margin: float = _setting(1.0, "quantize")
     gain_cap: float = _setting(0.5, "quantize")
@@ -95,10 +96,9 @@ class RunConfig:
     def lfsrs(self) -> tuple:
         """The generator pair (R1, R2)."""
         return tuple(
-            Lfsr(self.width, _parse_taps(taps) if taps else default,
-                 seed % (1 << self.width) or 1)
-            for taps, seed, default in zip((self.taps1, self.taps2), (self.seed1, self.seed2),
-                                           sc_core.MAXIMAL_TAPS[self.width]))
+            sc_nn.generator(self.width, index, seed, _parse_taps(taps) if taps else None)
+            for index, (taps, seed) in enumerate(((self.taps1, self.seed1),
+                                                  (self.taps2, self.seed2))))
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec(self.active_fraction, self.decoy_fraction, self.split_seed)
@@ -189,8 +189,7 @@ def _infer_format(path: Path) -> str:
 
 def load_manifest(path: Path) -> list:
     doc = ref_nn.read_json(_require_file(path))
-    entries = ref_nn.require_fields(doc, {"targets": object}, path)["targets"] \
-        if isinstance(doc, dict) else doc
+    entries = ref_nn.require_fields(doc, {"targets": object}, path)["targets"]
     if not isinstance(entries, list):
         raise ValidationError(f"{path}: targets must be a list of target entries")
     for i, e in enumerate(entries):
@@ -342,19 +341,17 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
 
 
 def _evaluate_targets(model, targets, scaler):
-    results = {}
-    inferences = 0
     t0 = time.perf_counter()
     ranked_lists = [screening.score_library(model, t, scaler) for t in targets]
     elapsed = time.perf_counter() - t0
-    metric_failures = []
+    per_target, metric_failures = {}, []
     for t, ranked in zip(targets, ranked_lists):
-        inferences += len(ranked.entries)
         try:
-            results[t.target_id] = (ranked, screening.compute_metrics(ranked))
+            per_target[t.target_id] = screening.compute_metrics(ranked)
         except screening.UndefinedMetric as exc:
             metric_failures.append({"target_id": t.target_id, "error": str(exc)})
-    return results, metric_failures, inferences, elapsed
+    inferences = sum(len(ranked.entries) for ranked in ranked_lists)
+    return per_target, metric_failures, inferences, elapsed
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
@@ -363,16 +360,15 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     targets, failures = _command_targets(args, cfg)
     if not targets:
         raise ValidationError("no usable targets to evaluate")
-    results, metric_failures, inferences, elapsed = _evaluate_targets(model, targets, scaler)
-    per_target = {tid: m for tid, (_, m) in results.items()}
+    per_target, metric_failures, inferences, elapsed = _evaluate_targets(model, targets, scaler)
 
     report = {
         "config": asdict(cfg),
         "model": str(args.model),
         "model_kind": "sc_network" if isinstance(model, sc_nn.ScNetwork) else "mlp",
         "targets": {tid: m.as_dict() for tid, m in per_target.items()},
-        "skipped_compounds": {tid: r.n_skipped for tid, (r, _) in results.items()
-                              if r.n_skipped},
+        "skipped_compounds": {t.target_id: t.n_skipped for t in targets
+                              if t.n_skipped and t.target_id in per_target},
         "failed_targets": failures + metric_failures,
         "aggregate": screening.aggregate_metrics(per_target) if per_target else {},
         "published_baselines": screening.PUBLISHED_BASELINES,

@@ -527,35 +527,20 @@ class FeatureScaler:
     """Per-feature affine map of the 24 paired descriptors onto [-1, 1],
     fitted on training rows; out-of-range inference values are clipped."""
 
-    def __init__(self, mins=None, maxs=None):
-        self.mins = None if mins is None else np.asarray(mins, dtype=np.float64)
-        self.maxs = None if maxs is None else np.asarray(maxs, dtype=np.float64)
-        if (self.mins is None) != (self.maxs is None):
-            raise ValueError("mins and maxs must be given together")
-        if self.mins is not None:
-            self._check()
-
-    def _check(self):
+    def __init__(self, mins, maxs):
+        self.mins = np.asarray(mins, dtype=np.float64)
+        self.maxs = np.asarray(maxs, dtype=np.float64)
         if self.mins.shape != (24,) or self.maxs.shape != (24,):
             raise ValueError("scaler expects 24 features")
         if np.any(self.maxs < self.mins):
             raise ValueError("max < min in scaler parameters")
 
-    @property
-    def fitted(self) -> bool:
-        return self.mins is not None
-
-    def fit(self, rows: np.ndarray) -> "FeatureScaler":
+    @classmethod
+    def fit(cls, rows: np.ndarray) -> "FeatureScaler":
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        if rows.shape[1] != 24:
-            raise ValueError("scaler expects 24 features")
-        self.mins = rows.min(axis=0)
-        self.maxs = rows.max(axis=0)
-        return self
+        return cls(rows.min(axis=0), rows.max(axis=0))
 
     def transform(self, row: np.ndarray) -> np.ndarray:
-        if not self.fitted:
-            raise ValueError("scaler is not fitted")
         row = np.asarray(row, dtype=np.float64)
         span = self.maxs - self.mins
         safe = np.where(span == 0, 1.0, span)
@@ -564,8 +549,6 @@ class FeatureScaler:
         return np.clip(scaled, -1.0, 1.0)
 
     def save(self, path) -> None:
-        if not self.fitted:
-            raise ValueError("scaler is not fitted")
         with open(path, "w") as fh:
             json.dump({"mins": list(self.mins), "maxs": list(self.maxs)}, fh, indent=1)
             fh.write("\n")

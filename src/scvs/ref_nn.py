@@ -28,6 +28,10 @@ ARCH_SHAPES = {
 }
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class NumericFailure(ArithmeticError):
     """Non-finite value produced during forward or training."""
 
@@ -35,9 +39,6 @@ class NumericFailure(ArithmeticError):
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 50
     batch_size: int = 256
     rng_seed: int = 0
@@ -205,16 +206,16 @@ def train_adam(mlp: Mlp, x, y, cfg: TrainConfig):
                 raise NumericFailure(f"loss diverged at epoch {epoch}, batch {start // cfg.batch_size}")
             losses.append(loss)
             t += 1
-            corr1 = 1.0 - cfg.beta1 ** t
-            corr2 = 1.0 - cfg.beta2 ** t
+            corr1 = 1.0 - ADAM_BETA1 ** t
+            corr2 = 1.0 - ADAM_BETA2 ** t
             for l in range(mlp.n_layers):
                 for g, m, v, p in ((gw[l], mw[l], vw[l], mlp.weights[l]),
                                    (gb[l], mb[l], vb[l], mlp.biases[l])):
-                    m *= cfg.beta1
-                    m += (1 - cfg.beta1) * g
-                    v *= cfg.beta2
-                    v += (1 - cfg.beta2) * g * g
-                    p -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + cfg.eps)
+                    m *= ADAM_BETA1
+                    m += (1 - ADAM_BETA1) * g
+                    v *= ADAM_BETA2
+                    v += (1 - ADAM_BETA2) * g * g
+                    p -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
         history["train_loss"].append(float(np.mean(losses)))
         if use_val:
             val_loss = _bce_with_logits(forward_batch(mlp, xv), yv)

@@ -389,9 +389,12 @@ def apc_accumulate(columns, n: int | None = None) -> int:
 
 
 def sc_correlation(a: BitStream, b: BitStream) -> float:
-    """Normalized covariance of two bipolar streams.
+    """SC correlation (Alaghi & Hayes, ICCD 2013) of two bipolar streams.
 
-    +1 means the streams share a generator; 0 means full decorrelation.
+    The covariance of the streams over the largest covariance of the same
+    sign that streams of values x and y can have: 1 - |x-y| - xy when they
+    share a generator (+1), 1 - |x+y| + xy when they are as unlike as their
+    values allow (-1).  0 means full decorrelation.
     Raises :class:`CorrelationUndefined` when the normalizer vanishes
     (constant or extreme-valued streams) instead of guessing a number.
     """
@@ -401,27 +404,34 @@ def sc_correlation(a: BitStream, b: BitStream) -> float:
     y = b.value
     matches = a.n - int(_popcount(a.packed ^ b.packed).sum())
     mean_product = (2 * matches - a.n) / a.n
-    denom = 1.0 - abs(x - y) - x * y
+    cov = mean_product - x * y
+    denom = 1.0 - abs(x - y) - x * y if cov >= 0 else 1.0 - abs(x + y) + x * y
     if abs(denom) < _CORRELATION_EPS:
         raise CorrelationUndefined(
             f"correlation undefined: normalizer {denom:.3e} vanishes for x={x:+.4f}, y={y:+.4f}"
         )
-    c = (mean_product - x * y) / denom
-    return max(-1.0, min(1.0, c))
+    # |cov| <= denom exactly; the clamp only absorbs rounding
+    return max(-1.0, min(1.0, cov / denom))
 
 
 def expected_gate_output(kind: GateKind, x: float, y: float, c: float) -> float:
-    """Closed-form gate output as a function of input values and correlation."""
+    """Closed-form gate output as a function of input values and correlation:
+    the decorrelated output f(0) blended linearly with f(+1) for c >= 0 and
+    with f(-1) for c < 0, the outputs at the two correlation extremes."""
     for name, v in (("x", x), ("y", y), ("C", c)):
         if not -1.0 <= v <= 1.0:
             raise ValueError(f"{name}={v} outside [-1, 1]")
     if kind is GateKind.AND:
-        return (x * y + x + y - 1.0) * (1.0 - c) * 0.5 + c * min(x, y)
-    if kind is GateKind.OR:
-        return (x + y + 1.0 - x * y) * (1.0 - c) * 0.5 + c * max(x, y)
-    if kind is GateKind.XNOR:
-        return x * y * (1.0 - c) + c * (1.0 - abs(x - y))
-    raise ValueError(f"unknown gate {kind!r}")
+        f0, f_pos, f_neg = (x * y + x + y - 1.0) * 0.5, min(x, y), max(x + y, 0.0) - 1.0
+    elif kind is GateKind.OR:
+        f0, f_pos, f_neg = (x + y + 1.0 - x * y) * 0.5, max(x, y), min(x + y, 0.0) + 1.0
+    elif kind is GateKind.XNOR:
+        f0, f_pos, f_neg = x * y, 1.0 - abs(x - y), abs(x + y) - 1.0
+    else:
+        raise ValueError(f"unknown gate {kind!r}")
+    if c >= 0:
+        return f0 * (1.0 - c) + c * f_pos
+    return (1.0 + c) * f0 - c * f_neg
 
 
 def comparator_value(word: int, width: int = DEFAULT_WIDTH) -> float:

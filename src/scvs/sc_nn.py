@@ -51,12 +51,22 @@ class CorrelationViolation(ValueError):
 # Default generator pair: distinct primitive polynomials, seeds picked by a
 # decorrelation sweep (lowest multiplier error and per-neuron noise among
 # candidate phase pairs).
+DEFAULT_SEEDS = (41, 1987)
+
+
+def generator(width: int, index: int, seed: int, taps: tuple | None = None) -> Lfsr:
+    """Generator R1 (``index`` 0) or R2 (1) of a ``width``-bit network: the
+    seed folded into a nonzero register state, the taps defaulting to the
+    width's tabled maximal polynomial for that generator."""
+    return Lfsr(width, taps or sc.MAXIMAL_TAPS[width][index], seed % (1 << width) or 1)
+
+
 def default_lfsr1(width: int = sc.DEFAULT_WIDTH) -> Lfsr:
-    return Lfsr(width, sc.MAXIMAL_TAPS[width][0], seed=41 % (1 << width) or 1)
+    return generator(width, 0, DEFAULT_SEEDS[0])
 
 
 def default_lfsr2(width: int = sc.DEFAULT_WIDTH) -> Lfsr:
-    return Lfsr(width, sc.MAXIMAL_TAPS[width][1], seed=1987 % (1 << width) or 1)
+    return generator(width, 1, DEFAULT_SEEDS[1])
 
 
 class ScLayer:

@@ -124,10 +124,10 @@ def pair_arrays(sides, scaler: FeatureScaler) -> tuple:
     return scaler.transform(x), np.concatenate([target.labels[idx] for target, idx in sides])
 
 
-def build_split(targets, spec: SplitSpec, scaler: FeatureScaler | None = None):
+def build_split(targets, spec: SplitSpec):
     """Per target, a seeded sample of actives and decoys goes to the training
     side (paired with the crystal ligand); everything else is test.  The
-    feature scaler is fitted on training rows only when not supplied.
+    feature scaler is fitted on the training rows.
     Returns (train, test, scaler), each side a list of (target, indices)
     pairs indexing ``target.compounds`` and ``target.pair_matrix``."""
     fractions = (spec.active_fraction, spec.decoy_fraction)
@@ -143,8 +143,7 @@ def build_split(targets, spec: SplitSpec, scaler: FeatureScaler | None = None):
         test.append((t, t_test))
     if not any(len(idx) for _, idx in test):
         raise SplitError("test set is empty; lower the split fractions")
-    if scaler is None:
-        scaler = FeatureScaler().fit(np.vstack([t.pair_matrix[idx] for t, idx in train]))
+    scaler = FeatureScaler.fit(np.vstack([t.pair_matrix[idx] for t, idx in train]))
     return train, test, scaler
 
 
@@ -160,7 +159,6 @@ class RankedList:
 
     target_id: str
     entries: list  # (compound_id, score, label)
-    n_skipped: int = 0
     scores: np.ndarray = field(init=False, repr=False, compare=False)
     labels: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -183,8 +181,6 @@ def _score_fn(model):
 
 def score_library(model, target: TargetData, scaler: FeatureScaler) -> RankedList:
     """Score every library compound paired with the crystal ligand."""
-    if not scaler.fitted:
-        raise ValueError("scaler is not fitted")
     # one elementwise transform of the whole target: the same bytes as row by row
     scores = (_score_fn(model)(scaler.transform(target.pair_matrix)) if target.ids
               else np.empty(0))
@@ -194,7 +190,7 @@ def score_library(model, target: TargetData, scaler: FeatureScaler) -> RankedLis
     order = by_id[np.argsort(-scores[by_id], kind="stable")].tolist()
     labels = target.labels.tolist()
     entries = [(target.ids[i], float(scores[i]), labels[i]) for i in order]
-    return RankedList(target.target_id, entries, n_skipped=target.n_skipped)
+    return RankedList(target.target_id, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +281,20 @@ def threshold_table(per_target_aucs) -> dict:
 # ---------------------------------------------------------------------------
 # Per-target protocol (specific training per target, 80/20 with oversampling)
 
+PER_TARGET_TRAIN_FRACTION = 0.8
 
-def per_target_protocol(target: TargetData, cfg: TrainConfig,
-                        shape=None, train_fraction: float = 0.8):
+
+def per_target_protocol(target: TargetData, cfg: TrainConfig, shape=None):
     """Seeded stratified 80/20 split, oversampling on the training side,
     one model trained for this target alone, metrics on the held-out 20%."""
     shape = shape or ref_nn.ARCH_SHAPES["64"]
     rng = _target_rng(cfg.rng_seed, target.target_id)
-    train, test = _split(target, rng, (train_fraction, train_fraction))
+    train, test = _split(target, rng, (PER_TARGET_TRAIN_FRACTION,) * 2)
     if any(np.unique(target.labels[side]).size < 2 for side in (train, test)):
         raise SplitError(
             f"target {target.target_id}: cannot hold both classes on both "
-            f"sides of the {train_fraction:.0%} split")
-    scaler = FeatureScaler().fit(target.pair_matrix[train])
+            f"sides of the {PER_TARGET_TRAIN_FRACTION:.0%} split")
+    scaler = FeatureScaler.fit(target.pair_matrix[train])
     x, y = pair_arrays([(target, train)], scaler)
     rows = ref_nn.oversample(y, seed=cfg.rng_seed)
     mlp, _ = ref_nn.train_adam(ref_nn.init_mlp(shape, "tanh", seed=cfg.rng_seed),

@@ -265,6 +265,16 @@ class TestEvaluate:
         assert len(lines) == 4
         assert "inferences_per_second" in json.loads((tmp_path / "timing.json").read_text())
 
+    def test_bare_list_manifest_exit_1(self, workspace, tmp_path, capsys):
+        ws, manifest = workspace
+        bare = tmp_path / "manifest.json"
+        bare.write_text(json.dumps(json.loads(manifest.read_text())["targets"]))
+        assert run("evaluate", "--model", ws / "hw48.json", "--manifest", bare,
+                   "--cache", ws / "cache.csv", "--scaler", ws / "scaler.json",
+                   "--report", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        assert str(bare) in err and "Traceback" not in err
+
     def test_missing_scaler_exit_2(self, workspace, tmp_path, capsys):
         ws, manifest = workspace
         assert run("evaluate", "--model", ws / "hw48.json", "--manifest", manifest,
@@ -613,6 +623,15 @@ class TestScBench:
         stdout = capsys.readouterr().out
         assert "XNOR correlated" in stdout
 
+    def test_formula_exact_at_measured_correlation(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert run("sc-bench", "--out", out, "--step", "0.2") == 0
+        rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:]]
+        defined = [r for r in rows if r[4] != "undefined"]
+        assert any(float(r[4]) < 0 for r in defined)
+        for r in defined:
+            assert abs(float(r[5]) - float(r[6])) <= 1e-9, r
+
 
 class TestMakeBench:
     @pytest.mark.parametrize("value", ["-3", "0"])
@@ -828,7 +847,7 @@ WALKTHROUGH_SHA256 = {
     "feats.csv":
         "4419607e8fa17052110ac23c66502f1a017e870946677bb0b8317dce1e145a4b",
     "gates.csv":
-        "ab91bc652b659fd4414a763f447b2f5682c9a9cc3d86b622fdbc87b519476a54",
+        "12cde3c3a66b0204017d2205156b1ab6633dcc5dec5102bf1f32ca6099610647",
     "hw.csv":
         "2579143082867eb891a991616acf7f351a694b883491e0cd2d3b3106e11a8dbc",
     "hw48.json":

@@ -116,7 +116,7 @@ class TestTraining:
                     flat[i] = orig
                     g[i] = (hi - lo) / (2 * eps)
                 # First Adam step: m_hat = g, v_hat = g^2.
-                flat -= cfg.learning_rate * g / (np.abs(g) + cfg.eps)
+                flat -= cfg.learning_rate * g / (np.abs(g) + ref_nn.ADAM_EPS)
 
         trained, _ = train_adam(mlp, x, y, cfg)
         for a, b in zip(trained.weights + trained.biases, expect.weights + expect.biases):

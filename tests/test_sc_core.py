@@ -5,6 +5,8 @@ a 4-bit R(t) sequence converting X=0.000 and Y=0.100 (two's complement), with
 the XNOR output and up/down counter contents checked bit for bit.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,7 +295,7 @@ class TestOracleConsistency:
 
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_fuzzed_streams_match_formula(self, kind):
-        rng = np.random.default_rng(hash(kind.value) % 2 ** 32)
+        rng = np.random.default_rng(zlib.crc32(kind.value.encode()))
         for _ in range(200):
             n = int(rng.integers(64, 2048))
             a = BitStream.from_bools(rng.random(n) < rng.uniform(0.15, 0.85))
@@ -305,6 +307,16 @@ class TestOracleConsistency:
             z = sc.gate_eval(kind, a, b).value
             expected = sc.expected_gate_output(kind, a.value, b.value, c)
             assert z == pytest.approx(expected, abs=2 / n)
+
+    def test_anticorrelated_short_streams(self):
+        # Covariance -0.64: a normalizer of 0.16, the bound for positive
+        # covariance, would read C = -4.
+        a, b = BitStream.from_string("11110"), BitStream.from_string("00001")
+        c = sc.sc_correlation(a, b)
+        assert -1.0 <= c <= 1.0
+        for kind in GateKind:
+            z = sc.gate_eval(kind, a, b).value
+            assert z == pytest.approx(sc.expected_gate_output(kind, a.value, b.value, c), abs=1e-12)
 
     @given(st.integers(2, 400), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)

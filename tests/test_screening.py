@@ -69,7 +69,8 @@ class TestBuildSplit:
         ((_, train),), ((_, test),), scaler = build_split([t], SplitSpec(seed=1))
         assert len(train) == 5 + 10
         assert len(test) == 110 - 15
-        assert scaler.fitted
+        np.testing.assert_array_equal(scaler.mins, t.pair_matrix[train].min(axis=0))
+        np.testing.assert_array_equal(scaler.maxs, t.pair_matrix[train].max(axis=0))
 
     def test_full_fractions_leave_no_test(self):
         rng = np.random.default_rng(1)
