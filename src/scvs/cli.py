@@ -60,7 +60,7 @@ class RunConfig:
 
     k: float = mpe.DEFAULT_K  # descriptors' --K, declared in build_parser
     width: int = _setting(sc_core.DEFAULT_WIDTH, *_SC)
-    stream_len: int = _setting(4095, *_SC)
+    stream_len: int = _setting(sc_nn.DEFAULT_STREAM_LEN, *_SC)
     seed1: int = _setting(sc_nn.DEFAULT_SEEDS[0], *_SC)
     seed2: int = _setting(sc_nn.DEFAULT_SEEDS[1], *_SC)
     # Empty taps select a verified maximal polynomial for the width.
@@ -75,9 +75,9 @@ class RunConfig:
     train_seed: int = _setting(_TRAIN.rng_seed, "train", "per-target")
     val_fraction: float = _setting(_TRAIN.val_fraction, "train")
     patience: int = _setting(_TRAIN.patience, "train")
-    clip_quantile: float = _setting(1.0, "quantize")
-    margin: float = _setting(1.0, "quantize")
-    gain_cap: float = _setting(0.5, "quantize")
+    clip_quantile: float = _setting(sc_nn.DEFAULT_CLIP_QUANTILE, "quantize")
+    margin: float = _setting(sc_nn.DEFAULT_MARGIN, "quantize")
+    gain_cap: float = _setting(sc_nn.DEFAULT_GAIN_CAP, "quantize")
     data_dir: str = ""
     models_dir: str = ""
     reports_dir: str = ""

@@ -53,6 +53,13 @@ class CorrelationViolation(ValueError):
 # candidate phase pairs).
 DEFAULT_SEEDS = (41, 1987)
 
+# Default stream length (one period of a 12-bit generator) and the defaults
+# of the calibration in ``quantize_weights``.
+DEFAULT_STREAM_LEN = 4095
+DEFAULT_CLIP_QUANTILE = 1.0
+DEFAULT_MARGIN = 1.0
+DEFAULT_GAIN_CAP = 0.5
+
 
 def generator(width: int, index: int, seed: int, taps: tuple | None = None) -> Lfsr:
     """Generator R1 (``index`` 0) or R2 (1) of a ``width``-bit network: the
@@ -103,7 +110,7 @@ class ScNetwork:
     """Layer stack plus the two LFSR configurations of the hardware model."""
 
     def __init__(self, layers, lfsr1: Lfsr, lfsr2: Lfsr,
-                 stream_len: int = 4095, width: int = sc.DEFAULT_WIDTH):
+                 stream_len: int = DEFAULT_STREAM_LEN, width: int = sc.DEFAULT_WIDTH):
         if not layers or layers[-1].fan_out != 1:
             raise ValueError("network must end in a single output neuron")
         for a, b in zip(layers[:-1], layers[1:]):
@@ -280,11 +287,12 @@ def sc_neuron_forward(x_streams, w_row, lfsr1_words: WordSequence, lfsr2_words: 
 # Quantization
 
 
-def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH, clip_quantile: float = 1.0,
-                     stream_len: int = 4095, lfsr1: Lfsr | None = None,
+def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH,
+                     clip_quantile: float = DEFAULT_CLIP_QUANTILE,
+                     stream_len: int = DEFAULT_STREAM_LEN, lfsr1: Lfsr | None = None,
                      lfsr2: Lfsr | None = None, use_bias: bool = True,
-                     calib: np.ndarray | None = None, margin: float = 1.0,
-                     gain_cap: float = 0.5) -> ScNetwork:
+                     calib: np.ndarray | None = None, margin: float = DEFAULT_MARGIN,
+                     gain_cap: float = DEFAULT_GAIN_CAP) -> ScNetwork:
     """Post-training quantization of a ReLU reference net.
 
     Per layer, weights are divided by the clip_quantile-quantile of their
@@ -403,6 +411,26 @@ def _prefix_tables(order: np.ndarray, w_window: WordSequence,
         weights.shape[1] * n - 2 * ones.sum(axis=0, dtype=np.int64))
 
 
+def _ones_inside(tables: _PrefixTables, r: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """Ones d (len(lines), ..., fan_out) of every neuron's weight stream on
+    each of the input ``lines`` inside the first r bits, for that line's
+    prefix lengths ``r`` (len(lines), ...).  Line-major, so a sum over the
+    lines adds whole contiguous blocks."""
+    rows = (r >> 6) * len(tables.ones) + lines.reshape((-1,) + (1,) * (r.ndim - 1))
+    partial = np.take(tables.packs, rows, axis=0)
+    partial &= ((np.uint64(1) << (r & 63).astype(np.uint64)) - np.uint64(1))[..., None]
+    d = np.take(tables.prefix, rows, axis=0)
+    d += np.bitwise_count(partial)
+    return d
+
+
+# Bit-true inference runs a batch in chunks of about this many (row, line,
+# neuron) counts of its widest layer: 128 rows of a 25-input, 48-neuron
+# layer, whose uint64 temporaries stay near 1.2 MB, and never fewer than
+# one row.
+INFER_CHUNK_WORDS = 128 * 25 * 48
+
+
 class ScSimulator:
     """Bit-true product model of one network by prefix popcount.
 
@@ -416,6 +444,14 @@ class ScSimulator:
     that order, with the popcount before each 64-bit block, so every d is one
     partial-word popcount.  The result is the XNOR popcount of the actual
     streams, bit for bit.
+
+    The APC is an integer sum over input lines, so a line whose input word
+    is the same in every row of a chunk (the bias line, the crystal ligand's
+    half of a screening batch, a hidden neuron that ReLU holds at zero) is
+    counted once and added as a per-neuron constant; only the other lines
+    are gathered per row.  ``infer_many`` runs a batch in chunks of
+    ``INFER_CHUNK_WORDS`` counts of the widest layer, so wide nets take
+    fewer rows at a time and no net's temporaries outgrow the budget.
 
     Counts generator instantiations (two for any network) and saturation
     events.  Inference is a pure function of (network, input); repeat runs
@@ -441,24 +477,32 @@ class ScSimulator:
         self._rank, self._tables = net._engine
 
     def _prefix_apc(self, li: int, words: np.ndarray, counts: list | None = None):
-        """APC of layer ``li`` for its (k, fan_in) input words.  Appends the
-        prefix lengths r (k, n_inputs) of the input streams and the ones d
+        """APC of layer ``li`` for its (k >= 1, fan_in) input words.  Appends
+        the prefix lengths r (k, n_inputs) of the input streams and the ones d
         (k, n_inputs, fan_out) of every weight stream inside them to
-        ``counts`` when given."""
+        ``counts`` when given.
+
+        A line whose r is the same in every row (every line of a single row)
+        has the same d in every row too, so its terms are counted once, from
+        the first row, into the per-neuron constant.
+        """
         half = 1 << (self.net.width - 1)
         tables = self._tables[li]
         if self.net.layers[li].bias_q is not None:
             # the bias word 2^(b-1) is above every generator word: r = n
             words = np.concatenate([words, np.full((len(words), 1), half)], axis=1)
         r = self._rank[words + half]
-        rows = (r >> 6) * r.shape[1] + np.arange(r.shape[1])
-        partial = tables.packs[rows]
-        partial &= ((np.uint64(1) << (r & 63).astype(np.uint64)) - np.uint64(1))[..., None]
-        d = tables.prefix[rows]
-        d += np.bitwise_count(partial)
+        fixed = (r == r[0]).all(axis=0)
+        const, vary = np.flatnonzero(fixed), np.flatnonzero(~fixed)
+        r_const, r_vary = r[0, const], r.T[vary]
+        d_const = _ones_inside(tables, r_const, const)
+        d_vary = _ones_inside(tables, r_vary, vary)
         if counts is not None:
+            d = np.empty(r.shape + d_const.shape[1:], dtype=d_vary.dtype)
+            d[:, const], d[:, vary] = d_const, d_vary.transpose(1, 0, 2)
             counts.append((r, d))
-        apc = 4 * d.sum(axis=1) - 2 * r.sum(axis=1)[:, None] + tables.offset
+        constant = tables.offset + 4 * d_const.sum(axis=0) - 2 * r_const.sum()
+        apc = 4 * d_vary.sum(axis=0) - 2 * r_vary.sum(axis=0)[:, None] + constant
         return apc, self.net.layers[li].norm_shift
 
     def _run(self, x, layer_apc):
@@ -468,8 +512,12 @@ class ScSimulator:
         self.saturation_count += saturations
         return scores, words
 
-    def infer_many(self, x: np.ndarray, chunk: int = 128) -> np.ndarray:
+    def infer_many(self, x: np.ndarray) -> np.ndarray:
+        """Scores of a batch of input rows, in chunks of as many rows as
+        ``INFER_CHUNK_WORDS`` holds (row, line, neuron) counts of the widest
+        layer."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        chunk = max(1, INFER_CHUNK_WORDS // max(l.n_inputs * l.fan_out for l in self.net.layers))
         out = np.empty(len(x))
         for i in range(0, len(x), chunk):
             out[i:i + chunk] = self._run(x[i:i + chunk], self._prefix_apc)[0]

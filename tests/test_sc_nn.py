@@ -1,8 +1,10 @@
 """Hardware network tests: quantization, the OR-gate ReLU, single neurons,
 whole-network inference and the fixed-point reference."""
 
+import contextlib
 import gc
 import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -161,6 +163,15 @@ class TestScNeuron:
             sc_neuron_forward([sc.constant_stream(True, N)], [1, 2], r1, r2, 1)
 
 
+@contextlib.contextmanager
+def _rows_per_chunk(net, rows):
+    """Within the block, ``infer_many`` runs ``net`` ``rows`` rows per chunk."""
+    widest = max(layer.n_inputs * layer.fan_out for layer in net.layers)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc_nn, "INFER_CHUNK_WORDS", rows * widest)
+        yield
+
+
 def _random_net(shape, seed, calib_rng):
     mlp = ref_nn.init_mlp(shape, "relu", seed=seed)
     mlp.trained = True
@@ -207,9 +218,25 @@ class TestScNetwork:
         _, net = _random_net([24, 12, 6, 1], 17, rng)
         X = rng.uniform(-1, 1, (7, 24))
         sim = net.simulator()
-        batch = sim.infer_many(X, chunk=3)
+        with _rows_per_chunk(net, 3):
+            batch = sim.infer_many(X)
         singles = np.array([sim.infer_many(x)[0] for x in X])
         np.testing.assert_array_equal(batch, singles)
+
+    def test_inference_memory_is_bounded_by_work(self):
+        # Chunks hold a fixed number of counts of the widest layer, so the
+        # 24-256-1 net takes 24 rows at a time where a 24-48-24-1 net takes 128.
+        rng = np.random.default_rng(8)
+        _, net = _random_net(ref_nn.ARCH_SHAPES["256"], 23, rng)
+        X = rng.uniform(-1, 1, (3600, 24))
+        sim = net.simulator()
+        tracemalloc.start()
+        try:
+            sim.infer_many(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
     def test_simulator_cached_across_equivalent_phases(self):
         rng = np.random.default_rng(9)
@@ -315,8 +342,8 @@ class TestReferenceFidelity:
         net = quantize_weights(mlp, calib=x)
         rng = np.random.default_rng(15)
         X = rng.uniform(-1, 1, (1000, 24))
-        err = np.abs(net.simulator().infer_many(X, chunk=32) -
-                     fixed_point_reference(net, X))
+        with _rows_per_chunk(net, 32):
+            err = np.abs(net.simulator().infer_many(X) - fixed_point_reference(net, X))
         assert err.mean() <= 0.1
 
 
@@ -406,23 +433,37 @@ def _gate_level_scores(net, X):
 @st.composite
 def _small_nets(draw):
     """Tiny random hardware nets over every supported width, with stream
-    lengths on both sides of the generator period, optional bias lines and
-    shifts small enough to saturate."""
+    lengths on both sides of the generator period, optional bias lines,
+    shifts small enough to saturate and, in some, a hidden neuron whose
+    weight streams are all zeros (dead in most batches); and a batch of one
+    to four rows in which any subset of the columns (none, some or all)
+    holds one value in every row."""
     width = draw(st.integers(4, 16))
     half = 1 << (width - 1)
     period = (1 << width) - 1
     n = draw(st.one_of(st.integers(1, period), st.integers(period + 1, 3 * period)))
     shape = [draw(st.integers(1, 4))] + draw(st.lists(st.integers(1, 3), max_size=2)) + [1]
+    dead = draw(st.integers(-1, len(shape) - 3))  # the hidden layer of the dead neuron
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     layers = []
-    for fan_in, fan_out in zip(shape[:-1], shape[1:]):
+    for li, (fan_in, fan_out) in enumerate(zip(shape[:-1], shape[1:])):
+        weights = rng.integers(-half, half, (fan_out, fan_in))
         bias = rng.integers(-half, half, fan_out) if draw(st.booleans()) else None
+        if li == dead:
+            # All-zero weight streams: the bias product is -n and every other
+            # product the complement of its input, so the APC sits below 0
+            # unless the inputs lie mostly below zero(t).
+            weights[0] = -half
+            if bias is not None:
+                bias[0] = -half
         n_inputs = fan_in + (bias is not None)
         shift = draw(st.integers(0, min_norm_shift(n_inputs, n, width)))
-        layers.append(ScLayer(fan_in, fan_out, shift, 1.0,
-                              rng.integers(-half, half, (fan_out, fan_in)), bias))
+        layers.append(ScLayer(fan_in, fan_out, shift, 1.0, weights, bias))
     net = ScNetwork(layers, default_lfsr1(width), default_lfsr2(width), stream_len=n, width=width)
-    return net, rng.uniform(-1, 1, (3, shape[0]))
+    X = rng.uniform(-1, 1, (draw(st.integers(1, 4)), shape[0]))
+    held = draw(st.lists(st.booleans(), min_size=shape[0], max_size=shape[0]))
+    X[:, held] = X[0, held]
+    return net, X
 
 
 class TestGateLevelEquality:
@@ -432,7 +473,8 @@ class TestGateLevelEquality:
         net, X = case
         sim = sc_nn.ScSimulator(net)
         want, saturations = _gate_level_scores(net, X)
-        np.testing.assert_array_equal(sim.infer_many(X, chunk=2), want)
+        with _rows_per_chunk(net, 2):
+            np.testing.assert_array_equal(sim.infer_many(X), want)
         assert sim.saturation_count == saturations
 
 
@@ -478,11 +520,16 @@ class TestPrefixEngineEdges:
     def test_chunking_and_empty_batch(self):
         net = _fixed_net(8, 255, seed=3)
         X = np.random.default_rng(3).uniform(-1, 1, (7, 3))
-        want, _ = _gate_level_scores(net, X)
-        sim = net.simulator()
-        for chunk in (1, 3, len(X) + 5):
-            np.testing.assert_array_equal(sim.infer_many(X, chunk=chunk), want)
-        empty = sim.infer_many(np.empty((0, 3)))
+        crystal = X.copy()
+        crystal[:, :2] = X[0, :2]  # two of the three columns hold one value
+        for batch in (X, crystal):
+            want, saturations = _gate_level_scores(net, batch)
+            for chunk in (1, 3, len(batch) + 5):
+                sim = net.simulator()
+                with _rows_per_chunk(net, chunk):
+                    np.testing.assert_array_equal(sim.infer_many(batch), want)
+                assert sim.saturation_count == saturations
+        empty = net.simulator().infer_many(np.empty((0, 3)))
         assert empty.shape == (0,)
 
     @pytest.mark.parametrize("width,n,seed", [(12, N, 37), (8, 300, 0)])
@@ -533,7 +580,9 @@ def _sc_digest(arch, width):
                     put(layer.weights_q, -1 if layer.bias_q is None else layer.bias_q,
                         layer.norm_shift, layer.scale)
                 sim = net.simulator()
-                put(sim.infer_many(X, chunk=10), sim.saturation_count,
+                with _rows_per_chunk(net, 10):
+                    scores = sim.infer_many(X)
+                put(scores, sim.saturation_count,
                     fixed_point_reference(net, X), fixed_point_reference(net, X[2]))
                 score, layers = sim.trace(X[3])
                 put(score, *(layer[key] for layer in layers
