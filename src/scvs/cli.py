@@ -204,14 +204,11 @@ def load_targets(manifest_path: Path, cache: dict | None, k: float):
     for entry in load_manifest(manifest_path):
         tid = entry["target_id"]
         try:
-            mols = {}
+            tables = []
             for key in ("crystal_ligand", "actives", "decoys"):
                 p = _require_file(Path(entry[key]))
-                mols[key] = mpe.parse_molecules(p, _infer_format(p))
-            if not mols["crystal_ligand"]:
-                raise ValidationError(f"target {tid}: crystal ligand file is empty")
-            targets.append(screening.target_descriptors(
-                tid, mols["crystal_ligand"][0], mols["actives"], mols["decoys"], k, cache))
+                tables.append(mpe.parse_molecules(p, _infer_format(p)))
+            targets.append(screening.target_descriptors(tid, *tables, k, cache))
         except (OSError, ValueError) as exc:
             failures.append({"target_id": tid, "error": str(exc)})
     return targets, failures
@@ -243,15 +240,15 @@ def cmd_descriptors(args, cfg: RunConfig) -> int:
     for name in args.inputs:
         path = _resolve(name, cfg.data_dir)
         try:
-            mols = mpe.parse_molecules(_require_file(path), args.format or _infer_format(path))
+            table = mpe.parse_molecules(_require_file(path), args.format or _infer_format(path))
         except (OSError, MoleculeParseError) as exc:  # their messages name the file
             errors.append(str(exc))
             continue
-        for m, v in zip(mols, mpe.mpe_vectors(mols, cfg.k)):
+        for mol_id, v in zip(table.ids, mpe.mpe_vectors(table, cfg.k)):
             if isinstance(v, ValueError):
                 errors.append(f"{path}: {v}")
             else:
-                entries.append((m.id, v))
+                entries.append((mol_id, v))
     out = _output(args.out, cfg.data_dir)
     mpe.write_descriptor_cache(out, entries)
     print(f"wrote {len(entries)} descriptor rows to {out}")
@@ -296,9 +293,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     ref_nn.write_json(log_doc, _output(args.log_out, cfg.models_dir))
     if args.features_out:
         with open(_output(args.features_out, cfg.models_dir), "w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in x:
-                w.writerow([format(v, ".9g") for v in row])
+            csv.writer(fh).writerows([format(v, ".9g") for v in row] for row in x)
     print(f"trained {args.activation} [{'-'.join(map(str, shape[1:]))}] on "
           f"{len(y)} pairs; model -> {out}")
     return EXIT_OK
@@ -381,10 +376,8 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         with open(_output(args.csv, cfg.reports_dir), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["target", "auc", "ef1", "ef5", "ef10"])
-            for tid in sorted(per_target):
-                m = per_target[tid]
-                w.writerow([tid] + [format(v, ".4f") for v in
-                                    (m.auc, m.ef[1], m.ef[5], m.ef[10])])
+            w.writerows([tid] + [format(v, ".4f") for v in (m.auc, m.ef[1], m.ef[5], m.ef[10])]
+                        for tid, m in sorted(per_target.items()))
     throughput = inferences / elapsed if elapsed > 0 else float("inf")
     print(f"evaluated {len(per_target)} targets, {inferences} inferences "
           f"at {throughput:.0f} inf/s; report -> {report_path}")
@@ -435,8 +428,8 @@ def cmd_compare(args, cfg: RunConfig) -> int:
         with open(_output(args.csv, cfg.reports_dir), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["target", "auc_a", "auc_b", "delta"])
-            for row in per_target:
-                w.writerow([row["target_id"], row["auc_a"], row["auc_b"], row["delta"]])
+            w.writerows([row["target_id"], row["auc_a"], row["auc_b"], row["delta"]]
+                        for row in per_target)
     print(f"compared {len(per_target)} shared targets; -> {args.out}")
     return EXIT_OK
 
@@ -508,8 +501,7 @@ def cmd_sc_bench(args, cfg: RunConfig) -> int:
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["gate", "regime", "x", "y", "C_measured", "z_measured", "z_formula"])
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
     for (gate, regime), err in sorted(worst.items()):
         print(f"{gate:4s} {regime}: max |measured - ideal| = {err:.6f}")
     print(f"wrote {len(rows)} rows to {out}")

@@ -19,7 +19,7 @@ import json
 import math
 from functools import partial
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, ne
 
 import numpy as np
 
@@ -62,6 +62,25 @@ class Molecule:
             raise ValueError(f"molecule {id!r} has no atoms")
 
 
+class MoleculeTable:
+    """Molecules as one set of columns: ``ids``, one per molecule, and the
+    ``offsets`` array, molecule i's atoms being rows ``offsets[i]:offsets[i +
+    1]`` of the ``positions`` (n_atoms, 3) and ``charges`` (n_atoms,) float64
+    arrays and of the ``elements`` list.  ``len()`` is the number of
+    molecules.  Every molecule holds at least one atom and every value is
+    finite: the parsers check each file's columns once, here nothing is
+    checked."""
+
+    __slots__ = ("ids", "offsets", "positions", "charges", "elements")
+
+    def __init__(self, ids, offsets, positions, charges, elements):
+        self.ids, self.offsets, self.positions = ids, offsets, positions
+        self.charges, self.elements = charges, elements
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 def descriptor_fault(values) -> str | None:
     """Why the 12 values, positives then negatives, are not a descriptor, or
     None if they are one: every value finite, the positives nonnegative and
@@ -95,7 +114,8 @@ def mpe_vector(m: Molecule, k: float = DEFAULT_K) -> np.ndarray:
     energies.  Coincident atoms, or a pair whose energy overflows to a
     non-finite value, raise ValueError naming the molecule and the atoms.
     """
-    (v,) = mpe_vectors([m], k)
+    (v,) = mpe_vectors(MoleculeTable([m.id], np.array([0, len(m.charges)]), m.positions,
+                                     m.charges, m.elements), k)
     if isinstance(v, ValueError):
         raise v
     return v
@@ -107,29 +127,32 @@ def mpe_vector(m: Molecule, k: float = DEFAULT_K) -> np.ndarray:
 DESCRIPTOR_CHUNK_PAIRS = 64 * 276
 
 
-def mpe_vectors(mols, k: float = DEFAULT_K) -> list:
-    """``mpe_vector`` of each molecule, in order; a molecule that fails gets
-    the ValueError ``mpe_vector`` would raise in its slot instead."""
-    out = [None] * len(mols)
-    by_size = {}
-    for i, m in enumerate(mols):
-        by_size.setdefault(len(m.charges), []).append(i)
-    for n, members in by_size.items():
+def mpe_vectors(table: MoleculeTable, k: float = DEFAULT_K, index=None) -> list:
+    """``mpe_vector`` of each molecule of the table, or of those at
+    ``index``, in order; a molecule that fails gets the ValueError
+    ``mpe_vector`` would raise in its slot instead."""
+    index = np.arange(len(table)) if index is None else np.asarray(index, dtype=np.intp)
+    out = [None] * len(index)
+    sizes = np.diff(table.offsets)[index]
+    for n in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == n)
         step = max(1, DESCRIPTOR_CHUNK_PAIRS // max(1, n * (n - 1) // 2))
         for s in range(0, len(members), step):
             chunk = members[s:s + step]
-            for i, v in zip(chunk, _describe([mols[i] for i in chunk], k)):
+            for i, v in zip(chunk.tolist(), _describe(table, index[chunk], n, k)):
                 out[i] = v
     return out
 
 
-def _describe(mols, k) -> list:
-    """Descriptors (or ValueErrors) of molecules of one atom count."""
-    ii, jj = np.triu_indices(len(mols[0].charges), 1)
+def _describe(table, members, n, k) -> list:
+    """Descriptors (or ValueErrors) of the table's molecules ``members``,
+    which hold n atoms each."""
+    ii, jj = np.triu_indices(n, 1)
+    rows = table.offsets[members][:, None] + np.arange(n)
     # Coordinate-major (3, m, n), so each pair gather is one take along
     # the last axis.
-    pos = np.stack([m.positions.T for m in mols], axis=1)
-    q = np.stack([m.charges for m in mols])
+    pos = table.positions.T[:, rows]
+    q = table.charges[rows]
     # Huge coordinates or charges overflow (inf, or inf/inf = nan), and
     # coincident atoms divide by zero; both are reported below instead of
     # as a RuntimeWarning.
@@ -145,7 +168,7 @@ def _describe(mols, k) -> list:
     positives, negatives = np.where(e > 0, e, 0.0), np.where(e < 0, e, 0.0)
     if len(ii) < 6:
         # Zero-pad to six pairs: unused slots are exactly +0.0.
-        pad = np.zeros((len(mols), 6 - len(ii)))
+        pad = np.zeros((len(members), 6 - len(ii)))
         positives, negatives = np.hstack([positives, pad]), np.hstack([negatives, pad])
     any_coincident = coincident.any(axis=1)
     failed = any_coincident | bad.any(axis=1)
@@ -153,15 +176,12 @@ def _describe(mols, k) -> list:
     out = list(np.hstack([_extremes(positives, largest=True),
                           _extremes(negatives, largest=False)])[~failed])
     for r in np.flatnonzero(failed).tolist():
-        if any_coincident[r]:
-            c = np.argmax(coincident[r])
-            error = ValueError(f"molecule {mols[r].id!r}: atoms {ii[c]} and {jj[c]} are "
-                               "coincident; pairing energy undefined")
-        else:
-            c = np.argmax(bad[r])
-            error = ValueError(f"molecule {mols[r].id!r}: atoms {ii[c]} and {jj[c]} give a "
-                               "non-finite pairing energy")
-        out.insert(r, error)  # ascending r: every earlier slot is already filled
+        c = np.argmax(coincident[r] if any_coincident[r] else bad[r])
+        why = ("are coincident; pairing energy undefined" if any_coincident[r]
+               else "give a non-finite pairing energy")
+        # ascending r: every earlier slot is already filled
+        out.insert(r, ValueError(f"molecule {table.ids[members[r]]!r}: "
+                                 f"atoms {ii[c]} and {jj[c]} {why}"))
     return out
 
 
@@ -205,9 +225,10 @@ def write_scatter_csv(path, entries) -> None:
 # csv module.  Results and errors are the same either way.
 
 
-def parse_molecules(path, format: str) -> list:
+def parse_molecules(path, format: str) -> MoleculeTable:
     """Read molecules with charges from a mol2 atom-block subset or a
-    csv-atoms table.  An empty file is an empty list, not an error."""
+    csv-atoms table, as one table.  An empty file is an empty table, not an
+    error."""
     if format == "mol2-subset":
         return _parse_mol2(path)
     if format == "csv-atoms":
@@ -249,12 +270,13 @@ def _decoded(path, data: bytes, newline):
 
 
 def _split_plain(data: bytes, width: int):
-    """The fields of every line, column by column, when the csv module
-    would read each line as exactly ``line.split(",")`` with ``width``
-    fields; else None.  That holds for a file that decodes as UTF-8, holds
-    no quote and no NUL, has no CR outside a CRLF, and whose every line
-    holds width - 1 commas and is no longer than ``csv.field_size_limit()``."""
-    if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
+    """The fields of the first line, and those of every later line column
+    by column, when the csv module would read each line as exactly
+    ``line.split(",")`` with ``width`` fields; else None.  That holds for a
+    file that decodes as UTF-8, holds no quote and no NUL, has no CR outside
+    a CRLF, and whose every line holds width - 1 commas and is no longer
+    than ``csv.field_size_limit()``."""
+    if b'"' in data or b"\0" in data:
         return None
     try:
         text = data.decode("utf-8")
@@ -262,18 +284,20 @@ def _split_plain(data: bytes, width: int):
         return None
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
+    crlf = np.count_nonzero(buf[ends[ends > 0] - 1] == ord("\r"))
     if not data.endswith(b"\n"):
         ends = np.append(ends, len(data))
     commas = np.searchsorted(np.flatnonzero(buf == ord(",")), ends)
     # Byte lengths bound character lengths, so a long multi-byte line is
     # declined here and left to the csv module.
-    if (np.diff(commas, prepend=0) != width - 1).any() \
+    if np.count_nonzero(buf == ord("\r")) != crlf \
+            or (np.diff(commas, prepend=0) != width - 1).any() \
             or np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
         return None
-    fields = text.replace("\r\n", ",").replace("\n", ",").split(",")
+    fields = (text.replace("\r\n", ",") if crlf else text).replace("\n", ",").split(",")
     if data.endswith(b"\n"):
         fields.pop()  # the empty field after the last line end
-    return [fields[c::width] for c in range(width)]
+    return fields[:width], [fields[width + c::width] for c in range(width)]
 
 
 def _read_table(path, width: int):
@@ -284,9 +308,9 @@ def _read_table(path, width: int):
     module, and in ``stopped`` a MoleculeParseError for the decoding or csv
     error that ended them early (else None); see ``_decoded``."""
     data = _read_bytes(path)
-    columns = _split_plain(data, width)
-    if columns is not None:
-        return [c[0] for c in columns], [c[1:] for c in columns], None, None
+    plain = _split_plain(data, width)
+    if plain is not None:
+        return *plain, None, None
     text, stopped = _decoded(path, data, newline="")
     reader = csv.reader(text)
     rows = []
@@ -328,30 +352,16 @@ def _check_rows(path, line_nos, rows, cols, width=None) -> None:
             _finite(row[c], what, path, line_no)
 
 
-def _molecules(ids, starts, ends, values, elements) -> list:
-    """One molecule per id over rows [start, end) of the (n, 4) x, y, z,
-    charge array and the element list."""
-    pos = np.ascontiguousarray(values[:, :3])
-    q = values[:, 3].copy()
-    return [Molecule(mol_id, pos[s:e], q[s:e], elements[s:e])
-            for mol_id, s, e in zip(ids, starts, ends)]
+def _table(ids, offsets, values, elements) -> MoleculeTable:
+    """The molecules ``ids`` over the (n, 4) x, y, z, charge array and the
+    element list, molecule i on rows [offsets[i], offsets[i + 1]); rows
+    before offsets[0] are dropped."""
+    first = offsets[0]
+    return MoleculeTable(ids, np.subtract(offsets, first), np.ascontiguousarray(values[first:, :3]),
+                         values[first:, 3].copy(), elements[first:])
 
 
-def _grouped(ids, values, elements) -> list:
-    """Molecules of the atom rows grouped by id in order of first
-    appearance; a molecule's rows keep file order, so they need not be
-    contiguous."""
-    group_of = dict.fromkeys(ids)
-    for g, mol_id in enumerate(group_of):
-        group_of[mol_id] = g
-    group = np.fromiter(map(group_of.__getitem__, ids), np.intp, len(ids))
-    order = np.argsort(group, kind="stable")
-    ends = np.cumsum(np.bincount(group)).tolist()
-    return _molecules(list(group_of), [0] + ends[:-1], ends, values[order],
-                      [elements[i] for i in order.tolist()])
-
-
-def _parse_mol2(path) -> list:
+def _parse_mol2(path) -> MoleculeTable:
     blocks = []  # (name, index of the block's first atom row)
     line_nos, rows = [], []
     section = None
@@ -401,14 +411,13 @@ def _parse_mol2(path) -> list:
     if fault is not None:
         raise fault
     # Atom records before the first named block belong to no molecule.
-    starts = [s for _, s in blocks]
-    return _molecules([name for name, _ in blocks], starts, starts[1:] + [len(rows)],
-                      values, [f[5].split(".")[0] for f in rows])
+    return _table([name for name, _ in blocks], [s for _, s in blocks] + [len(rows)],
+                  values, [f[5].split(".")[0] for f in rows])
 
 
 def _read_csv(path, width: int, check_header, convert, keep, rescan):
-    """``convert(columns)`` of the data rows of a csv file, or None for an
-    empty file.  ``check_header(header)`` raises for a bad header.
+    """``convert(columns)`` of the data rows of a csv file; an empty file
+    has none.  ``check_header(header)`` raises for a bad header.
     ``convert`` returns None on any fault; the rows are then read as the
     csv module reads them, the blank ones (``keep(row)`` false) dropped, and
     converted again, and if that fails too ``rescan(path, line_nos, rows)``
@@ -418,7 +427,7 @@ def _read_csv(path, width: int, check_header, convert, keep, rescan):
     if header is None:
         if stopped is not None:
             raise stopped
-        return None
+        return convert([[]] * width)
     check_header(header)
     out = None
     if columns is not None:
@@ -441,25 +450,41 @@ def _read_csv(path, width: int, check_header, convert, keep, rescan):
     return out
 
 
-def _parse_csv_atoms(path) -> list:
+def _parse_csv_atoms(path) -> MoleculeTable:
     def check_header(header):
         if [h.strip() for h in header] != CSV_ATOM_COLUMNS:
             raise MoleculeParseError(path, 1, f"header must be {','.join(CSV_ATOM_COLUMNS)}")
 
     width = len(CSV_ATOM_COLUMNS)
-    return _read_csv(path, width, check_header, _atom_molecules,
+    return _read_csv(path, width, check_header, _atom_table,
                      lambda row: "".join(row).strip(),
-                     partial(_check_rows, cols=(2, 3, 4, 5), width=width)) or []
+                     partial(_check_rows, cols=(2, 3, 4, 5), width=width))
 
 
-def _atom_molecules(columns):
-    """Molecules of the csv-atoms columns; None if a coordinate or charge
-    is unparseable or not finite (a blank row fails here too)."""
+def _atom_table(columns):
+    """The molecules of the csv-atoms columns; None if a coordinate or
+    charge is unparseable or not finite (a blank row fails here too).  Rows
+    group by id in order of first appearance, each molecule's rows in file
+    order, so they need not be contiguous."""
     values = _float_columns(columns[2:], len(columns[0]))
     if values is None:
         return None
-    return _grouped(list(map(str.strip, columns[0])), values,
-                    list(map(str.strip, columns[1])))
+    raw = columns[0]
+    elements = list(map(str.strip, columns[1]))
+    # Runs of one id: in the usual file each molecule is one run, and
+    # comparing every id with its neighbour is the whole grouping.  Runs
+    # split on the ids as written and join on the ids stripped.
+    starts = list(compress(range(len(raw)), map(ne, raw, [None] + raw)))
+    offsets = starts + [len(raw)]
+    firsts = [raw[s].strip() for s in starts]
+    ids = list(dict.fromkeys(firsts))
+    if len(ids) < len(firsts):
+        group_of = {mol_id: g for g, mol_id in enumerate(ids)}
+        group = np.repeat([group_of[mol_id] for mol_id in firsts], np.diff(offsets))
+        order = np.argsort(group, kind="stable")
+        values, elements = values[order], list(map(elements.__getitem__, order.tolist()))
+        offsets = [0] + np.cumsum(np.bincount(group)).tolist()
+    return _table(ids, offsets, values, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +510,7 @@ def read_descriptor_cache(path) -> dict:
             raise MoleculeParseError(path, 1, "not a descriptor cache (bad header)")
 
     return _read_csv(path, len(CACHE_COLUMNS), check_header, _cache_entries, len,
-                     _check_cache_rows) or {}
+                     _check_cache_rows)
 
 
 def _cache_entries(columns):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mpe, ref_nn, sc_nn
-from .mpe import FeatureScaler, Molecule
+from .mpe import FeatureScaler
 from .ref_nn import Mlp, TrainConfig
 
 log = logging.getLogger(__name__)
@@ -57,33 +57,38 @@ class TargetData:
         self.pair_matrix = np.hstack([np.broadcast_to(self.crystal, rows.shape), rows])
 
 
-def target_descriptors(target_id: str, crystal_ligand: Molecule, actives, decoys,
-                       k: float = mpe.DEFAULT_K, cache: dict | None = None) -> TargetData:
-    """Compute or look up descriptors of one target's molecules; an id among
-    both the actives and the decoys fails the target.  Per-compound failures
-    are skipped with a warning and counted, a failing crystal ligand fails
-    the target."""
-    dup = {m.id for m in actives} & {m.id for m in decoys}
+def target_descriptors(target_id: str, crystal: mpe.MoleculeTable, actives: mpe.MoleculeTable,
+                       decoys: mpe.MoleculeTable, k: float = mpe.DEFAULT_K,
+                       cache: dict | None = None) -> TargetData:
+    """Descriptors of one target's molecules: the first molecule of the
+    ``crystal`` table, then every one of ``actives`` and ``decoys``.  Each
+    id is looked up in the cache first, and only the ids it lacks are
+    described.  An id among both the actives and the decoys fails the
+    target.  Per-compound failures are skipped with a warning and counted,
+    a failing crystal ligand, or none, fails the target."""
+    if not len(crystal):
+        raise ValueError(f"target {target_id}: crystal ligand file is empty")
+    dup = set(actives.ids) & set(decoys.ids)
     if dup:
         raise ValueError(f"target {target_id}: ids in both classes: {sorted(dup)[:5]}")
 
-    mols = [crystal_ligand, *actives, *decoys]
     cache = cache or {}
-    computed = iter(mpe.mpe_vectors([m for m in mols if m.id not in cache], k))
-    vectors = [cache[m.id] if m.id in cache else next(computed) for m in mols]
+    vectors = []
+    for table, n in ((crystal, 1), (actives, len(actives)), (decoys, len(decoys))):
+        found = list(map(cache.get, table.ids[:n]))
+        missing = [i for i, v in enumerate(found) if v is None]
+        computed = iter(mpe.mpe_vectors(table, k, missing) if missing else ())
+        vectors += [next(computed) if v is None else v for v in found]
     if isinstance(vectors[0], ValueError):
         raise vectors[0]
-    crystal = vectors[0]
     compounds = []
-    skipped = 0
     labels = [1] * len(actives) + [0] * len(decoys)
-    for mol, vec, label in zip(mols[1:], vectors[1:], labels):
+    for mol_id, vec, label in zip(actives.ids + decoys.ids, vectors[1:], labels):
         if isinstance(vec, ValueError):
-            log.warning("target %s: skipping %s: %s", target_id, mol.id, vec)
-            skipped += 1
+            log.warning("target %s: skipping %s: %s", target_id, mol_id, vec)
         else:
-            compounds.append((mol.id, vec, label))
-    return TargetData(target_id, crystal, compounds, n_skipped=skipped)
+            compounds.append((mol_id, vec, label))
+    return TargetData(target_id, vectors[0], compounds, n_skipped=len(labels) - len(compounds))
 
 
 @dataclass
@@ -168,8 +173,6 @@ class RankedList:
 
 
 def _score_fn(model):
-    if callable(model) and not isinstance(model, (Mlp, sc_nn.ScNetwork)):
-        return lambda feats: np.array([float(model(f)) for f in feats])
     if isinstance(model, Mlp):
         return lambda feats: ref_nn.forward_batch(model, feats)
     if isinstance(model, sc_nn.ScNetwork):

@@ -5,7 +5,7 @@ breaks a name the benchmark uses fails here, not only in a benchmark run."""
 import math
 from pathlib import Path
 
-from scvs import cli
+from scvs import cli, mpe, synth
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,3 +33,25 @@ def test_oracle_check_passes_on_a_small_bench(tmp_path, monkeypatch):
     noise = run.oracle_check(wl, 5, checks)
     assert checks.attempted > 0 and checks.failures == []
     assert math.isfinite(noise) and noise >= 0
+
+
+def test_tracer_finds_every_name_and_counts_parsing(tmp_path, monkeypatch):
+    # perfbench's tracer wraps library names and counts ``len()`` of what
+    # ``mpe.parse_molecules`` returns; a reshaped name would blank its
+    # per-layer metrics without failing a run.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    manifest = synth.write_benchmark(tmp_path / "bench", seed=5, n_targets=2, n_actives=6,
+                                     n_decoys=20)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == set()
+        tracer.on = True
+        targets, failures = cli.load_targets(manifest, None, mpe.DEFAULT_K)
+    finally:
+        tracer.uninstall()
+    assert failures == [] and len(targets) == 2
+    assert tracer.counts["mpe.parse_calls"] == 6
+    assert tracer.counts["mpe.molecules_parsed"] == 2 * (1 + 6 + 20)

@@ -391,6 +391,22 @@ class TestEvaluate:
         assert "Traceback" not in err
 
 
+class TestLoadTargets:
+    def test_full_cache_builds_no_molecule(self, workspace, monkeypatch):
+        ws, manifest = workspace
+        cache = mpe.read_descriptor_cache(ws / "cache.csv")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cached load built or described a molecule")
+
+        monkeypatch.setattr(mpe, "Molecule", refuse)
+        monkeypatch.setattr(mpe, "mpe_vectors", refuse)
+        targets, failures = cli.load_targets(manifest, cache, mpe.DEFAULT_K)
+        assert failures == [] and len(targets) == 3
+        assert [len(t.compounds) for t in targets] == [16 + 48] * 3
+        assert all(t.crystal is cache[f"{t.target_id}_crystal"] for t in targets)
+
+
 class TestCompare:
     def test_fig8_layout_sorted_by_first_report(self, workspace, tmp_path):
         ws, manifest = workspace

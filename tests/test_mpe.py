@@ -18,6 +18,7 @@ from scvs.mpe import (
     FeatureScaler,
     Molecule,
     MoleculeParseError,
+    MoleculeTable,
     descriptor_fault,
     mpe_vector,
     pairing_energy,
@@ -25,6 +26,14 @@ from scvs.mpe import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def _table_of(mols):
+    """The molecules, in order, as one table."""
+    return MoleculeTable([m.id for m in mols], np.cumsum([0] + [len(m.charges) for m in mols]),
+                         np.concatenate([np.empty((0, 3))] + [m.positions for m in mols]),
+                         np.concatenate([np.empty(0)] + [m.charges for m in mols]),
+                         [e for m in mols for e in m.elements])
 
 
 def brute_force_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> np.ndarray:
@@ -235,7 +244,7 @@ class TestBatchedDescriptors:
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_equals_single_and_lexsort(self, seed):
         mols = self._library(np.random.default_rng(seed))
-        rows = mpe.mpe_vectors(mols)
+        rows = mpe.mpe_vectors(_table_of(mols))
         got = [_vector_outcome(v) for v in rows]
         single = [_vector_outcome(_called(mpe_vector, m)) for m in mols]
         reference = [_vector_outcome(_called(lexsort_vector, m)) for m in mols]
@@ -247,7 +256,7 @@ class TestBatchedDescriptors:
         assert all(mpe._rows_valid(v[None]) for v in rows if not isinstance(v, ValueError))
 
     def test_empty_list(self):
-        assert mpe.mpe_vectors([]) == []
+        assert mpe.mpe_vectors(_table_of([])) == []
 
     def test_distances_sum_in_norm_order_on_3d_coordinates(self):
         # The bench molecules lie on the x axis.  Here y and z are as large
@@ -256,7 +265,7 @@ class TestBatchedDescriptors:
         rng = np.random.default_rng(23)
         mols = [Molecule(f"m{i}", rng.uniform(-50, 50, (24, 3)), rng.normal(0, 0.5, 24),
                          "C" * 24) for i in range(40)]
-        got = [_vector_outcome(v) for v in mpe.mpe_vectors(mols)]
+        got = [_vector_outcome(v) for v in mpe.mpe_vectors(_table_of(mols))]
         assert got == [_vector_outcome(lexsort_vector(m)) for m in mols]
 
         def other_order(m):
@@ -268,6 +277,42 @@ class TestBatchedDescriptors:
                                                      np.sort(np.where(e < 0, e, 0.0))[:6]])))
 
         assert got != [other_order(m) for m in mols]
+
+    def test_parsed_table_of_interleaved_rows(self, tmp_path):
+        # Molecules of 1, 2, 3, 24 and 64 atoms whose csv-atoms rows are
+        # interleaved, each molecule's own rows in order; one 2-atom and one
+        # 24-atom molecule hold coincident atoms, one 64-atom one overflows.
+        rng = np.random.default_rng(31)
+        sizes = [1, 2, 3, 24, 64] * 4
+        rng.shuffle(sizes)
+        mols = [Molecule(f"m{i}", rng.uniform(-5, 5, (n, 3)), rng.normal(0, 0.5, n), "C" * n)
+                for i, n in enumerate(sizes)]
+        for n, (a, b) in ((2, (0, 1)), (24, (3, 17))):
+            m = mols[sizes.index(n)]
+            m.positions[b] = m.positions[a]
+        mols[sizes.index(64)].charges[[5, 40]] = 1e200
+        owners = [i for i, n in enumerate(sizes) for _ in range(n)]
+        rng.shuffle(owners)
+        atom = [0] * len(mols)
+        lines = [",".join(mpe.CSV_ATOM_COLUMNS)]
+        for i in owners:
+            m, a = mols[i], atom[i]
+            atom[i] += 1
+            lines.append(",".join([m.id, m.elements[a], *map(repr, m.positions[a].tolist()),
+                                   repr(float(m.charges[a]))]))
+        path = tmp_path / "atoms.csv"
+        path.write_text("\n".join(lines) + "\n")
+        table = parse_molecules(path, "csv-atoms")
+        assert table.ids == [f"m{i}" for i in dict.fromkeys(owners)]
+        by_id = {m.id: m for m in mols}
+        got = [_vector_outcome(v) for v in mpe.mpe_vectors(table)]
+        single = [_vector_outcome(_called(mpe_vector, by_id[i])) for i in table.ids]
+        reference = [_vector_outcome(_called(lexsort_vector, by_id[i])) for i in table.ids]
+        assert got == single == reference
+        errors = sorted(g[1] for g in got if g[0] == "error")
+        assert len(errors) == 3
+        assert sum("coincident" in e for e in errors) == 2
+        assert sum("non-finite" in e for e in errors) == 1
 
 
 # Descriptor slot values: signed zeros, the smallest subnormal, ties and
@@ -314,24 +359,34 @@ class TestRowsValid:
 
 class TestParsers:
     def test_mol2_fixture_two_molecules(self):
-        mols = parse_molecules(DATA / "fixture.mol2", "mol2-subset")
-        assert [m.id for m in mols] == ["ethanol_frag", "salt_pair"]
-        assert [len(m.charges) for m in mols] == [3, 2]
-        assert mols[0].charges[1] == pytest.approx(-0.3856)
-        assert mols[1].elements[1] == "Cl"
+        table = parse_molecules(DATA / "fixture.mol2", "mol2-subset")
+        assert table.ids == ["ethanol_frag", "salt_pair"]
+        assert np.diff(table.offsets).tolist() == [3, 2]
+        assert table.charges[1] == pytest.approx(-0.3856)
+        assert table.elements[table.offsets[1] + 1] == "Cl"
 
-    def test_empty_file_is_empty_list(self, tmp_path):
+    def test_mol2_blocks_of_one_name_are_two_molecules(self, tmp_path):
+        p = tmp_path / "twice.mol2"
+        block = "@<TRIPOS>MOLECULE\nsame\n@<TRIPOS>ATOM\n1 C1 {} 0 0 C.3 1 L {}\n"
+        p.write_text(block.format(0, 0.5) + block.format(1, -0.5))
+        table = parse_molecules(p, "mol2-subset")
+        assert table.ids == ["same", "same"] and len(table) == 2
+        assert table.offsets.tolist() == [0, 1, 2]
+        assert table.charges.tolist() == [0.5, -0.5]
+
+    def test_empty_file_is_empty_table(self, tmp_path):
         p = tmp_path / "empty.mol2"
         p.write_text("")
-        assert parse_molecules(p, "mol2-subset") == []
         q = tmp_path / "empty.csv"
         q.write_text("")
-        assert parse_molecules(q, "csv-atoms") == []
+        for table in (parse_molecules(p, "mol2-subset"), parse_molecules(q, "csv-atoms")):
+            assert len(table) == 0 and table.ids == [] and table.offsets.tolist() == [0]
+            assert table.positions.shape == (0, 3) and table.charges.shape == (0,)
 
     def test_csv_fixture(self):
-        mols = parse_molecules(DATA / "fixture_atoms.csv", "csv-atoms")
-        assert [m.id for m in mols] == ["pair_neg", "square", "lone", "triangle", "chain"]
-        assert [len(m.charges) for m in mols] == [2, 4, 1, 3, 4]
+        table = parse_molecules(DATA / "fixture_atoms.csv", "csv-atoms")
+        assert table.ids == ["pair_neg", "square", "lone", "triangle", "chain"]
+        assert np.diff(table.offsets).tolist() == [2, 4, 1, 3, 4]
 
     def test_nan_charge_rejected_with_line(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -362,6 +417,14 @@ class TestParsers:
             parse_molecules(DATA / "fixture.mol2", "sdf")
 
 
+def _entries(table):
+    """(id, descriptor row) of every molecule of a table that describes
+    without a fault."""
+    entries = list(zip(table.ids, mpe.mpe_vectors(table)))
+    assert not any(isinstance(v, ValueError) for _, v in entries)
+    return entries
+
+
 class TestScatter:
     def test_two_atom_pair_row(self, tmp_path):
         m = Molecule("p", [[0, 0, 0], [1, 0, 0]], [1.0, -1.0], "CC")
@@ -375,26 +438,24 @@ class TestScatter:
         assert path.read_text().strip() == "molecule_id,most_positive,most_negative"
 
     def test_fixture_rows_match_vectors(self, tmp_path):
-        mols = parse_molecules(DATA / "fixture_atoms.csv", "csv-atoms")
+        entries = _entries(parse_molecules(DATA / "fixture_atoms.csv", "csv-atoms"))
         path = tmp_path / "scatter.csv"
-        mpe.write_scatter_csv(path, [(m.id, mpe_vector(m)) for m in mols])
+        mpe.write_scatter_csv(path, entries)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert len(rows) == 5
-        for (mol_id, hi, lo), m in zip(rows, mols):
-            v = mpe_vector(m)
-            assert (mol_id, hi, lo) == (m.id, format(float(v[0]), ".9g"),
+        for (mol_id, hi, lo), (m_id, v) in zip(rows, entries):
+            assert (mol_id, hi, lo) == (m_id, format(float(v[0]), ".9g"),
                                         format(float(v[6]), ".9g"))
 
 
 class TestDescriptorCache:
     def test_round_trip_9_sig_digits(self, tmp_path):
-        mols = parse_molecules(DATA / "fixture_atoms.csv", "csv-atoms")
-        entries = [(m.id, mpe_vector(m)) for m in mols]
+        entries = _entries(parse_molecules(DATA / "fixture_atoms.csv", "csv-atoms"))
         path = tmp_path / "cache.csv"
         mpe.write_descriptor_cache(path, entries)
         back = mpe.read_descriptor_cache(path)
-        assert set(back) == {m.id for m in mols}
+        assert set(back) == {mol_id for mol_id, _ in entries}
         for mol_id, vec in entries:
             np.testing.assert_allclose(back[mol_id], vec,
                                        rtol=1e-8, atol=1e-12)
@@ -562,8 +623,15 @@ def _outcome(fn, path):
         return ("error", type(exc).__name__, str(exc))
 
 
-def _as_tuples(mols):
-    return [(m.id, m.positions.tobytes(), m.charges.tobytes(), m.elements) for m in mols]
+def _as_tuples(table):
+    """The table's molecules, after checking that its offsets cover every
+    atom row once, in order."""
+    o = table.offsets.tolist()
+    assert o[0] == 0 and len(o) == len(table) + 1 and all(map(int.__lt__, o, o[1:]))
+    assert o[-1] == len(table.positions) == len(table.charges) == len(table.elements)
+    assert table.positions.shape[1:] == (3,)
+    return [(mol_id, table.positions[s:e].tobytes(), table.charges[s:e].tobytes(),
+             tuple(table.elements[s:e])) for mol_id, s, e in zip(table.ids, o, o[1:])]
 
 
 _BAD_NUMBERS = ["abc", "", "1.2.3", "nan", "NaN", "inf", "-Infinity", "1e400", "0x1", "1,5"]
@@ -792,8 +860,8 @@ class TestParserDifferential:
         atoms = sorted(bench.glob("*/*.csv")) + [lf]
         want = [reference_csv_atoms(p) for p in atoms]
         cache = tmp_path / "cache.csv"
-        mpe.write_descriptor_cache(cache, [(m.id, mpe_vector(m)) for p in atoms
-                                           for m in parse_molecules(p, "csv-atoms")])
+        mpe.write_descriptor_cache(cache, [e for p in atoms
+                                           for e in _entries(parse_molecules(p, "csv-atoms"))])
         want_cache = reference_cache(cache)
         monkeypatch.setattr(csv, "reader", _refuse)
         monkeypatch.setattr(mpe, "_row_columns", _refuse)

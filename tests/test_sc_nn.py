@@ -532,6 +532,45 @@ class TestPrefixEngineEdges:
         empty = net.simulator().infer_many(np.empty((0, 3)))
         assert empty.shape == (0,)
 
+    @pytest.mark.parametrize("width", [4, 5, 6])
+    def test_every_product_count_is_the_xnor_popcount(self, width):
+        # Every input word and the bias word against every weight word, at
+        # every phase of the weight window, over stream lengths 1, P - 1, P,
+        # P + 1 and 2P + 3 of the generator period P: the engine's count
+        # 4d - 2r - 2c + n is the XNOR popcount of the comparator streams,
+        # as agreements minus disagreements.  Width 6 is the smallest at
+        # which a prefix length r reaches a 64-bit block boundary.
+        half = 1 << (width - 1)
+        lfsr1, lfsr2 = sc_nn.generator(width, 0, 41), sc_nn.generator(width, 1, 1987)
+        period = lfsr2.period
+        lengths = (1, period - 1, period, period + 1, 2 * period + 3)
+        words = np.arange(-half, half)
+
+        def stream_rows(window):
+            # each word's stream built once, over the longest length
+            return np.array([sc.to_stochastic(sc.FixedWord(int(w), width), window).to_bools()
+                             for w in words], dtype=np.int64)
+
+        x_rows = np.vstack([stream_rows(lfsr1.word_sequence(lengths[-1])),
+                            sc.constant_stream(True, lengths[-1]).to_bools()])
+        ranks = {n: sc_nn._rank(lfsr1.word_sequence(n))[np.append(words, half) + half]
+                 for n in lengths}
+        orders = {n: np.argsort(lfsr1.word_sequence(n).words, kind="stable") for n in lengths}
+        checked = 0
+        for phase in range(period):
+            w_rows = stream_rows(lfsr2.word_sequence(lengths[-1], phase))
+            for n in lengths:
+                x, w = x_rows[:, :n], w_rows[:, :n]
+                want = 2 * (x @ w.T + (1 - x) @ (1 - w).T) - n
+                tables = sc_nn._prefix_tables(orders[n], lfsr2.word_sequence(n, phase),
+                                              words[:, None])
+                r = ranks[n]
+                d = sc_nn._ones_inside(tables, r, np.zeros(len(r), dtype=np.intp))
+                got = 4 * d - 2 * r[:, None] - 2 * tables.ones + n
+                np.testing.assert_array_equal(got, want, err_msg=f"phase {phase}, n {n}")
+                checked += want.size
+        assert checked == period * len(lengths) * (2 * half + 1) * 2 * half
+
     @pytest.mark.parametrize("width,n,seed", [(12, N, 37), (8, 300, 0)])
     def test_trace_products_are_xnor_stream_values(self, width, n, seed):
         net = _fixed_net(width, n, seed=seed, shape=(3, 2, 1))

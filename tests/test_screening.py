@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scvs import mpe, ref_nn, screening, synth
-from scvs.mpe import FeatureScaler, Molecule
+from scvs.mpe import FeatureScaler, Molecule, MoleculeTable
 from scvs.ref_nn import TrainConfig
 from scvs.sc_nn import quantize_weights
 from scvs.screening import (
@@ -105,7 +105,16 @@ class TestBuildSplit:
             SplitSpec(active_fraction=0.0)
 
 
+@pytest.fixture
+def row_scorer(monkeypatch):
+    """Lets ``score_library`` score with a stub: a plain function of one
+    scaled row, called row by row in compound order."""
+    monkeypatch.setattr(screening, "_score_fn",
+                        lambda stub: lambda feats: np.array([float(stub(f)) for f in feats]))
+
+
 class TestScoreLibrary:
+    @pytest.mark.usefixtures("row_scorer")
     def test_constant_scorer_ranks_by_compound_id(self):
         rng = np.random.default_rng(5)
         t = _target(rng, n_act=3, n_dec=5)
@@ -114,6 +123,7 @@ class TestScoreLibrary:
         ids = [e[0] for e in ranked.entries]
         assert ids == sorted(ids)
 
+    @pytest.mark.usefixtures("row_scorer")
     def test_perfect_oracle_puts_actives_on_top(self):
         rng = np.random.default_rng(6)
         t = _target(rng, n_act=4, n_dec=8)
@@ -154,11 +164,13 @@ class TestScoreLibrary:
         (["z", "y", "x", "w"], [0.0, -0.0, 0.0, -0.0]),    # signed zeros tie
         (["c", "c", "b", "c"], [2.0, 1.0, 2.0, 2.0]),      # a repeated id keeps compound order
     ])
+    @pytest.mark.usefixtures("row_scorer")
     def test_order_matches_python_sort(self, ids, scores):
         labels = [i % 2 for i in range(len(ids))]
         ranked = self._ranked_by_stub(ids, scores, labels)
         assert repr(ranked.entries) == repr(self._python_order(ids, scores, labels))
 
+    @pytest.mark.usefixtures("row_scorer")
     def test_order_matches_python_sort_on_random_ties(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
@@ -189,6 +201,7 @@ class TestTargetArrays:
         assert t.labels.tolist() == [1, 0]
         assert (np.count_nonzero(t.labels == 1), np.count_nonzero(t.labels == 0)) == (1, 1)
 
+    @pytest.mark.usefixtures("row_scorer")
     def test_empty_target(self):
         t = TargetData("t", _vec(np.random.default_rng(17)), [])
         assert t.pair_matrix.shape == (0, 24) and t.ids == []
@@ -387,16 +400,24 @@ class TestPerTargetProtocol:
             per_target_protocol(t, TrainConfig(epochs=1))
 
 
+def _tables(*groups):
+    """One molecule table per list of molecules."""
+    return [MoleculeTable([m.id for m in mols], np.cumsum([0] + [len(m.charges) for m in mols]),
+                          np.concatenate([np.empty((0, 3))] + [m.positions for m in mols]),
+                          np.concatenate([np.empty(0)] + [m.charges for m in mols]),
+                          [e for m in mols for e in m.elements]) for mols in groups]
+
+
 class TestTargetTypes:
     def test_duplicate_ids_across_classes_rejected(self):
         m = Molecule("same", [[0, 0, 0]], [0.1], "C")
         with pytest.raises(ValueError, match="both classes"):
-            screening.target_descriptors("t", m, [m], [m])
+            screening.target_descriptors("t", *_tables([m], [m], [m]))
 
     def test_descriptor_conversion_counts_failures(self):
         good = Molecule("ok", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5], "CC")
         bad = Molecule("bad", [[0, 0, 0], [0, 0, 0]], [0.5, 0.5], "CC")
-        data = screening.target_descriptors("t", good, [good], [bad])
+        data = screening.target_descriptors("t", *_tables([good], [good], [bad]))
         assert data.n_skipped == 1
         assert [c[0] for c in data.compounds] == ["ok"]
 
@@ -409,7 +430,7 @@ class TestTargetTypes:
         decoys = [pair("d0", 0.0), pair("d1", 3.0)]
         fake = np.array([0.0] * 6 + [-9.0, 0, 0, 0, 0, 0])
         with caplog.at_level("WARNING", logger="scvs.screening"):
-            data = screening.target_descriptors("t", crystal, actives, decoys,
+            data = screening.target_descriptors("t", *_tables([crystal], actives, decoys),
                                                 cache={"a1": fake})
         assert [c[0] for c in data.compounds] == ["a1", "d1"]
         assert data.compounds[0][1] is fake and data.n_skipped == 3
@@ -421,13 +442,21 @@ class TestTargetTypes:
         bad = Molecule("b", [[1, 1, 1], [1, 1, 1]], [0.5, 0.5], "CC")
         with caplog.at_level("WARNING", logger="scvs.screening"):
             with pytest.raises(ValueError, match="^molecule 'x': atoms 0 and 1 are coincident"):
-                screening.target_descriptors("t", crystal, [bad], [])
+                screening.target_descriptors("t", *_tables([crystal], [bad], []))
         assert not caplog.records
+
+    def test_only_the_first_crystal_molecule_is_described(self):
+        good = Molecule("x", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5], "CC")
+        bad = Molecule("y", [[0, 0, 0], [0, 0, 0]], [0.5, 0.5], "CC")
+        data = screening.target_descriptors("t", *_tables([good, bad], [good], []))
+        assert data.crystal.tobytes() == mpe.mpe_vector(good).tobytes()
+        with pytest.raises(ValueError, match="crystal ligand file is empty"):
+            screening.target_descriptors("t", *_tables([], [good], []))
 
     def test_cache_lookup_used(self):
         m = Molecule("m1", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5], "CC")
         fake = np.array([9.0, 0, 0, 0, 0, 0] + [0.0] * 6)
-        data = screening.target_descriptors("t", m, [m], [], cache={"m1": fake})
+        data = screening.target_descriptors("t", *_tables([m], [m], []), cache={"m1": fake})
         assert data.crystal[0] == 9.0
 
 
