@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -292,8 +291,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
     }
     ref_nn.write_json(log_doc, _output(args.log_out, cfg.models_dir))
     if args.features_out:
-        with open(_output(args.features_out, cfg.models_dir), "w", newline="") as fh:
-            csv.writer(fh).writerows([format(v, ".9g") for v in row] for row in x)
+        ref_nn.write_csv(_output(args.features_out, cfg.models_dir),
+                         ([format(v, ".9g") for v in row] for row in x))
     print(f"trained {args.activation} [{'-'.join(map(str, shape[1:]))}] on "
           f"{len(y)} pairs; model -> {out}")
     return EXIT_OK
@@ -373,11 +372,10 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     report_path = _output(args.report, cfg.reports_dir)
     ref_nn.write_json(report, report_path)
     if args.csv:
-        with open(_output(args.csv, cfg.reports_dir), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["target", "auc", "ef1", "ef5", "ef10"])
-            w.writerows([tid] + [format(v, ".4f") for v in (m.auc, m.ef[1], m.ef[5], m.ef[10])]
-                        for tid, m in sorted(per_target.items()))
+        ref_nn.write_csv(_output(args.csv, cfg.reports_dir), [
+            ["target", "auc", "ef1", "ef5", "ef10"],
+            *([tid] + [format(v, ".4f") for v in (m.auc, m.ef[1], m.ef[5], m.ef[10])]
+              for tid, m in sorted(per_target.items()))])
     throughput = inferences / elapsed if elapsed > 0 else float("inf")
     print(f"evaluated {len(per_target)} targets, {inferences} inferences "
           f"at {throughput:.0f} inf/s; report -> {report_path}")
@@ -425,11 +423,10 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     }
     ref_nn.write_json(out_doc, _output(args.out, cfg.reports_dir))
     if args.csv:
-        with open(_output(args.csv, cfg.reports_dir), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["target", "auc_a", "auc_b", "delta"])
-            w.writerows([row["target_id"], row["auc_a"], row["auc_b"], row["delta"]]
-                        for row in per_target)
+        ref_nn.write_csv(_output(args.csv, cfg.reports_dir), [
+            ["target", "auc_a", "auc_b", "delta"],
+            *([row["target_id"], row["auc_a"], row["auc_b"], row["delta"]]
+              for row in per_target)])
     print(f"compared {len(per_target)} shared targets; -> {args.out}")
     return EXIT_OK
 
@@ -498,10 +495,8 @@ def cmd_sc_bench(args, cfg: RunConfig) -> int:
                         key = (kind.name, regime)
                         worst[key] = max(worst.get(key, 0.0), abs(z - ideal))
     out = _output(args.out, cfg.reports_dir)
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["gate", "regime", "x", "y", "C_measured", "z_measured", "z_formula"])
-        w.writerows(rows)
+    ref_nn.write_csv(out, [["gate", "regime", "x", "y", "C_measured", "z_measured", "z_formula"],
+                           *rows])
     for (gate, regime), err in sorted(worst.items()):
         print(f"{gate:4s} {regime}: max |measured - ideal| = {err:.6f}")
     print(f"wrote {len(rows)} rows to {out}")

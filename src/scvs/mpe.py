@@ -18,12 +18,12 @@ import io
 import json
 import math
 from functools import partial
-from itertools import compress
+from itertools import chain, compress, repeat
 from operator import itemgetter, ne
 
 import numpy as np
 
-from .ref_nn import json_array, read_json, require_fields
+from .ref_nn import json_array, read_json, require_fields, write_csv
 
 # Coulomb constant in kcal*Angstrom/(mol*e^2); only consistency matters here
 # because features are rescaled before they reach a network.
@@ -40,26 +40,6 @@ class MoleculeParseError(ValueError):
         self.path = str(path)
         self.line_no = line_no
         super().__init__(f"{path}:{line_no}: {message}")
-
-
-class Molecule:
-    """One molecule as columns in atom order: ``positions`` (n, 3) and
-    ``charges`` (n,) float64 arrays, and an n-tuple of ``elements``.  Values
-    are not checked for finiteness here: the parsers check each file's
-    columns once."""
-
-    __slots__ = ("id", "positions", "charges", "elements")
-
-    def __init__(self, id: str, positions, charges, elements):
-        self.id = id
-        self.positions = np.asarray(positions, dtype=np.float64)
-        self.charges = np.asarray(charges, dtype=np.float64)
-        self.elements = tuple(elements)
-        n = len(self.elements)
-        if self.positions.shape != (n, 3) or self.charges.shape != (n,):
-            raise ValueError(f"molecule {id!r}: columns must hold one row per atom")
-        if not n:
-            raise ValueError(f"molecule {id!r} has no atoms")
 
 
 class MoleculeTable:
@@ -96,8 +76,9 @@ def descriptor_fault(values) -> str | None:
     return None
 
 
-def pairing_energy(m: Molecule, i: int, j: int, k: float = DEFAULT_K) -> float:
-    """E = K q_i q_j / r_ij for atoms i and j of ``m``, one pair at a time."""
+def pairing_energy(m: MoleculeTable, i: int, j: int, k: float = DEFAULT_K) -> float:
+    """E = K q_i q_j / r_ij for atoms i and j of the one-molecule table
+    ``m``, one pair at a time."""
     (xi, yi, zi), (xj, yj, zj) = m.positions[i], m.positions[j]
     r = np.sqrt((xi - xj) ** 2 + (yi - yj) ** 2 + (zi - zj) ** 2)
     if r == 0.0:
@@ -105,8 +86,9 @@ def pairing_energy(m: Molecule, i: int, j: int, k: float = DEFAULT_K) -> float:
     return k * m.charges[i] * m.charges[j] / r
 
 
-def mpe_vector(m: Molecule, k: float = DEFAULT_K) -> np.ndarray:
-    """Descriptor row of one molecule from all C(n,2) pairing energies.
+def mpe_vector(m: MoleculeTable, k: float = DEFAULT_K) -> np.ndarray:
+    """Descriptor row of the one-molecule table ``m`` from all C(n,2)
+    pairing energies.
 
     Strictly positive energies compete for the positive half, strictly
     negative for the negative half; exact zeros belong to neither.  Only
@@ -114,8 +96,7 @@ def mpe_vector(m: Molecule, k: float = DEFAULT_K) -> np.ndarray:
     energies.  Coincident atoms, or a pair whose energy overflows to a
     non-finite value, raise ValueError naming the molecule and the atoms.
     """
-    (v,) = mpe_vectors(MoleculeTable([m.id], np.array([0, len(m.charges)]), m.positions,
-                                     m.charges, m.elements), k)
+    (v,) = mpe_vectors(m, k)
     if isinstance(v, ValueError):
         raise v
     return v
@@ -207,10 +188,20 @@ def _extremes(x, largest: bool) -> np.ndarray:
 def write_scatter_csv(path, entries) -> None:
     """(id, most positive, most negative) rows for external plotting, from
     (molecule_id, descriptor row) entries; 9 significant digits."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["molecule_id", "most_positive", "most_negative"])
-        w.writerows([mol_id, format(v[0], ".9g"), format(v[6], ".9g")] for mol_id, v in entries)
+    write_csv(path, chain([["molecule_id", "most_positive", "most_negative"]],
+                          ([mol_id, format(v[0], ".9g"), format(v[6], ".9g")]
+                           for mol_id, v in entries)))
+
+
+def write_csv_atoms(path, tables) -> None:
+    """The molecules of the tables, in order, as a csv-atoms file; 9
+    significant digits."""
+    def rows(t):
+        ids = chain.from_iterable(map(repeat, t.ids, np.diff(t.offsets).tolist()))
+        values = (map(format, col.tolist(), repeat(".9g")) for col in (*t.positions.T, t.charges))
+        return zip(ids, t.elements, *values)
+
+    write_csv(path, chain([CSV_ATOM_COLUMNS], chain.from_iterable(map(rows, tables))))
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +485,8 @@ def _atom_table(columns):
 def write_descriptor_cache(path, entries) -> None:
     """entries: iterable of (molecule_id, descriptor row); 9 significant
     digits."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CACHE_COLUMNS)
-        w.writerows([mol_id, *(format(v, ".9g") for v in row.tolist())]
-                    for mol_id, row in entries)
+    write_csv(path, chain([CACHE_COLUMNS], ([mol_id, *(format(v, ".9g") for v in row.tolist())]
+                                            for mol_id, row in entries)))
 
 
 def read_descriptor_cache(path) -> dict:

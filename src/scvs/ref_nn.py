@@ -9,6 +9,7 @@ the pre-sigmoid output is the ranking score.
 
 from __future__ import annotations
 
+import csv
 import json
 import reprlib
 from dataclasses import dataclass
@@ -310,6 +311,12 @@ def write_json(doc, path) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, rows) -> None:
+    """``rows``, each a sequence of fields, as a csv file with CRLF line ends."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def read_json(path):

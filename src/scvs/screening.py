@@ -68,6 +68,9 @@ def target_descriptors(target_id: str, crystal: mpe.MoleculeTable, actives: mpe.
     a failing crystal ligand, or none, fails the target."""
     if not len(crystal):
         raise ValueError(f"target {target_id}: crystal ligand file is empty")
+    if len(crystal) > 1:
+        log.warning("target %s: crystal ligand file holds %d molecules; using the first, %s",
+                    target_id, len(crystal), crystal.ids[0])
     dup = set(actives.ids) & set(decoys.ids)
     if dup:
         raise ValueError(f"target {target_id}: ids in both classes: {sorted(dup)[:5]}")
@@ -201,15 +204,14 @@ def score_library(model, target: TargetData, scaler: FeatureScaler) -> RankedLis
 
 
 def _tied_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, each tie group sharing the mean of its
+    ranks (midranks)."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    ranks[order] = np.arange(1, len(values) + 1)
     sorted_vals = values[order]
-    # average ranks inside tie groups
-    boundaries = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1], True])
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        if hi - lo > 1:
-            ranks[order[lo:hi]] = (lo + 1 + hi) / 2.0
+    # group g holds sorted positions bounds[g]:bounds[g + 1]
+    bounds = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1], True])
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((bounds[:-1] + 1 + bounds[1:]) / 2.0, np.diff(bounds))
     return ranks
 
 

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import mpe
-from .mpe import Molecule
 from .screening import TargetData
 
 POS_RANGE = (20.0, 260.0)
@@ -63,8 +62,9 @@ def make_benchmark(seed: int = 2024, n_targets: int = 10, n_actives: int = 60,
     return targets
 
 
-def realize_molecule(vec: np.ndarray, mol_id: str, k: float = mpe.DEFAULT_K) -> Molecule:
-    """A molecule whose pairing-energy descriptor reproduces ``vec``.
+def realize_molecule(vec: np.ndarray, mol_id: str,
+                     k: float = mpe.DEFAULT_K) -> mpe.MoleculeTable:
+    """A one-molecule table whose pairing-energy descriptor reproduces ``vec``.
 
     Twelve atom pairs at unit distance, far enough apart that cross-pair
     energies (< 0.01) never displace the intended extremes."""
@@ -82,18 +82,8 @@ def realize_molecule(vec: np.ndarray, mol_id: str, k: float = mpe.DEFAULT_K) -> 
         xs, charges = [0.0], [0.0]
     positions = np.zeros((len(xs), 3))
     positions[:, 0] = xs
-    return Molecule(mol_id, positions, charges, ("C",) * len(xs))
-
-
-def _write_csv_atoms(path: Path, molecules) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(mpe.CSV_ATOM_COLUMNS)
-        for m in molecules:
-            for element, xyz, q in zip(m.elements, m.positions.tolist(), m.charges.tolist()):
-                w.writerow([m.id, element, *(format(v, ".9g") for v in xyz), format(q, ".9g")])
+    return mpe.MoleculeTable([mol_id], np.array([0, len(xs)]), positions, np.array(charges),
+                             ["C"] * len(xs))
 
 
 def write_benchmark(out_dir, seed: int = 2024, n_targets: int = 10,
@@ -110,9 +100,9 @@ def write_benchmark(out_dir, seed: int = 2024, n_targets: int = 10,
         crystal = realize_molecule(t.crystal, f"{t.target_id}_crystal", k)
         actives = [realize_molecule(v, cid, k) for cid, v, l in t.compounds if l == 1]
         decoys = [realize_molecule(v, cid, k) for cid, v, l in t.compounds if l == 0]
-        _write_csv_atoms(tdir / "crystal.csv", [crystal])
-        _write_csv_atoms(tdir / "actives.csv", actives)
-        _write_csv_atoms(tdir / "decoys.csv", decoys)
+        mpe.write_csv_atoms(tdir / "crystal.csv", [crystal])
+        mpe.write_csv_atoms(tdir / "actives.csv", actives)
+        mpe.write_csv_atoms(tdir / "decoys.csv", decoys)
         manifest.append({
             "target_id": t.target_id,
             "crystal_ligand": str(tdir / "crystal.csv"),

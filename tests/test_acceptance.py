@@ -197,6 +197,11 @@ def criterion_8_metric_oracles(lists: int = 500) -> str:
 def criterion_9_descriptor_oracle(molecules: int = 500) -> str:
     rng = np.random.default_rng(99)
 
+    def molecule(positions, charges):
+        """Molecule "m" as a one-molecule table."""
+        return mpe.MoleculeTable(["m"], np.array([0, len(charges)]), positions, charges,
+                                 [""] * len(charges))
+
     def brute(m):
         energies = []
         for i, j in itertools.combinations(range(len(m.charges)), 2):
@@ -212,17 +217,17 @@ def criterion_9_descriptor_oracle(molecules: int = 500) -> str:
         n = int(rng.integers(1, 13))
         # per atom: its charge, then x, y, z
         rows = np.array([[rng.normal(0, 0.5), *rng.uniform(-6, 6, 3)] for _ in range(n)])
-        m = mpe.Molecule("m", rows[:, 1:], rows[:, 0], ("",) * n)
+        m = molecule(rows[:, 1:], rows[:, 0])
         got = mpe.mpe_vector(m)
         np.testing.assert_allclose(got, brute(m), atol=1e-12)
 
         perm = rng.permutation(n)
-        shuffled = mpe.Molecule("m", m.positions[perm], m.charges[perm], m.elements)
+        shuffled = molecule(m.positions[perm], m.charges[perm])
         np.testing.assert_allclose(mpe.mpe_vector(shuffled), got, atol=1e-9)
 
         qmat, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         shift = rng.uniform(-20, 20, 3)
-        moved = mpe.Molecule("m", m.positions @ qmat.T + shift, m.charges, m.elements)
+        moved = molecule(m.positions @ qmat.T + shift, m.charges)
         np.testing.assert_allclose(mpe.mpe_vector(moved), got, atol=1e-9)
     return f"{molecules} random molecules match brute force; permutation and rigid-motion invariance at 1e-9"
 

@@ -5,6 +5,8 @@ breaks a name the benchmark uses fails here, not only in a benchmark run."""
 import math
 from pathlib import Path
 
+import numpy as np
+
 from scvs import cli, mpe, synth
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -35,23 +37,44 @@ def test_oracle_check_passes_on_a_small_bench(tmp_path, monkeypatch):
     assert math.isfinite(noise) and noise >= 0
 
 
-def test_tracer_finds_every_name_and_counts_parsing(tmp_path, monkeypatch):
-    # perfbench's tracer wraps library names and counts ``len()`` of what
-    # ``mpe.parse_molecules`` returns; a reshaped name would blank its
-    # per-layer metrics without failing a run.
+def _traced(monkeypatch, fn):
+    """``fn()`` and the counts of perfbench's tracer around it; the tracer
+    must find every name it wraps."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 
-    manifest = synth.write_benchmark(tmp_path / "bench", seed=5, n_targets=2, n_actives=6,
-                                     n_decoys=20)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         assert tracer.missing == set()
         tracer.on = True
-        targets, failures = cli.load_targets(manifest, None, mpe.DEFAULT_K)
+        result = fn()
     finally:
         tracer.uninstall()
+    return result, tracer.counts
+
+
+# perfbench's tracer wraps library names and counts calls of them or
+# ``len()`` of what they return; a reshaped name would blank its per-layer
+# metrics without failing a run.
+
+
+def test_tracer_finds_every_name_and_counts_parsing(tmp_path, monkeypatch):
+    manifest = synth.write_benchmark(tmp_path / "bench", seed=5, n_targets=2, n_actives=6,
+                                     n_decoys=20)
+    (targets, failures), counts = _traced(
+        monkeypatch, lambda: cli.load_targets(manifest, None, mpe.DEFAULT_K))
     assert failures == [] and len(targets) == 2
-    assert tracer.counts["mpe.parse_calls"] == 6
-    assert tracer.counts["mpe.molecules_parsed"] == 2 * (1 + 6 + 20)
+    assert counts["mpe.parse_calls"] == 6
+    assert counts["mpe.molecules_parsed"] == 2 * (1 + 6 + 20)
+
+
+def test_tracer_counts_written_and_described_molecules(tmp_path, monkeypatch):
+    _, counts = _traced(monkeypatch, lambda: synth.write_benchmark(
+        tmp_path / "bench", seed=5, n_targets=2, n_actives=6, n_decoys=20))
+    assert counts["synth.molecules_written"] == 2 * (1 + 6 + 20)
+    vec = synth.make_benchmark(seed=5, n_targets=1, n_actives=1, n_decoys=1)[0].crystal
+    molecule = synth.realize_molecule(vec, "m")
+    row, counts = _traced(monkeypatch, lambda: mpe.mpe_vector(molecule))
+    assert counts["mpe.descriptor_calls"] == 1
+    np.testing.assert_allclose(row, vec, rtol=1e-3, atol=0.02)

@@ -399,7 +399,6 @@ class TestLoadTargets:
         def refuse(*args, **kwargs):
             raise AssertionError("a cached load built or described a molecule")
 
-        monkeypatch.setattr(mpe, "Molecule", refuse)
         monkeypatch.setattr(mpe, "mpe_vectors", refuse)
         targets, failures = cli.load_targets(manifest, cache, mpe.DEFAULT_K)
         assert failures == [] and len(targets) == 3

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from scvs import mpe, synth
 from scvs.mpe import (
     FeatureScaler,
-    Molecule,
     MoleculeParseError,
     MoleculeTable,
     descriptor_fault,
@@ -28,15 +27,22 @@ from scvs.mpe import (
 DATA = Path(__file__).parent / "data"
 
 
+def _molecule(mol_id, positions, charges, elements) -> MoleculeTable:
+    """One molecule as a one-molecule table."""
+    return MoleculeTable([mol_id], np.array([0, len(charges)]),
+                         np.asarray(positions, dtype=np.float64),
+                         np.asarray(charges, dtype=np.float64), list(elements))
+
+
 def _table_of(mols):
-    """The molecules, in order, as one table."""
-    return MoleculeTable([m.id for m in mols], np.cumsum([0] + [len(m.charges) for m in mols]),
+    """The one-molecule tables, in order, as one table."""
+    return MoleculeTable([m.ids[0] for m in mols], np.cumsum([0] + [len(m.charges) for m in mols]),
                          np.concatenate([np.empty((0, 3))] + [m.positions for m in mols]),
                          np.concatenate([np.empty(0)] + [m.charges for m in mols]),
                          [e for m in mols for e in m.elements])
 
 
-def brute_force_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> np.ndarray:
+def brute_force_vector(m: MoleculeTable, k: float = mpe.DEFAULT_K) -> np.ndarray:
     """Materialize every pair energy, sort, take the extremes."""
     energies = []
     for i, j in itertools.combinations(range(len(m.charges)), 2):
@@ -50,30 +56,30 @@ def brute_force_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> np.ndarray:
     return np.concatenate([p, n])
 
 
-def random_molecule(rng, max_atoms=12) -> Molecule:
+def random_molecule(rng, max_atoms=12) -> MoleculeTable:
     n = int(rng.integers(1, max_atoms + 1))
     # per atom: its charge, then x, y, z
     rows = np.array([[rng.normal(0, 0.5), *rng.uniform(-5, 5, 3)] for _ in range(n)])
-    return Molecule("rnd", rows[:, 1:], rows[:, 0], ("C",) * n)
+    return _molecule("rnd", rows[:, 1:], rows[:, 0], ("C",) * n)
 
 
 class TestPairingEnergy:
     def test_unit_distance_opposite_charges(self):
-        m = Molecule("p", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5], "CC")
+        m = _molecule("p", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5], "CC")
         assert pairing_energy(m, 0, 1, k=1.0) == -0.25
 
     def test_coulomb_constant_hand_arithmetic(self):
-        m = Molecule("p", [[0, 0, 0], [0, 0, 2]], [1.0, 1.0], "CC")
+        m = _molecule("p", [[0, 0, 0], [0, 0, 2]], [1.0, 1.0], "CC")
         assert pairing_energy(m, 0, 1) == pytest.approx(166.03185)
 
     def test_zero_charge_yields_zero(self):
-        m = Molecule("p", [[0, 0, 0], [1, 1, 1]], [0.0, 0.7], "CC")
+        m = _molecule("p", [[0, 0, 0], [1, 1, 1]], [0.0, 0.7], "CC")
         assert pairing_energy(m, 0, 1, k=1.0) == 0.0
 
     def test_coincident_atoms_named(self):
         positions = np.arange(30.0).reshape(10, 3)
         positions[9] = positions[4]
-        m = Molecule("c", positions, np.full(10, 0.1), "C" * 10)
+        m = _molecule("c", positions, np.full(10, 0.1), "C" * 10)
         with pytest.raises(ValueError, match="atoms 4 and 9"):
             pairing_energy(m, 4, 9)
 
@@ -82,13 +88,13 @@ class TestMpeVector:
     """The descriptor row: positives then negatives, 12 float64 values."""
 
     def test_two_atom_negative_pair(self):
-        m = Molecule("p", [[0, 0, 0], [1, 0, 0]], [1.0, -1.0], "CC")
+        m = _molecule("p", [[0, 0, 0], [1, 0, 0]], [1.0, -1.0], "CC")
         v = mpe_vector(m, k=1.0)
         assert v[:6].tolist() == [0.0] * 6
         assert v[6:].tolist() == [-1.0, 0, 0, 0, 0, 0]
 
     def test_square_matches_brute_force(self):
-        m = Molecule("sq", [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+        m = _molecule("sq", [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
                      [0.5, -0.5, 0.5, -0.5], "CCCC")
         v = mpe_vector(m, k=1.0)
         b = brute_force_vector(m, k=1.0)
@@ -98,7 +104,7 @@ class TestMpeVector:
         np.testing.assert_allclose(v[:2], [0.25 / np.sqrt(2)] * 2)
 
     def test_single_atom_all_zero(self):
-        v = mpe_vector(Molecule("x", [[0, 0, 0]], [0.4], "C"))
+        v = mpe_vector(_molecule("x", [[0, 0, 0]], [0.4], "C"))
         assert not v.any()
 
     def test_brute_force_fuzz(self):
@@ -113,7 +119,7 @@ class TestMpeVector:
         for _ in range(20):
             m = random_molecule(rng, max_atoms=9)
             perm = rng.permutation(len(m.charges))
-            shuffled = Molecule(m.id, m.positions[perm], m.charges[perm],
+            shuffled = _molecule(m.ids[0], m.positions[perm], m.charges[perm],
                                 [m.elements[i] for i in perm])
             np.testing.assert_allclose(
                 mpe_vector(m), mpe_vector(shuffled), atol=1e-12)
@@ -125,7 +131,7 @@ class TestMpeVector:
             # random rotation via QR, plus a translation
             qmat, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             shift = rng.uniform(-10, 10, 3)
-            moved = Molecule(m.id, m.positions @ qmat.T + shift, m.charges, m.elements)
+            moved = _molecule(m.ids[0], m.positions @ qmat.T + shift, m.charges, m.elements)
             np.testing.assert_allclose(
                 mpe_vector(m), mpe_vector(moved), atol=1e-9)
 
@@ -134,12 +140,12 @@ class TestMpeVector:
         for _ in range(10):
             m = random_molecule(rng, max_atoms=8)
             c = 2.5
-            scaled = Molecule(m.id, m.positions, m.charges * c, m.elements)
+            scaled = _molecule(m.ids[0], m.positions, m.charges * c, m.elements)
             np.testing.assert_allclose(
                 mpe_vector(scaled), c ** 2 * mpe_vector(m), atol=1e-9)
 
     def test_overflowing_energy_names_molecule(self):
-        m = Molecule("big", [[0, 0, 0], [1, 0, 0]], [1e200, 1e200], "CC")
+        m = _molecule("big", [[0, 0, 0], [1, 0, 0]], [1e200, 1e200], "CC")
         with pytest.raises(ValueError, match="'big': atoms 0 and 1 give a non-finite"):
             mpe_vector(m)
 
@@ -150,12 +156,12 @@ class TestMpeVector:
             assert descriptor_fault(row) == "descriptor values must be finite"
 
     def test_coincident_atoms_error_names_indices(self):
-        m = Molecule("bad", [[0, 0, 0], [0, 0, 0]], [0.1, 0.2], "CC")
+        m = _molecule("bad", [[0, 0, 0], [0, 0, 0]], [0.1, 0.2], "CC")
         with pytest.raises(ValueError, match="atoms 0 and 1"):
             mpe_vector(m)
 
 
-def lexsort_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> np.ndarray:
+def lexsort_vector(m: MoleculeTable, k: float = mpe.DEFAULT_K) -> np.ndarray:
     """The one-molecule descriptor as first written: every pair energy,
     then a lexsort on (energy, lower atom index, higher atom index)."""
     n = len(m.charges)
@@ -169,14 +175,14 @@ def lexsort_vector(m: Molecule, k: float = mpe.DEFAULT_K) -> np.ndarray:
         if coincident.size:
             c = coincident[0]
             raise ValueError(
-                f"molecule {m.id!r}: atoms {ii[c]} and {jj[c]} are coincident; "
+                f"molecule {m.ids[0]!r}: atoms {ii[c]} and {jj[c]} are coincident; "
                 "pairing energy undefined")
         e = k * q[ii] * q[jj] / d
     bad = np.nonzero(~np.isfinite(e))[0]
     if bad.size:
         c = bad[0]
         raise ValueError(
-            f"molecule {m.id!r}: atoms {ii[c]} and {jj[c]} give a non-finite "
+            f"molecule {m.ids[0]!r}: atoms {ii[c]} and {jj[c]} give a non-finite "
             "pairing energy")
 
     def top(mask, ascending):
@@ -232,7 +238,7 @@ class TestBatchedDescriptors:
             else:
                 pos = rng.uniform(-5, 5, (n, 3))
                 q = rng.normal(0, 0.5, n)
-            mols.append(Molecule(f"m{i}", pos, q, "C" * n))
+            mols.append(_molecule(f"m{i}", pos, q, "C" * n))
         big = [i for i, n in enumerate(sizes) if n == 24]
         coincident, huge = mols[big[10]], mols[big[chunk + 5]]
         coincident.positions[17] = coincident.positions[3]
@@ -263,7 +269,7 @@ class TestBatchedDescriptors:
         # as x, so summing the squares as dx² + (dy² + dz²) instead of
         # np.linalg.norm's (dx² + dy²) + dz² moves a bit of some descriptor.
         rng = np.random.default_rng(23)
-        mols = [Molecule(f"m{i}", rng.uniform(-50, 50, (24, 3)), rng.normal(0, 0.5, 24),
+        mols = [_molecule(f"m{i}", rng.uniform(-50, 50, (24, 3)), rng.normal(0, 0.5, 24),
                          "C" * 24) for i in range(40)]
         got = [_vector_outcome(v) for v in mpe.mpe_vectors(_table_of(mols))]
         assert got == [_vector_outcome(lexsort_vector(m)) for m in mols]
@@ -285,7 +291,7 @@ class TestBatchedDescriptors:
         rng = np.random.default_rng(31)
         sizes = [1, 2, 3, 24, 64] * 4
         rng.shuffle(sizes)
-        mols = [Molecule(f"m{i}", rng.uniform(-5, 5, (n, 3)), rng.normal(0, 0.5, n), "C" * n)
+        mols = [_molecule(f"m{i}", rng.uniform(-5, 5, (n, 3)), rng.normal(0, 0.5, n), "C" * n)
                 for i, n in enumerate(sizes)]
         for n, (a, b) in ((2, (0, 1)), (24, (3, 17))):
             m = mols[sizes.index(n)]
@@ -298,13 +304,13 @@ class TestBatchedDescriptors:
         for i in owners:
             m, a = mols[i], atom[i]
             atom[i] += 1
-            lines.append(",".join([m.id, m.elements[a], *map(repr, m.positions[a].tolist()),
+            lines.append(",".join([m.ids[0], m.elements[a], *map(repr, m.positions[a].tolist()),
                                    repr(float(m.charges[a]))]))
         path = tmp_path / "atoms.csv"
         path.write_text("\n".join(lines) + "\n")
         table = parse_molecules(path, "csv-atoms")
         assert table.ids == [f"m{i}" for i in dict.fromkeys(owners)]
-        by_id = {m.id: m for m in mols}
+        by_id = {m.ids[0]: m for m in mols}
         got = [_vector_outcome(v) for v in mpe.mpe_vectors(table)]
         single = [_vector_outcome(_called(mpe_vector, by_id[i])) for i in table.ids]
         reference = [_vector_outcome(_called(lexsort_vector, by_id[i])) for i in table.ids]
@@ -406,12 +412,6 @@ class TestParsers:
         with pytest.raises(MoleculeParseError, match="header"):
             parse_molecules(p, "csv-atoms")
 
-    def test_empty_or_ragged_columns_rejected(self):
-        with pytest.raises(ValueError, match="has no atoms"):
-            Molecule("e", np.zeros((0, 3)), np.zeros(0), ())
-        with pytest.raises(ValueError, match="one row per atom"):
-            Molecule("r", np.zeros((2, 3)), np.zeros(3), ("C", "C"))
-
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_molecules(DATA / "fixture.mol2", "sdf")
@@ -427,9 +427,9 @@ def _entries(table):
 
 class TestScatter:
     def test_two_atom_pair_row(self, tmp_path):
-        m = Molecule("p", [[0, 0, 0], [1, 0, 0]], [1.0, -1.0], "CC")
+        m = _molecule("p", [[0, 0, 0], [1, 0, 0]], [1.0, -1.0], "CC")
         path = tmp_path / "scatter.csv"
-        mpe.write_scatter_csv(path, [(m.id, mpe_vector(m, k=1.0))])
+        mpe.write_scatter_csv(path, [(m.ids[0], mpe_vector(m, k=1.0))])
         assert path.read_text().splitlines()[1:] == ["p,0,-1"]
 
     def test_empty_input_header_only(self, tmp_path):
@@ -447,6 +447,17 @@ class TestScatter:
         for (mol_id, hi, lo), (m_id, v) in zip(rows, entries):
             assert (mol_id, hi, lo) == (m_id, format(float(v[0]), ".9g"),
                                         format(float(v[6]), ".9g"))
+
+
+class TestCsvAtomsWriter:
+    def test_written_tables_read_back(self, tmp_path):
+        mol2 = parse_molecules(DATA / "fixture.mol2", "mol2-subset")
+        atoms = parse_molecules(DATA / "fixture_atoms.csv", "csv-atoms")
+        path = tmp_path / "out.csv"
+        mpe.write_csv_atoms(path, [mol2, atoms])
+        assert path.read_bytes().startswith(b"molecule_id,element,x,y,z,charge\r\n")
+        assert _as_tuples(parse_molecules(path, "csv-atoms")) == \
+            _as_tuples(mol2) + _as_tuples(atoms)
 
 
 class TestDescriptorCache:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scvs import mpe, ref_nn, screening, synth
-from scvs.mpe import FeatureScaler, Molecule, MoleculeTable
+from scvs.mpe import FeatureScaler, MoleculeTable
 from scvs.ref_nn import TrainConfig
 from scvs.sc_nn import quantize_weights
 from scvs.screening import (
@@ -310,6 +310,14 @@ class TestAuc:
             got = auc(_ranked(scores, labels))
             assert got == pytest.approx(brute_force_auc(scores, labels), abs=1e-12)
 
+    def test_tied_ranks_are_brute_force_midranks(self):
+        rng = np.random.default_rng(10)
+        for n in (0, 1, 2, 7, 60, 301):
+            values = rng.integers(0, 6, n).astype(float)  # few values: heavy ties
+            want = [np.count_nonzero(values < v) + (np.count_nonzero(values == v) + 1) / 2
+                    for v in values]
+            assert screening._tied_ranks(values).tolist() == want
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(9)
         labels = (rng.random(40) < 0.4).astype(int)
@@ -400,9 +408,16 @@ class TestPerTargetProtocol:
             per_target_protocol(t, TrainConfig(epochs=1))
 
 
+def _molecule(mol_id, positions, charges) -> MoleculeTable:
+    """One carbon molecule as a one-molecule table."""
+    return MoleculeTable([mol_id], np.array([0, len(charges)]),
+                         np.asarray(positions, dtype=np.float64),
+                         np.asarray(charges, dtype=np.float64), ["C"] * len(charges))
+
+
 def _tables(*groups):
-    """One molecule table per list of molecules."""
-    return [MoleculeTable([m.id for m in mols], np.cumsum([0] + [len(m.charges) for m in mols]),
+    """One molecule table per list of one-molecule tables."""
+    return [MoleculeTable([m.ids[0] for m in mols], np.cumsum([0] + [len(m.charges) for m in mols]),
                           np.concatenate([np.empty((0, 3))] + [m.positions for m in mols]),
                           np.concatenate([np.empty(0)] + [m.charges for m in mols]),
                           [e for m in mols for e in m.elements]) for mols in groups]
@@ -410,20 +425,20 @@ def _tables(*groups):
 
 class TestTargetTypes:
     def test_duplicate_ids_across_classes_rejected(self):
-        m = Molecule("same", [[0, 0, 0]], [0.1], "C")
+        m = _molecule("same", [[0, 0, 0]], [0.1])
         with pytest.raises(ValueError, match="both classes"):
             screening.target_descriptors("t", *_tables([m], [m], [m]))
 
     def test_descriptor_conversion_counts_failures(self):
-        good = Molecule("ok", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5], "CC")
-        bad = Molecule("bad", [[0, 0, 0], [0, 0, 0]], [0.5, 0.5], "CC")
+        good = _molecule("ok", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5])
+        bad = _molecule("bad", [[0, 0, 0], [0, 0, 0]], [0.5, 0.5])
         data = screening.target_descriptors("t", *_tables([good], [good], [bad]))
         assert data.n_skipped == 1
         assert [c[0] for c in data.compounds] == ["ok"]
 
     def test_failures_warned_in_order_and_cache_kept(self, caplog):
         def pair(mol_id, gap):
-            return Molecule(mol_id, [[0, 0, 0], [gap, 0, 0]], [0.5, -0.5], "CC")
+            return _molecule(mol_id, [[0, 0, 0], [gap, 0, 0]], [0.5, -0.5])
 
         crystal = pair("x", 1.0)
         actives = [pair("a0", 0.0), pair("a1", 2.0), pair("a2", 0.0)]
@@ -438,23 +453,30 @@ class TestTargetTypes:
             " skipping a0", " skipping a2", " skipping d0"]
 
     def test_failing_crystal_fails_target_before_any_warning(self, caplog):
-        crystal = Molecule("x", [[0, 0, 0], [0, 0, 0]], [0.5, 0.5], "CC")
-        bad = Molecule("b", [[1, 1, 1], [1, 1, 1]], [0.5, 0.5], "CC")
+        crystal = _molecule("x", [[0, 0, 0], [0, 0, 0]], [0.5, 0.5])
+        bad = _molecule("b", [[1, 1, 1], [1, 1, 1]], [0.5, 0.5])
         with caplog.at_level("WARNING", logger="scvs.screening"):
             with pytest.raises(ValueError, match="^molecule 'x': atoms 0 and 1 are coincident"):
                 screening.target_descriptors("t", *_tables([crystal], [bad], []))
         assert not caplog.records
 
-    def test_only_the_first_crystal_molecule_is_described(self):
-        good = Molecule("x", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5], "CC")
-        bad = Molecule("y", [[0, 0, 0], [0, 0, 0]], [0.5, 0.5], "CC")
-        data = screening.target_descriptors("t", *_tables([good, bad], [good], []))
+    def test_only_the_first_crystal_molecule_is_described(self, caplog):
+        good = _molecule("x", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5])
+        bad = _molecule("y", [[0, 0, 0], [0, 0, 0]], [0.5, 0.5])
+        with caplog.at_level("WARNING", logger="scvs.screening"):
+            data = screening.target_descriptors("t", *_tables([good, bad], [good], []))
         assert data.crystal.tobytes() == mpe.mpe_vector(good).tobytes()
+        assert [r.getMessage() for r in caplog.records] == [
+            "target t: crystal ligand file holds 2 molecules; using the first, x"]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="scvs.screening"):
+            screening.target_descriptors("t", *_tables([good], [good], []))
+        assert not caplog.records
         with pytest.raises(ValueError, match="crystal ligand file is empty"):
             screening.target_descriptors("t", *_tables([], [good], []))
 
     def test_cache_lookup_used(self):
-        m = Molecule("m1", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5], "CC")
+        m = _molecule("m1", [[0, 0, 0], [1, 0, 0]], [0.5, -0.5])
         fake = np.array([9.0, 0, 0, 0, 0, 0] + [0.0] * 6)
         data = screening.target_descriptors("t", *_tables([m], [m], []), cache={"m1": fake})
         assert data.crystal[0] == 9.0
