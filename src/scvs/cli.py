@@ -272,8 +272,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
     train, test, scaler = screening.build_split(targets, cfg.split_spec())
     x, y = screening.pair_arrays(train, scaler)
     shape = ref_nn.ARCH_SHAPES[args.arch]
+    config = cfg.train_config()  # checked before the seed reaches init_mlp
     mlp, history = ref_nn.train_adam(
-        ref_nn.init_mlp(shape, args.activation, seed=cfg.train_seed), x, y, cfg.train_config())
+        ref_nn.init_mlp(shape, args.activation, seed=config.rng_seed), x, y, config)
 
     out = _output(args.out, cfg.models_dir)
     ref_nn.save_mlp(mlp, out)

@@ -47,10 +47,14 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed, the training seed, must be >= 0, got {self.rng_seed}")
+        if not np.isfinite(self.val_fraction):
+            raise ValueError(f"val_fraction must be finite, got {self.val_fraction}")
 
 
 class Mlp:

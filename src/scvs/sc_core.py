@@ -83,10 +83,6 @@ def encode(v: float, width: int = DEFAULT_WIDTH) -> FixedWord:
     return FixedWord(word, width)
 
 
-def decode(word: FixedWord) -> float:
-    return word.to_real()
-
-
 def encode_array(v: np.ndarray, width: int = DEFAULT_WIDTH) -> np.ndarray:
     half = 1 << (width - 1)
     return np.clip(np.rint(np.asarray(v, dtype=np.float64) * half), -half, half - 1).astype(
@@ -327,11 +323,6 @@ def to_stochastic(x: FixedWord, rng: WordSequence, n: int | None = None) -> BitS
         raise ValueError(f"need {n} RNG words, only {len(rng)} available")
     bits = x.value > rng.words[:n]
     return BitStream(_pack(bits), n, rng.origin)
-
-
-def from_stochastic(s: BitStream) -> float:
-    """Recover the bipolar value (N1 - N0) / (N0 + N1)."""
-    return s.value
 
 
 def counter_trace(s: BitStream) -> np.ndarray:

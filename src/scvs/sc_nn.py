@@ -26,7 +26,9 @@ shift calibration in ``quantize_weights``) multiplies the exact window values
 of the same words in real arithmetic, which separates stochastic noise from
 quantization error.  Both read the same count table per window: the number
 of window words below each word, which is the prefix length of an input
-stream and gives every stream's value (2r - n)/n.
+stream and gives every stream's value (2r - n)/n.  ``gate_level_scores``
+defines what bit-true means: it composes the network neuron by neuron from
+the packed-stream spec ops, and the engine must equal it bit for bit.
 Exactly two generators serve the whole network, and repeat runs are
 bit-identical.
 """
@@ -255,11 +257,11 @@ def relu_via_or(s: BitStream, zero: BitStream) -> BitStream:
     return BitStream(out.packed, out.n, origin=s.origin)
 
 
-def sc_neuron_forward(x_streams, w_row, lfsr1_words: WordSequence, lfsr2_words: WordSequence,
-                      norm_shift: int, width: int = sc.DEFAULT_WIDTH,
-                      apply_relu: bool = True, diagnostics: dict | None = None) -> BitStream:
-    """One stochastic neuron: XNOR array -> APC -> shift -> saturate ->
-    reconversion against R_x(t) -> OR with the correlated zero signal."""
+def sc_neuron_word(x_streams, w_row, lfsr2_words: WordSequence, norm_shift: int,
+                   width: int = sc.DEFAULT_WIDTH) -> tuple[sc.FixedWord, bool]:
+    """The word step of one stochastic neuron: XNOR array against the weight
+    streams on R_w(t) -> APC -> arithmetic shift -> saturation to b bits.
+    Returns the word and whether it saturated."""
     x_streams = list(x_streams)
     w_row = [w if isinstance(w, sc.FixedWord) else sc.FixedWord(int(w), width) for w in w_row]
     if len(x_streams) != len(w_row):
@@ -269,18 +271,55 @@ def sc_neuron_forward(x_streams, w_row, lfsr1_words: WordSequence, lfsr2_words: 
         sc.gate_eval(GateKind.XNOR, x, sc.to_stochastic(w, lfsr2_words, n))
         for x, w in zip(x_streams, w_row)
     ]
-    apc = sc.apc_accumulate(products, n)
-    word = apc >> norm_shift
+    word = sc.apc_accumulate(products, n) >> norm_shift
     half = 1 << (width - 1)
-    if word < -half or word > half - 1:
-        if diagnostics is not None:
-            diagnostics["saturations"] = diagnostics.get("saturations", 0) + 1
-        word = max(-half, min(half - 1, word))
-    s = sc.to_stochastic(sc.FixedWord(word, width), lfsr1_words, n)
-    if not apply_relu:
-        return s
+    saturated = word < -half or word > half - 1
+    return sc.FixedWord(max(-half, min(half - 1, word)), width), saturated
+
+
+def sc_neuron_forward(x_streams, w_row, lfsr1_words: WordSequence, lfsr2_words: WordSequence,
+                      norm_shift: int, width: int = sc.DEFAULT_WIDTH) -> BitStream:
+    """One stochastic neuron: the word step, reconversion against R_x(t),
+    then the OR with the correlated zero signal."""
+    x_streams = list(x_streams)
+    word, _ = sc_neuron_word(x_streams, w_row, lfsr2_words, norm_shift, width)
+    n = x_streams[0].n
     zero = sc.to_stochastic(sc.FixedWord(0, width), lfsr1_words, n)
-    return relu_via_or(s, zero)
+    return relu_via_or(sc.to_stochastic(word, lfsr1_words, n), zero)
+
+
+def gate_level_scores(net: ScNetwork, X) -> tuple[np.ndarray, int]:
+    """Scores of the rows ``X`` and the number of saturated words, composed
+    neuron by neuron from the spec ops: the definition of bit-true inference
+    that every faster engine must equal, bit for bit.
+
+    Inputs, reconversions and zero(t) ride LFSR1 from phase 0, layer ``li``'s
+    weights ride LFSR2 from phase li*N and the bias line is a constant
+    all-ones stream.  A hidden neuron is the word step, reconverted and
+    OR-ed with zero(t) as in ``sc_neuron_forward``; the output neuron stops
+    at its saturated word, read in the binary domain.  Every saturated word,
+    hidden or output, counts.
+    """
+    n, width = net.stream_len, net.width
+    r1 = net.lfsr1.word_sequence(n)
+    ones = sc.constant_stream(True, n)
+    zero = sc.to_stochastic(sc.FixedWord(0, width), r1)
+    scores, saturations = [], 0
+    for x in X:
+        streams = [sc.to_stochastic(sc.FixedWord(int(w), width), r1)
+                   for w in sc.encode_array(x, width)]
+        for li, layer in enumerate(net.layers):
+            r2 = net.lfsr2.word_sequence(n, (li * n) % net.lfsr2.period)
+            rows = layer.weights_q.tolist()
+            if layer.bias_q is not None:
+                rows = [row + [b] for row, b in zip(rows, layer.bias_q.tolist())]
+                streams = streams + [ones]
+            words = [sc_neuron_word(streams, row, r2, layer.norm_shift, width) for row in rows]
+            saturations += sum(saturated for _, saturated in words)
+            if li < len(net.layers) - 1:
+                streams = [relu_via_or(sc.to_stochastic(word, r1), zero) for word, _ in words]
+        scores.append(words[0][0].to_real())
+    return np.array(scores), saturations
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +358,9 @@ def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH,
         )
     if not 0 < clip_quantile <= 1:
         raise ValueError("clip_quantile must be in (0, 1]")
+    for name, value in (("margin", margin), ("gain_cap", gain_cap)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     lfsr1 = lfsr1 or default_lfsr1(width)
     lfsr2 = lfsr2 or default_lfsr2(width)
     half = 1 << (width - 1)

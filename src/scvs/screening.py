@@ -104,6 +104,8 @@ class SplitSpec:
         for f in (self.active_fraction, self.decoy_fraction):
             if not 0 < f <= 1:
                 raise ValueError(f"split fraction {f} outside (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"split seed must be >= 0, got {self.seed}")
 
 
 def _target_rng(seed: int, target_id: str) -> np.random.Generator:

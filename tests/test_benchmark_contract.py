@@ -6,8 +6,9 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from scvs import cli, mpe, synth
+from scvs import cli, mpe, sc_core, sc_nn, synth
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,6 +36,37 @@ def test_oracle_check_passes_on_a_small_bench(tmp_path, monkeypatch):
     noise = run.oracle_check(wl, 5, checks)
     assert checks.attempted > 0 and checks.failures == []
     assert math.isfinite(noise) and noise >= 0
+
+
+@pytest.mark.parametrize("width,stream_len,bias_layers", [
+    (8, 255, {0, 1, 2}),  # one full period, bias lines everywhere
+    (8, 300, {1}),        # past the period
+    (6, 40, set()),       # inside the period, no bias line
+    (6, 130, {0, 2}),     # past two periods
+])
+def test_oracle_score_is_gate_level_scores(monkeypatch, width, stream_len, bias_layers):
+    # perfbench keeps its own gate-level oracle; while two definitions exist
+    # they must agree row for row, on nets of the benchmark self-test shape.
+    monkeypatch.syspath_prepend(str(BENCH))
+    from oracle import oracle_score
+
+    rng = np.random.default_rng(width * stream_len)
+    half = 1 << (width - 1)
+    shape = [5, 4, 3, 1]
+    layers = []
+    for li, (fan_in, fan_out) in enumerate(zip(shape[:-1], shape[1:])):
+        bias = li in bias_layers
+        # up to two below the no-overflow shift, so some words saturate
+        shift = sc_nn.min_norm_shift(fan_in + bias, stream_len, width) - int(rng.integers(0, 3))
+        layers.append(sc_nn.ScLayer(fan_in, fan_out, max(shift, 0), 1.0,
+                                    rng.integers(-half, half, (fan_out, fan_in)),
+                                    rng.integers(-half, half, fan_out) if bias else None))
+    net = sc_nn.ScNetwork(layers, sc_nn.default_lfsr1(width), sc_nn.default_lfsr2(width),
+                          stream_len=stream_len, width=width)
+    X = rng.uniform(-1, 1, (12, 5))
+    X[0], X[1] = -1.0, 1.0
+    want = [oracle_score(net, x, sc_core, sc_nn) for x in X]
+    assert want == sc_nn.gate_level_scores(net, X)[0].tolist()
 
 
 def _traced(monkeypatch, fn):

@@ -722,6 +722,24 @@ class TestConfig:
         assert run("--config", tmp_path / "absent.cfg", "quantize",
                    "--model", ws / "relu48.json", "--out", tmp_path / "x.json") == 2
 
+    @pytest.mark.parametrize("flag,value,name", [
+        *(("--margin", v, "margin") for v in ("0", "-1", "inf", "nan")),
+        *(("--gain-cap", v, "gain_cap") for v in ("0", "-1", "inf")),
+        *(("--val-fraction", v, "val_fraction") for v in ("inf", "nan")),
+        ("--split-seed", "-1", "split seed"), ("--train-seed", "-1", "training seed"),
+        ("--learning-rate", "nan", "learning_rate")])
+    def test_bad_setting_exit_1_names_it(self, workspace, tmp_path, capsys, flag, value, name):
+        ws, manifest = workspace
+        if flag in ("--margin", "--gain-cap"):  # with --calib, where these are used
+            argv = ["quantize", "--model", ws / "relu48.json", "--calib", ws / "feats.csv"]
+        else:
+            argv = ["train", "--manifest", manifest, "--cache", ws / "cache.csv", "--arch", "12",
+                    "--activation", "relu", "--scaler-out", tmp_path / "s.json",
+                    "--log-out", tmp_path / "l.json", "--epochs", "1"]
+        assert run(*argv, "--out", tmp_path / "m.json", flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and "Traceback" not in err
+
     def test_diverged_training_exit_3(self, workspace, tmp_path, capsys):
         ws, manifest = workspace
         assert run("train", "--manifest", manifest, "--cache", ws / "cache.csv",

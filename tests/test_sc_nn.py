@@ -25,6 +25,7 @@ from scvs.sc_nn import (
     quantize_weights,
     relu_via_or,
     sc_neuron_forward,
+    sc_neuron_word,
 )
 
 N = 4095
@@ -135,10 +136,9 @@ class TestReluViaOr:
 class TestScNeuron:
     def test_upper_saturation(self, r1, r2):
         x = [sc.constant_stream(True, N), sc.constant_stream(True, N)]
-        diag = {}
-        out = sc_neuron_forward(x, [2047, 2047], r1, r2, norm_shift=1, diagnostics=diag)
-        assert out.value == pytest.approx(1.0, abs=0.01)
-        assert diag["saturations"] == 1
+        word, saturated = sc_neuron_word(x, [2047, 2047], r2, norm_shift=1)
+        assert sc.to_stochastic(word, r1).value == pytest.approx(1.0, abs=0.01)
+        assert saturated
 
     def test_balanced_inputs_cancel(self, r1, r2):
         x = [sc.to_stochastic(sc.encode(0.5), r1), sc.to_stochastic(sc.encode(-0.5), r1)]
@@ -348,36 +348,16 @@ class TestReferenceFidelity:
 
 
 class TestSimulatorAgainstNeuronOp:
-    def test_layer_math_matches_per_neuron_composition(self, r1, r2):
-        # The packed batched datapath must agree bit for bit with composing
-        # the readable single-neuron operation by hand.
+    def test_layer_math_matches_per_neuron_composition(self):
+        # The packed batched datapath must agree bit for bit with the
+        # network composed neuron by neuron from the spec ops.
         rng = np.random.default_rng(41)
         _, net = _random_net([24, 12, 6, 1], 37, rng)
-        x = rng.uniform(-1, 1, 24)
+        x = rng.uniform(-1, 1, (1, 24))
         sim = net.simulator()
-        got = sim.infer_many(x)[0]
-
-        words = sc.encode_array(x)
-        streams = [sc.to_stochastic(sc.FixedWord(int(w)), r1) for w in words]
-        for li, layer in enumerate(net.layers):
-            w_seq = net.lfsr2.word_sequence(N, phase=(li * N) % net.lfsr2.period)
-            outs = []
-            for i in range(layer.fan_out):
-                xs = list(streams)
-                ws = [int(v) for v in layer.weights_q[i]]
-                if layer.bias_q is not None:
-                    xs = xs + [sc.constant_stream(True, N)]
-                    ws = ws + [int(layer.bias_q[i])]
-                outs.append(sc_neuron_forward(
-                    xs, ws, r1, w_seq, layer.norm_shift,
-                    apply_relu=li < len(net.layers) - 1))
-            if li < len(net.layers) - 1:
-                streams = outs
-            else:
-                by_hand = outs[0].value  # pre-reconversion word, stream domain
-        # the final layer emits the binary word directly; compare the word
-        # recovered from the per-neuron stream path against the simulator
-        assert abs(by_hand - got) <= 2 / N
+        want, saturations = sc_nn.gate_level_scores(net, x)
+        np.testing.assert_array_equal(sim.infer_many(x), want)
+        assert sim.saturation_count == saturations
 
     def test_hidden_streams_identical_to_neuron_op(self, r1, r2):
         rng = np.random.default_rng(43)
@@ -392,42 +372,6 @@ class TestSimulatorAgainstNeuronOp:
             ws = [int(v) for v in layer.weights_q[i]] + [int(layer.bias_q[i])]
             out = sc_neuron_forward(xs, ws, r1, w_seq, layer.norm_shift)
             assert out.value == pytest.approx(traces[0]["out_values"].reshape(-1)[i], abs=1e-12)
-
-
-def _gate_level_scores(net, X):
-    """Scores and saturation count composed neuron by neuron from the spec ops.
-
-    Inputs, reconversion and zero(t) ride LFSR1 from phase 0, layer ``li``'s
-    weights ride LFSR2 from phase li*N and the bias line is a constant
-    all-ones stream.
-    """
-    n, width = net.stream_len, net.width
-    half = 1 << (width - 1)
-    r1 = net.lfsr1.word_sequence(n)
-    ones = sc.constant_stream(True, n)
-    diag = {"saturations": 0}
-    scores = []
-    for x in X:
-        streams = [sc.to_stochastic(sc.FixedWord(int(w), width), r1)
-                   for w in sc.encode_array(x, width)]
-        for li, layer in enumerate(net.layers):
-            r2 = net.lfsr2.word_sequence(n, (li * n) % net.lfsr2.period)
-            rows = [[int(w) for w in row] for row in layer.weights_q]
-            inputs = list(streams)
-            if layer.bias_q is not None:
-                rows = [row + [int(b)] for row, b in zip(rows, layer.bias_q)]
-                inputs.append(ones)
-            if li < len(net.layers) - 1:
-                streams = [sc_neuron_forward(inputs, row, r1, r2, layer.norm_shift,
-                                             width, diagnostics=diag) for row in rows]
-                continue
-            products = [sc.gate_eval(GateKind.XNOR, s, sc.to_stochastic(sc.FixedWord(w, width), r2))
-                        for s, w in zip(inputs, rows[0])]
-            word = sc.apc_accumulate(products) >> layer.norm_shift
-            if not -half <= word <= half - 1:
-                diag["saturations"] += 1
-            scores.append(max(-half, min(half - 1, word)) / half)
-    return np.array(scores), diag["saturations"]
 
 
 @st.composite
@@ -472,7 +416,7 @@ class TestGateLevelEquality:
     def test_infer_many_equals_neuron_composition(self, case):
         net, X = case
         sim = sc_nn.ScSimulator(net)
-        want, saturations = _gate_level_scores(net, X)
+        want, saturations = sc_nn.gate_level_scores(net, X)
         with _rows_per_chunk(net, 2):
             np.testing.assert_array_equal(sim.infer_many(X), want)
         assert sim.saturation_count == saturations
@@ -501,7 +445,7 @@ class TestPrefixEngineEdges:
         X = np.array([[-1.0] * 3, [0.0] * 3, [1.0] * 3, [-1.0, 0.0, 1.0]])
         assert set(sc.encode_array(X).reshape(-1)) == {-HALF, 0, HALF - 1}
         sim = sc_nn.ScSimulator(net)
-        want, saturations = _gate_level_scores(net, X)
+        want, saturations = sc_nn.gate_level_scores(net, X)
         np.testing.assert_array_equal(sim.infer_many(X), want)
         assert sim.saturation_count == saturations
         hidden = np.concatenate([sim.trace(x)[1][0]["words"].reshape(-1) for x in X])
@@ -513,7 +457,7 @@ class TestPrefixEngineEdges:
         net = _fixed_net(8, n, seed=n)
         X = np.random.default_rng(n).uniform(-1, 1, (4, 3))
         sim = sc_nn.ScSimulator(net)
-        want, saturations = _gate_level_scores(net, X)
+        want, saturations = sc_nn.gate_level_scores(net, X)
         np.testing.assert_array_equal(sim.infer_many(X), want)
         assert sim.saturation_count == saturations
 
@@ -523,7 +467,7 @@ class TestPrefixEngineEdges:
         crystal = X.copy()
         crystal[:, :2] = X[0, :2]  # two of the three columns hold one value
         for batch in (X, crystal):
-            want, saturations = _gate_level_scores(net, batch)
+            want, saturations = sc_nn.gate_level_scores(net, batch)
             for chunk in (1, 3, len(batch) + 5):
                 sim = net.simulator()
                 with _rows_per_chunk(net, chunk):
@@ -531,6 +475,25 @@ class TestPrefixEngineEdges:
                 assert sim.saturation_count == saturations
         empty = net.simulator().infer_many(np.empty((0, 3)))
         assert empty.shape == (0,)
+
+    @pytest.mark.parametrize("n", [1, 14, 15, 16, 33, 64])
+    def test_constant_line_fold_over_every_input_pair(self, n):
+        # Every pair of 4-bit input words, sorted by the first, through a
+        # 2-3-1 net with bias lines, at stream lengths 1, P - 1, P, P + 1
+        # and 2P + 3 of the period P = 15, and at 64, where the bias line's
+        # prefix r = n ends on a 64-bit block boundary.  One-row chunks fold
+        # every line, 16-row chunks hold the first column constant and one
+        # 256-row chunk folds only the bias line and lines that ReLU holds
+        # at zero.
+        net = _fixed_net(4, n, seed=n, shape=(2, 3, 1))
+        words = np.arange(-8, 8)
+        X = np.array([[a, b] for a in words for b in words]) / 8
+        want, saturations = sc_nn.gate_level_scores(net, X)
+        for chunk in (1, 16, 256):
+            sim = net.simulator()
+            with _rows_per_chunk(net, chunk):
+                np.testing.assert_array_equal(sim.infer_many(X), want, err_msg=f"chunk {chunk}")
+            assert sim.saturation_count == saturations
 
     @pytest.mark.parametrize("width", [4, 5, 6])
     def test_every_product_count_is_the_xnor_popcount(self, width):
