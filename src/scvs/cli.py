@@ -82,6 +82,8 @@ class RunConfig:
     reports_dir: str = ""
 
     def validate(self):
+        if not (np.isfinite(self.k) and self.k > 0):
+            raise ValidationError(f"K must be finite and > 0, got {self.k}")
         if not 4 <= self.width <= 16:
             raise ValidationError(f"SC width {self.width} outside [4, 16]")
         if self.stream_len < 1:
@@ -350,7 +352,12 @@ def _evaluate_targets(model, targets, scaler):
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    model = load_model(_resolve(args.model, cfg.models_dir))
+    path = _resolve(args.model, cfg.models_dir)
+    model = load_model(path)
+    width = model.input_width if isinstance(model, sc_nn.ScNetwork) else model.shape[0]
+    if width != 24:
+        raise ValidationError(f"{path}: the model takes {width} inputs; "
+                              f"a descriptor pair has 24")
     scaler = FeatureScaler.load(_require_file(_resolve(args.scaler, cfg.models_dir)))
     targets, failures = _command_targets(args, cfg)
     if not targets:

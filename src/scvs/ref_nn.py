@@ -49,8 +49,12 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed, the training seed, must be >= 0, got {self.rng_seed}")
         if not np.isfinite(self.val_fraction):

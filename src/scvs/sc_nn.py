@@ -210,20 +210,19 @@ def _forward(x: np.ndarray, n_layers: int, width: int, layer_apc):
     normalization shift.  Each layer floors the APC by that shift, saturates
     it to b bits and hands max(word, 0) on: the OR with zero(t), which rides
     the same window, keeps exactly the larger of two comparator streams.
-    Returns the decoded final words, the saturated words of every layer and
-    the number of words that saturated.
+    Returns the decoded final words and the number of words that saturated.
     """
     half = 1 << (width - 1)
     words = sc.encode_array(x, width)
-    layer_words, saturations = [], 0
+    saturations = 0
     for li in range(n_layers):
         apc, shift = layer_apc(li, words)
         # exact for integer APCs, so it is the hardware's arithmetic shift
         shifted = np.floor(apc / (1 << shift))
         saturations += int(np.count_nonzero((shifted < -half) | (shifted > half - 1)))
-        layer_words.append(np.clip(shifted, -half, half - 1).astype(np.int64))
-        words = np.maximum(layer_words[-1], 0)
-    return layer_words[-1][:, 0] / half, layer_words, saturations
+        clipped = np.clip(shifted, -half, half - 1).astype(np.int64)
+        words = np.maximum(clipped, 0)
+    return clipped[:, 0] / half, saturations
 
 
 def _ideal_apc(words: np.ndarray, rank_a: np.ndarray, rank_b: np.ndarray,
@@ -518,11 +517,10 @@ class ScSimulator:
             net._engine = _rank(x_window), tables
         self._rank, self._tables = net._engine
 
-    def _prefix_apc(self, li: int, words: np.ndarray, counts: list | None = None):
-        """APC of layer ``li`` for its (k >= 1, fan_in) input words.  Appends
-        the prefix lengths r (k, n_inputs) of the input streams and the ones d
-        (k, n_inputs, fan_out) of every weight stream inside them to
-        ``counts`` when given.
+    def _prefix_apc(self, li: int, words: np.ndarray):
+        """APC of layer ``li`` for its (k >= 1, fan_in) input words, from the
+        prefix lengths r (k, n_inputs) of the input streams and the ones d of
+        every weight stream inside them.
 
         A line whose r is the same in every row (every line of a single row)
         has the same d in every row too, so its terms are counted once, from
@@ -539,46 +537,23 @@ class ScSimulator:
         r_const, r_vary = r[0, const], r.T[vary]
         d_const = _ones_inside(tables, r_const, const)
         d_vary = _ones_inside(tables, r_vary, vary)
-        if counts is not None:
-            d = np.empty(r.shape + d_const.shape[1:], dtype=d_vary.dtype)
-            d[:, const], d[:, vary] = d_const, d_vary.transpose(1, 0, 2)
-            counts.append((r, d))
         constant = tables.offset + 4 * d_const.sum(axis=0) - 2 * r_const.sum()
         apc = 4 * d_vary.sum(axis=0) - 2 * r_vary.sum(axis=0)[:, None] + constant
         return apc, self.net.layers[li].norm_shift
-
-    def _run(self, x, layer_apc):
-        net = self.net
-        scores, words, saturations = _forward(_input_rows(net, x), len(net.layers), net.width,
-                                              layer_apc)
-        self.saturation_count += saturations
-        return scores, words
 
     def infer_many(self, x: np.ndarray) -> np.ndarray:
         """Scores of a batch of input rows, in chunks of as many rows as
         ``INFER_CHUNK_WORDS`` holds (row, line, neuron) counts of the widest
         layer."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        chunk = max(1, INFER_CHUNK_WORDS // max(l.n_inputs * l.fan_out for l in self.net.layers))
+        net = self.net
+        x = _input_rows(net, x)
+        chunk = max(1, INFER_CHUNK_WORDS // max(l.n_inputs * l.fan_out for l in net.layers))
         out = np.empty(len(x))
         for i in range(0, len(x), chunk):
-            out[i:i + chunk] = self._run(x[i:i + chunk], self._prefix_apc)[0]
+            out[i:i + chunk], saturations = _forward(x[i:i + chunk], len(net.layers), net.width,
+                                                     self._prefix_apc)
+            self.saturation_count += saturations
         return out
-
-    def trace(self, x):
-        """Per-layer product stream values, APC words and decoded outputs."""
-        counts = []
-        scores, words = self._run(np.asarray(x, dtype=np.float64)[None, :],
-                                  lambda li, w: self._prefix_apc(li, w, counts))
-        n = self.net.stream_len
-        products = [np.ascontiguousarray(
-                        ((4 * d - 2 * r[:, :, None] - 2 * t.ones + n) / n).transpose(0, 2, 1))
-                    for (r, d), t in zip(counts, self._tables)]
-        # a hidden layer's output is the next layer's input stream, of value (2r - n)/n
-        outs = [(2 * r[:, :layer.fan_out] - n) / n
-                for (r, _), layer in zip(counts[1:], self.net.layers)] + [scores]
-        return float(scores[0]), [{"products": p, "words": w, "out_values": o}
-                                  for p, w, o in zip(products, words, outs)]
 
 
 # ---------------------------------------------------------------------------

@@ -181,8 +181,6 @@ def _score_fn(model):
     if isinstance(model, Mlp):
         return lambda feats: ref_nn.forward_batch(model, feats)
     if isinstance(model, sc_nn.ScNetwork):
-        if model.input_width != 24:
-            raise ValueError(f"model input width {model.input_width} != 24")
         return lambda feats: model.simulator().infer_many(feats)
     raise TypeError(f"cannot score with {type(model).__name__}")
 

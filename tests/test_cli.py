@@ -106,6 +106,14 @@ class TestDescriptors:
         assert run("descriptors", missing, "--out", tmp_path / "c.csv") == 2
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "0"])
+    def test_bad_k_exit_1_names_it(self, tmp_path, capsys, value):
+        out = tmp_path / "c.csv"
+        assert run("descriptors", DATA / "fixture_atoms.csv", "--out", out, "--K", value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: K ") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_model_round_trips_and_forward_reproducible(self, workspace):
@@ -235,6 +243,25 @@ class TestLoadModel:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("kind", ["mlp", "sc_network"])
+    def test_model_not_taking_24_inputs_exit_1_names_file(self, workspace, tmp_path, capsys,
+                                                          kind):
+        ws, manifest = workspace
+        mlp = ref_nn.init_mlp([12, 4, 1], "relu", seed=0)
+        mlp.trained = True
+        model = tmp_path / "m12.json"
+        if kind == "mlp":
+            ref_nn.save_mlp(mlp, model)
+        else:
+            sc_nn.save_sc_network(sc_nn.quantize_weights(mlp), model)
+        rep = tmp_path / "r.json"
+        assert run("evaluate", "--model", model, "--manifest", manifest,
+                   "--cache", ws / "cache.csv", "--scaler", ws / "scaler.json",
+                   "--report", rep) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(model) in err and "12" in err
+        assert "Traceback" not in err and not rep.exists()
+
     def test_report_deterministic_across_runs(self, workspace, tmp_path):
         ws, manifest = workspace
         blobs = []
@@ -656,6 +683,15 @@ class TestMakeBench:
         assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
         assert not (tmp_path / "bench").exists()
 
+    def test_bad_k_in_config_exit_1_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("k = nan\n")
+        assert run("--config", cfg, "make-bench", "--out-dir", tmp_path / "bench",
+                   "--targets", "1", "--actives", "2", "--decoys", "2") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: K ") and "Traceback" not in err
+        assert not (tmp_path / "bench").exists()
+
     def test_negative_seed_exit_1_writes_nothing(self, tmp_path, capsys):
         assert run("make-bench", "--out-dir", tmp_path / "bench", "--seed", "-1",
                    "--targets", "1", "--actives", "2", "--decoys", "2") == 1
@@ -727,7 +763,9 @@ class TestConfig:
         *(("--gain-cap", v, "gain_cap") for v in ("0", "-1", "inf")),
         *(("--val-fraction", v, "val_fraction") for v in ("inf", "nan")),
         ("--split-seed", "-1", "split seed"), ("--train-seed", "-1", "training seed"),
-        ("--learning-rate", "nan", "learning_rate")])
+        ("--learning-rate", "nan", "learning_rate"),
+        ("--epochs", "0", "epochs"), ("--epochs", "-1", "epochs"),
+        ("--patience", "-1", "patience")])
     def test_bad_setting_exit_1_names_it(self, workspace, tmp_path, capsys, flag, value, name):
         ws, manifest = workspace
         if flag in ("--margin", "--gain-cap"):  # with --calib, where these are used

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scvs import cli, ref_nn, sc_core as sc, sc_nn
-from scvs.sc_core import GateKind, Lfsr
+from scvs.sc_core import Lfsr
 from scvs.sc_nn import (
     CorrelationViolation,
     ScLayer,
@@ -178,6 +178,19 @@ def _random_net(shape, seed, calib_rng):
     return mlp, quantize_weights(mlp, calib=calib_rng.uniform(-1, 1, (64, 24)))
 
 
+def _layer0_words(net, X):
+    """Layer 0's saturated words (rows, fan_out): each neuron scored alone, as
+    a one-neuron network on the same generators."""
+    layer = net.layers[0]
+    cols = []
+    for i in range(layer.fan_out):
+        bias = None if layer.bias_q is None else layer.bias_q[i:i + 1]
+        neuron = ScLayer(layer.fan_in, 1, layer.norm_shift, layer.scale, layer.weights_q[i], bias)
+        one = ScNetwork([neuron], net.lfsr1, net.lfsr2, net.stream_len, net.width)
+        cols.append(one.simulator().infer_many(X) * (1 << (net.width - 1)))
+    return np.stack(cols, axis=1).astype(np.int64)
+
+
 class TestScNetwork:
     def test_single_layer_output_is_raw_score(self, r1, r2):
         # The final neuron carries no ReLU: negative scores must survive.
@@ -196,8 +209,9 @@ class TestScNetwork:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(3)
         _, net = _random_net([24, 12, 6, 1], 7, rng)
-        with pytest.raises(ValueError):
-            net.simulator().infer_many(np.zeros(10))
+        for x in (np.zeros(10), np.empty((0, 10))):
+            with pytest.raises(ValueError):
+                net.simulator().infer_many(x)
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(4)
@@ -285,26 +299,6 @@ class TestCorrelationDiscipline:
 
 
 class TestReferenceFidelity:
-    def test_per_neuron_quantization_path_within_4_over_n(self):
-        # Rebuilding each neuron from its measured product-stream values with
-        # real division and direct decode can differ from the bit-true path
-        # only by the floor of the shift and the reconversion staircase.
-        rng = np.random.default_rng(12)
-        for seed in (0, 1):
-            _, net = _random_net([24, 12, 6, 1], seed, rng)
-            sim = net.simulator()
-            for _ in range(5):
-                x = rng.uniform(-1, 1, 24)
-                _, layers = sim.trace(x)
-                for li, (layer, tr) in enumerate(zip(net.layers, layers)):
-                    dot = tr["products"].sum(axis=2)[0]
-                    real = np.clip(dot * N / (1 << layer.norm_shift) / HALF,
-                                   -1.0, (HALF - 1) / HALF)
-                    if li < len(net.layers) - 1:
-                        real = np.maximum(real, 0.0)
-                    got = np.asarray(tr["out_values"]).reshape(-1)
-                    assert np.max(np.abs(got - real)) <= 4 / N + 1e-12
-
     def test_end_to_end_parity_sample(self):
         rng = np.random.default_rng(14)
         errs = []
@@ -363,7 +357,7 @@ class TestSimulatorAgainstNeuronOp:
         rng = np.random.default_rng(43)
         _, net = _random_net([24, 12, 6, 1], 39, rng)
         x = rng.uniform(-1, 1, 24)
-        _, traces = net.simulator().trace(x)
+        words = _layer0_words(net, x)[0]
         layer = net.layers[0]
         w_seq = net.lfsr2.word_sequence(N)
         for i in range(layer.fan_out):
@@ -371,7 +365,7 @@ class TestSimulatorAgainstNeuronOp:
             xs.append(sc.constant_stream(True, N))
             ws = [int(v) for v in layer.weights_q[i]] + [int(layer.bias_q[i])]
             out = sc_neuron_forward(xs, ws, r1, w_seq, layer.norm_shift)
-            assert out.value == pytest.approx(traces[0]["out_values"].reshape(-1)[i], abs=1e-12)
+            assert out.value == sc.to_stochastic(sc.FixedWord(max(int(words[i]), 0)), r1).value
 
 
 @st.composite
@@ -448,8 +442,7 @@ class TestPrefixEngineEdges:
         want, saturations = sc_nn.gate_level_scores(net, X)
         np.testing.assert_array_equal(sim.infer_many(X), want)
         assert sim.saturation_count == saturations
-        hidden = np.concatenate([sim.trace(x)[1][0]["words"].reshape(-1) for x in X])
-        assert {0, HALF - 1} <= set(np.maximum(hidden, 0))
+        assert {0, HALF - 1} <= set(np.maximum(_layer0_words(net, X), 0).reshape(-1))
 
     @pytest.mark.parametrize("n", [64, 65, 128, 129, 255, 256, 3 * 255 + 7])
     def test_stream_lengths_at_width_8(self, n):
@@ -534,25 +527,6 @@ class TestPrefixEngineEdges:
                 checked += want.size
         assert checked == period * len(lengths) * (2 * half + 1) * 2 * half
 
-    @pytest.mark.parametrize("width,n,seed", [(12, N, 37), (8, 300, 0)])
-    def test_trace_products_are_xnor_stream_values(self, width, n, seed):
-        net = _fixed_net(width, n, seed=seed, shape=(3, 2, 1))
-        x = np.array([-1.0, 0.3, 1.0])
-        _, layers = net.simulator().trace(x)
-        r1 = net.lfsr1.word_sequence(n)
-        words = sc.encode_array(x, width)
-        for li, (layer, got) in enumerate(zip(net.layers, layers)):
-            r2 = net.lfsr2.word_sequence(n, (li * n) % net.lfsr2.period)
-            streams = [sc.to_stochastic(sc.FixedWord(int(w), width), r1) for w in words]
-            streams.append(sc.constant_stream(True, n))
-            rows = np.concatenate([layer.weights_q, layer.bias_q[:, None]], axis=1)
-            want = [[sc.gate_eval(GateKind.XNOR, s,
-                                  sc.to_stochastic(sc.FixedWord(int(w), width), r2)).value
-                     for s, w in zip(streams, row)] for row in rows]
-            assert got["products"].dtype == np.float64
-            np.testing.assert_array_equal(got["products"], np.array([want]))
-            words = np.maximum(got["words"][0], 0)
-
 
 def _sc_digest(arch, width):
     """sha256 over every output of both product models, for the ``arch`` net
@@ -586,24 +560,21 @@ def _sc_digest(arch, width):
                     scores = sim.infer_many(X)
                 put(scores, sim.saturation_count,
                     fixed_point_reference(net, X), fixed_point_reference(net, X[2]))
-                score, layers = sim.trace(X[3])
-                put(score, *(layer[key] for layer in layers
-                             for key in ("products", "words", "out_values")))
     return h.hexdigest()
 
 
 class TestBitIdentityGuard:
     """Pinned sha256 of quantized words, shifts and scales, bit-true scores and
-    saturations, fixed-point scores and traces: a refactor of either product
-    model that moves a single bit fails here."""
+    saturations, and fixed-point scores: a refactor of either product model
+    that moves a single bit fails here."""
 
     DIGESTS = {
-        ("12", 8): "faf5b15cf3642a1e3c1f551b1c5f35cdb0826846a7bc1a41ca46a9f1dcff571c",
-        ("12", 12): "ff42772dc2f9700f48c61040805711c6c99cc03bf6bc5874cc802d30910cb183",
-        ("48", 8): "33915fbf18f22dcf2628f0be8ba31e865b0e4bf2174a8a770b24ad13f7011cbe",
-        ("48", 12): "0ab136603554d31c8116fd79489c5b3909b11867dae993754a4343aa272aff5a",
-        ("256", 8): "a728064bb721553657393c9f0f265bb7a7fe78cfe3c116efa082b61f4fbd2047",
-        ("256", 12): "a3982291f5075d10e44ffe881d822ad634c507a4a91a6cb61a49009b32ecea8c",
+        ("12", 8): "5d2b294b644f6ec9f2276de5142188bab1dc35bbc570e9423395e20ad316284b",
+        ("12", 12): "748019a9722311f3e7f08da9e5b3d92d804b6093b5f5dd3138393c53c9043cec",
+        ("48", 8): "1798f7a8f556faa4b491c3989c0aad4ea40d2bffab036668ea911b5582902762",
+        ("48", 12): "7cbeb6b1d5b08f3f8994683c2d2fa0871c1a4b3d920fdff85e8a8f88af480828",
+        ("256", 8): "f615dc3bb816e3f6a7e07d7702b1709721f35f8f213ad8950ebac2bd48a4e1cb",
+        ("256", 12): "436498500dbe15f2980a39f890457cc5c6b82b19859d1ee275016989b26055ec",
     }
 
     @pytest.mark.parametrize("arch,width", list(DIGESTS))

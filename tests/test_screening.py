@@ -395,9 +395,11 @@ class TestPerTargetProtocol:
 
     def test_zero_epochs_is_null_model(self):
         # Unlearnable noise target: an untrained net must rank near chance.
+        # Training needs one epoch; at learning rate 0 it keeps the initial
+        # weights, as zero epochs did.
         rng = np.random.default_rng(12)
         t = _target(rng, n_act=30, n_dec=90)
-        cfg = TrainConfig(epochs=0, rng_seed=3, val_fraction=0.0)
+        cfg = TrainConfig(epochs=1, learning_rate=0.0, rng_seed=3, val_fraction=0.0)
         _, metrics = per_target_protocol(t, cfg)
         assert abs(metrics.auc - 0.5) < 0.35
 
