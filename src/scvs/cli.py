@@ -26,7 +26,7 @@ from . import mpe, ref_nn, sc_core, sc_nn, screening, synth
 from .mpe import FeatureScaler, MoleculeParseError
 from .ref_nn import NumericFailure, TrainConfig
 from .sc_core import GateKind
-from .screening import SplitSpec
+from .screening import EF_LEVELS, SplitSpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -74,9 +74,6 @@ class RunConfig:
     train_seed: int = _setting(_TRAIN.rng_seed, "train", "per-target")
     val_fraction: float = _setting(_TRAIN.val_fraction, "train")
     patience: int = _setting(_TRAIN.patience, "train")
-    clip_quantile: float = _setting(sc_nn.DEFAULT_CLIP_QUANTILE, "quantize")
-    margin: float = _setting(sc_nn.DEFAULT_MARGIN, "quantize")
-    gain_cap: float = _setting(sc_nn.DEFAULT_GAIN_CAP, "quantize")
     data_dir: str = ""
     models_dir: str = ""
     reports_dir: str = ""
@@ -84,8 +81,7 @@ class RunConfig:
     def validate(self):
         if not (np.isfinite(self.k) and self.k > 0):
             raise ValidationError(f"K must be finite and > 0, got {self.k}")
-        if not 4 <= self.width <= 16:
-            raise ValidationError(f"SC width {self.width} outside [4, 16]")
+        sc_core.check_width(self.width)
         if self.stream_len < 1:
             raise ValidationError("stream_len must be >= 1")
         for name in ("data_dir", "models_dir", "reports_dir"):
@@ -325,11 +321,9 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
             raise ValidationError(f"{path}: non-finite value {calib[row, col]} at row {row}, "
                                   f"column {col}")
     lfsr1, lfsr2 = cfg.lfsrs()
-    net = sc_nn.quantize_weights(
-        mlp, width=cfg.width, clip_quantile=cfg.clip_quantile,
-        stream_len=cfg.stream_len, lfsr1=lfsr1, lfsr2=lfsr2,
-        use_bias=not args.no_bias, calib=calib, margin=cfg.margin,
-        gain_cap=cfg.gain_cap)
+    net = sc_nn.quantize_weights(mlp, width=cfg.width, stream_len=cfg.stream_len,
+                                 lfsr1=lfsr1, lfsr2=lfsr2, use_bias=not args.no_bias,
+                                 calib=calib)
     out = _output(args.out, cfg.models_dir)
     sc_nn.save_sc_network(net, out)
     print(f"quantized to {cfg.width}-bit words, stream {cfg.stream_len}; "
@@ -381,8 +375,8 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     ref_nn.write_json(report, report_path)
     if args.csv:
         ref_nn.write_csv(_output(args.csv, cfg.reports_dir), [
-            ["target", "auc", "ef1", "ef5", "ef10"],
-            *([tid] + [format(v, ".4f") for v in (m.auc, m.ef[1], m.ef[5], m.ef[10])]
+            ["target", "auc", *(f"ef{x}" for x in EF_LEVELS)],
+            *([tid] + [format(v, ".4f") for v in (m.auc, *(m.ef[x] for x in EF_LEVELS))]
               for tid, m in sorted(per_target.items()))])
     throughput = inferences / elapsed if elapsed > 0 else float("inf")
     print(f"evaluated {len(per_target)} targets, {inferences} inferences "

@@ -545,6 +545,12 @@ class FeatureScaler:
         self.maxs = np.asarray(maxs, dtype=np.float64)
         if self.mins.shape != (24,) or self.maxs.shape != (24,):
             raise ValueError("scaler expects 24 features")
+        for name in ("mins", "maxs"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"scaler {name} must be finite")
+        with np.errstate(over="ignore"):  # an infinite span would scale rows to NaN
+            if not np.isfinite(self.maxs - self.mins).all():
+                raise ValueError("scaler span maxs - mins overflows")
         if np.any(self.maxs < self.mins):
             raise ValueError("max < min in scaler parameters")
 

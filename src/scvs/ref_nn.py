@@ -57,8 +57,8 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed, the training seed, must be >= 0, got {self.rng_seed}")
-        if not np.isfinite(self.val_fraction):
-            raise ValueError(f"val_fraction must be finite, got {self.val_fraction}")
+        if not 0 <= self.val_fraction < 1:
+            raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
 class Mlp:

@@ -46,6 +46,11 @@ MAXIMAL_TAPS = {
     16: ((16, 15, 13, 4), (16, 12, 3, 1)),
 }
 
+# The word widths the model supports: those with tabled polynomials.  A
+# register walks its whole period before its first word is read, so the
+# bound also keeps that walk short.
+MIN_WIDTH, MAX_WIDTH = min(MAXIMAL_TAPS), max(MAXIMAL_TAPS)
+
 _CORRELATION_EPS = 1e-9
 
 
@@ -73,6 +78,11 @@ class FixedWord:
 
     def to_real(self) -> float:
         return self.value / (1 << (self.width - 1))
+
+
+def check_width(width: int) -> None:
+    if not MIN_WIDTH <= width <= MAX_WIDTH:
+        raise ValueError(f"SC width {width} outside [{MIN_WIDTH}, {MAX_WIDTH}]")
 
 
 def encode(v: float, width: int = DEFAULT_WIDTH) -> FixedWord:

@@ -55,12 +55,15 @@ class CorrelationViolation(ValueError):
 # candidate phase pairs).
 DEFAULT_SEEDS = (41, 1987)
 
-# Default stream length (one period of a 12-bit generator) and the defaults
-# of the calibration in ``quantize_weights``.
+# Default stream length: one period of a 12-bit generator.
 DEFAULT_STREAM_LEN = 4095
-DEFAULT_CLIP_QUANTILE = 1.0
-DEFAULT_MARGIN = 1.0
-DEFAULT_GAIN_CAP = 0.5
+
+# Largest per-layer decoded gain n / (2^shift * 2^(b-1)) that shift
+# calibration may pick.  Calibration lowers the shift of a layer whose words
+# are small; without a cap, a weak layer would be amplified until the
+# stochastic multiplication noise of its XNOR array, not its signal, fills
+# the word.
+GAIN_CAP = 0.5
 
 
 def generator(width: int, index: int, seed: int, taps: tuple | None = None) -> Lfsr:
@@ -99,8 +102,8 @@ class ScLayer:
         self.bias_q = None if bias_q is None else np.asarray(bias_q, dtype=np.int32).reshape(fan_out)
         if self.norm_shift < 0:
             raise ValueError("norm_shift must be >= 0")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ValueError("scale must be positive and finite")
 
     @property
     def n_inputs(self) -> int:
@@ -118,6 +121,7 @@ class ScNetwork:
         for a, b in zip(layers[:-1], layers[1:]):
             if a.fan_out != b.fan_in:
                 raise ValueError(f"layer shapes do not chain: {a.fan_out} -> {b.fan_in}")
+        sc.check_width(width)
         if (lfsr1.taps, lfsr1.seed) == (lfsr2.taps, lfsr2.seed):
             raise ValueError("lfsr1 and lfsr2 must differ in polynomial or seed")
         if lfsr1.width != width or lfsr2.width != width:
@@ -126,8 +130,9 @@ class ScNetwork:
             raise ValueError("stream_len must be >= 1")
         half = 1 << (width - 1)
         for i, l in enumerate(layers):
-            if l.weights_q.min() < -half or l.weights_q.max() > half - 1:
-                raise ValueError(f"layer {i} weight words exceed {width}-bit range")
+            for name, q in (("weight", l.weights_q), ("bias", l.bias_q)):
+                if q is not None and (q.min() < -half or q.max() > half - 1):
+                    raise ValueError(f"layer {i} {name} words exceed {width}-bit range")
         self.layers = list(layers)
         self.lfsr1 = lfsr1
         self.lfsr2 = lfsr2
@@ -326,28 +331,24 @@ def gate_level_scores(net: ScNetwork, X) -> tuple[np.ndarray, int]:
 
 
 def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH,
-                     clip_quantile: float = DEFAULT_CLIP_QUANTILE,
                      stream_len: int = DEFAULT_STREAM_LEN, lfsr1: Lfsr | None = None,
                      lfsr2: Lfsr | None = None, use_bias: bool = True,
-                     calib: np.ndarray | None = None, margin: float = DEFAULT_MARGIN,
-                     gain_cap: float = DEFAULT_GAIN_CAP) -> ScNetwork:
+                     calib: np.ndarray | None = None) -> ScNetwork:
     """Post-training quantization of a ReLU reference net.
 
-    Per layer, weights are divided by the clip_quantile-quantile of their
-    magnitudes, clipped to [-1, 1) and rounded to b-bit words; the applied
-    scale goes into the layer bookkeeping so the decision function is
-    preserved up to quantization (the decoded score is the float score times
-    ``ScNetwork.output_scale``).  Biases become an extra weight against a
-    constant +1 input line, pre-scaled by the accumulated attenuation of the
-    preceding layers.
+    Per layer, weights are divided by their largest magnitude and rounded to
+    b-bit words; the applied scale goes into the layer bookkeeping so the
+    decision function is preserved up to quantization (the decoded score is
+    the float score times ``ScNetwork.output_scale``).  Biases become an
+    extra weight against a constant +1 input line, pre-scaled by the
+    accumulated attenuation of the preceding layers.
 
     Without calibration data the shift is the worst-case no-overflow value,
     which wastes most of the word range on deep nets; passing ``calib``
     (feature-scaled training rows) picks the smallest per-layer shift whose
-    calibration words stay within ``margin`` of full scale, the normalization
-    the hardware needs to fit the bit-stream resolution.  ``gain_cap`` bounds
-    the per-layer decoded gain so that weak layers are never amplified to the
-    point where stochastic multiplication noise dominates the word.
+    calibration words stay within full scale and whose decoded gain stays
+    within ``GAIN_CAP``, the normalization the hardware needs to fit the
+    bit-stream resolution.
     """
     if not mlp.trained:
         raise ValueError("refusing to quantize an untrained network")
@@ -355,17 +356,13 @@ def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH,
         raise ValueError(
             "hardware model needs ReLU hidden layers; retrain the reference net with ReLU"
         )
-    if not 0 < clip_quantile <= 1:
-        raise ValueError("clip_quantile must be in (0, 1]")
-    for name, value in (("margin", margin), ("gain_cap", gain_cap)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
     lfsr1 = lfsr1 or default_lfsr1(width)
     lfsr2 = lfsr2 or default_lfsr2(width)
     half = 1 << (width - 1)
     n = stream_len
     x_window, w_windows = _windows(lfsr1, lfsr2, n, mlp.n_layers)
     rank_a, ranks_b = _rank(x_window), [_rank(w) for w in w_windows]
+    cap_floor = max(0, math.ceil(math.log2(n / (GAIN_CAP * half))))
     layers = []
     attenuation = 1.0
 
@@ -378,9 +375,7 @@ def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH,
         pool = np.abs(w).reshape(-1)
         if bias is not None:
             pool = np.concatenate([pool, np.abs(bias) * attenuation])
-        s = float(np.quantile(pool, clip_quantile)) if np.any(pool > 0) else 1.0
-        if s == 0.0:
-            s = 1.0
+        s = float(pool.max()) or 1.0
         w_q = sc.encode_array(w / s, width)
         bias_q = None if bias is None else sc.encode_array(bias * attenuation / s, width)
 
@@ -389,9 +384,7 @@ def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH,
         apc = _ideal_apc(words, rank_a, ranks_b[li], w_q, bias_q)
         peak = float(np.max(np.abs(apc), initial=0.0))
         if peak > 0:
-            cap_floor = max(0, math.ceil(math.log2(n / (gain_cap * half))))
-            needed = max(cap_floor, math.ceil(math.log2(peak / (margin * (half - 1)))))
-            shift = min(shift, needed)
+            shift = min(shift, max(cap_floor, math.ceil(math.log2(peak / (half - 1)))))
         gain = n / ((1 << shift) * half)
         layers.append(ScLayer(w.shape[1], w.shape[0], shift, s, w_q, bias_q))
         attenuation *= gain / s

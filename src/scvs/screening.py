@@ -22,6 +22,8 @@ from .ref_nn import Mlp, TrainConfig
 log = logging.getLogger(__name__)
 
 EF_LEVELS = (1, 5, 10)
+# The threshold table's buckets, each named by its test: lt_t counts the
+# targets with AUC < t, ge_t those with AUC >= t.
 AUC_BUCKETS = ("lt_0.5", "ge_0.6", "ge_0.7", "ge_0.8", "ge_0.9", "ge_0.95")
 
 
@@ -273,14 +275,8 @@ def threshold_table(per_target_aucs) -> dict:
     if aucs.size == 0:
         raise UndefinedMetric("threshold table needs at least one target")
     pct = lambda mask: int(round(100.0 * mask.sum() / aucs.size))
-    return {
-        "lt_0.5": pct(aucs < 0.5),
-        "ge_0.6": pct(aucs >= 0.6),
-        "ge_0.7": pct(aucs >= 0.7),
-        "ge_0.8": pct(aucs >= 0.8),
-        "ge_0.9": pct(aucs >= 0.9),
-        "ge_0.95": pct(aucs >= 0.95),
-    }
+    return {name: pct(aucs < float(t) if op == "lt" else aucs >= float(t))
+            for name in AUC_BUCKETS for op, t in [name.split("_")]}
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,27 @@ def test_oracle_check_passes_on_a_small_bench(tmp_path, monkeypatch):
     assert math.isfinite(noise) and noise >= 0
 
 
+def test_every_benchmark_command_line_parses(monkeypatch):
+    # a flag the benchmark passes must not vanish from the CLI unnoticed
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+
+    monkeypatch.setattr(run, "_bench_files", lambda manifest: ["a.csv", "b.csv"])
+    argvs = []
+    for name in run.WORKLOADS:
+        wl = run.workload(name)
+        for stage in wl.make_prep(2024) if wl.make_prep else []:
+            argvs += stage() if callable(stage) else stage
+        argvs += [step() if callable(step) else step for step in wl.make_pass(2024)]
+    parser = cli.build_parser()
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the CLI rejects the benchmark's command line {argv}")
+    assert argvs
+
+
 @pytest.mark.parametrize("width,stream_len,bias_layers", [
     (8, 255, {0, 1, 2}),  # one full period, bias lines everywhere
     (8, 300, {1}),        # past the period

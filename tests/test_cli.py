@@ -595,6 +595,11 @@ RANGE_ERRORS = [
     (("width",), 3, "lfsr1 seed must be a nonzero state"),
     (("stream_len",), 0, "stream_len must be >= 1"),
     (("layers", 0, "scale"), 0, "layer 0 scale must be positive"),
+    (("layers", 0, "scale"), float("nan"), "layer 0 scale must be positive and finite"),
+    (("layers", 1, "scale"), float("inf"), "layer 1 scale must be positive and finite"),
+    (("layers", 0, "bias", 0), 5000, "layer 0 bias words exceed 12-bit range"),
+    (("layers", 1, "bias", 2), -2049, "layer 1 bias words exceed 12-bit range"),
+    (("layers", 0, "weights", 0), 2048, "layer 0 weight words exceed 12-bit range"),
     (("layers", 0, "fan_in"), -1, "layer 0 fan_in and fan_out must be >= 1"),
 ]
 
@@ -608,7 +613,45 @@ class TestModelRangeErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: {message}")
-        assert "Traceback" not in err
+        assert "Traceback" not in err and not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("width,taps", [(3, [3, 2]), (17, [17, 14]), (18, [18, 11])])
+    def test_width_outside_bound_exit_1_names_file(self, workspace, tmp_path, capsys, width,
+                                                   taps):
+        # taps of the file's own width, so only the width bound can reject it
+        ws, manifest = workspace
+        doc = json.loads((ws / "hw48.json").read_text())
+        doc["width"] = width
+        doc["lfsr1"]["taps"], doc["lfsr2"]["taps"] = taps, taps[:1] + [1]
+        doc["lfsr1"]["seed"] = doc["lfsr2"]["seed"] = 5
+        bad = tmp_path / "hw.json"
+        bad.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", bad, "--manifest", manifest,
+                   "--cache", ws / "cache.csv", "--scaler", ws / "scaler.json",
+                   "--report", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: SC width {width} outside [4, 16]\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("model", ["hw48.json", "relu48.json"])
+    @pytest.mark.parametrize("edit,message", [
+        ({"mins": float("nan")}, "scaler mins must be finite"),
+        ({"maxs": float("inf")}, "scaler maxs must be finite"),
+        ({"mins": -1e308, "maxs": 1e308}, "scaler span maxs - mins overflows")],
+        ids=["nan-min", "inf-max", "huge-span"])
+    def test_bad_scaler_exit_1_names_file(self, workspace, tmp_path, capsys, model, edit,
+                                          message):
+        ws, manifest = workspace
+        doc = json.loads((ws / "scaler.json").read_text())
+        for key, value in edit.items():
+            doc[key][3] = value
+        bad = tmp_path / "scaler.json"
+        bad.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", ws / model, "--manifest", manifest,
+                   "--cache", ws / "cache.csv", "--scaler", bad,
+                   "--report", tmp_path / "r.json") == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "r.json").exists()
 
 
 # every output flag of each subcommand, with the file name it writes there
@@ -742,15 +785,16 @@ class TestConfig:
                    "--out", tmp_path / "x.json") == 1
         assert "no_such_key" in capsys.readouterr().err
 
-    def test_removed_workers_key_exit_1(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["workers", "clip_quantile", "margin", "gain_cap"])
+    def test_removed_config_key_exit_1(self, workspace, tmp_path, capsys, key):
         ws, manifest = workspace
         cfg = tmp_path / "old.cfg"
-        cfg.write_text("workers = 2\n")
+        cfg.write_text(f"{key} = 2\n")
         assert run("--config", cfg, "evaluate", "--model", ws / "hw48.json",
                    "--manifest", manifest, "--cache", ws / "cache.csv",
                    "--scaler", ws / "scaler.json", "--report", tmp_path / "r.json") == 1
         err = capsys.readouterr().err
-        assert "workers" in err and "Traceback" not in err
+        assert err.startswith("error:") and repr(key) in err and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
     def test_missing_config_file_exit_2(self, workspace, tmp_path):
@@ -759,22 +803,17 @@ class TestConfig:
                    "--model", ws / "relu48.json", "--out", tmp_path / "x.json") == 2
 
     @pytest.mark.parametrize("flag,value,name", [
-        *(("--margin", v, "margin") for v in ("0", "-1", "inf", "nan")),
-        *(("--gain-cap", v, "gain_cap") for v in ("0", "-1", "inf")),
-        *(("--val-fraction", v, "val_fraction") for v in ("inf", "nan")),
+        *(("--val-fraction", v, "val_fraction") for v in ("inf", "nan", "1.5", "1.0", "-0.5")),
         ("--split-seed", "-1", "split seed"), ("--train-seed", "-1", "training seed"),
         ("--learning-rate", "nan", "learning_rate"),
         ("--epochs", "0", "epochs"), ("--epochs", "-1", "epochs"),
         ("--patience", "-1", "patience")])
     def test_bad_setting_exit_1_names_it(self, workspace, tmp_path, capsys, flag, value, name):
         ws, manifest = workspace
-        if flag in ("--margin", "--gain-cap"):  # with --calib, where these are used
-            argv = ["quantize", "--model", ws / "relu48.json", "--calib", ws / "feats.csv"]
-        else:
-            argv = ["train", "--manifest", manifest, "--cache", ws / "cache.csv", "--arch", "12",
-                    "--activation", "relu", "--scaler-out", tmp_path / "s.json",
-                    "--log-out", tmp_path / "l.json", "--epochs", "1"]
-        assert run(*argv, "--out", tmp_path / "m.json", flag, value) == 1
+        assert run("train", "--manifest", manifest, "--cache", ws / "cache.csv", "--arch", "12",
+                   "--activation", "relu", "--scaler-out", tmp_path / "s.json",
+                   "--log-out", tmp_path / "l.json", "--epochs", "1",
+                   "--out", tmp_path / "m.json", flag, value) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err and "Traceback" not in err
 
@@ -825,9 +864,7 @@ CLI_SURFACE = {
         ("--calib", "calib", None, None), ("--no-bias", "no_bias", None, False),
         ("--width", "width", "int", None), ("--stream-len", "stream_len", "int", None),
         ("--seed1", "seed1", "int", None), ("--seed2", "seed2", "int", None),
-        ("--taps1", "taps1", "str", None), ("--taps2", "taps2", "str", None),
-        ("--clip-quantile", "clip_quantile", "float", None),
-        ("--margin", "margin", "float", None), ("--gain-cap", "gain_cap", "float", None)],
+        ("--taps1", "taps1", "str", None), ("--taps2", "taps2", "str", None)],
     "evaluate": [
         ("--model", "model", None, None), ("--manifest", "manifest", None, None),
         ("--cache", "cache", None, None), ("--scaler", "scaler", None, None),
@@ -924,9 +961,9 @@ WALKTHROUGH_SHA256 = {
     "hw48.json":
         "2d3013b64bb67c5a6d251d6598adc257dce5cc24a50f02db92a2498214b59770",
     "hw_report.json":
-        "8136e95bd6db780c7da0131b44fe32a9a4584e3d9cf35e614c4e9043baa71ad3",
+        "a68d15e526f89afa305aa4ef05673001d4c32b8d1326fa87bb9aef0a56f3c2dc",
     "pt.json":
-        "15779f576061af4c9b0af58aaeae4ec82d7f091ded774c48d9579065733d8aed",
+        "197bbab79cd22a16c89b754cd30a3a3b93f2ce467b5a02da7dcd0966c8bab2fb",
     "relu48.json":
         "2393bf9e0f00c24b387eb28c74df0a9f92cea48256ea8b182f55a842e69589e9",
     "scaler.json":
@@ -936,9 +973,9 @@ WALKTHROUGH_SHA256 = {
     "sw.csv":
         "03c8e700338e9267d342d5dcc98c61419c66f3ad745ff630cef037a4d3cbc371",
     "sw_report.json":
-        "429fd8efc12d3c489cc2b0f10c6af32cf291ff2e161f00d414ecd96f38e16a26",
+        "5aad01d53f88337d103886d9641937719f1834bef85d5bc28acb6d0211d99b98",
     "train_log.json":
-        "3902aadb9796cae60078fe0d544d1a5762d26db9b3c91e76e624c1cf0be05e65",
+        "8bd89fe10e4984f69618b5dd432fd734203c56e316ba5a004e7faa34e2bd72f0",
 }
 
 

@@ -92,16 +92,11 @@ class TestQuantize:
         rng = np.random.default_rng(0)
         mlp = ref_nn.init_mlp([24, 12, 6, 1], "relu", seed=5)
         mlp.trained = True
-        net = quantize_weights(mlp, calib=rng.uniform(-1, 1, (64, 24)), gain_cap=0.5)
+        net = quantize_weights(mlp, calib=rng.uniform(-1, 1, (64, 24)))
         for layer in net.layers:
             gain = N / ((1 << layer.norm_shift) * HALF)
-            assert gain <= 0.5 + 1e-12
+            assert gain <= sc_nn.GAIN_CAP + 1e-12
             assert layer.norm_shift <= min_norm_shift(layer.n_inputs, N, 12)
-
-    def test_clip_quantile_validated(self):
-        mlp = _mlp_from([np.ones((1, 2))])
-        with pytest.raises(ValueError):
-            quantize_weights(mlp, clip_quantile=0.0)
 
 
 class TestReluViaOr:
