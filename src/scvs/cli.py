@@ -18,6 +18,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -469,33 +470,22 @@ def cmd_sc_bench(args, cfg: RunConfig) -> int:
     if not 0.01 <= args.step <= 2.0:
         raise ValidationError(f"grid step {args.step} outside [0.01, 2.0]")
     n = cfg.stream_len
-    r1, r2 = (lfsr.word_sequence(n) for lfsr in cfg.lfsrs())
     grid = np.round(np.arange(-1.0, 1.0001, args.step), 6)
+    words = sc_core.encode_array(grid, cfg.width)
+    s1, s2 = (sc_core.comparator_streams(words, lfsr.word_sequence(n), n) for lfsr in cfg.lfsrs())
+    xs, ys = np.meshgrid(grid, grid, indexing="ij")
     rows = []
     worst = {}
     for kind in GateKind:
-        for regime, rng_b in (("uncorrelated", r2), ("correlated", r1)):
-            for xv in grid:
-                a = sc_core.to_stochastic(sc_core.encode(xv, cfg.width), r1)
-                for yv in grid:
-                    b = sc_core.to_stochastic(sc_core.encode(yv, cfg.width), rng_b)
-                    z = sc_core.gate_eval(kind, a, b).value
-                    try:
-                        c = sc_core.sc_correlation(a, b)
-                        formula = sc_core.expected_gate_output(kind, a.value, b.value, c)
-                        c_text = format(c, ".6f")
-                    except sc_core.CorrelationUndefined:
-                        formula, c_text = z, "undefined"
-                    rows.append((kind.name, regime, xv, yv, c_text, z, formula))
-                    ideal = {
-                        ("XNOR", "uncorrelated"): xv * yv,
-                        ("XNOR", "correlated"): 1 - abs(xv - yv),
-                        ("AND", "correlated"): min(xv, yv),
-                        ("OR", "correlated"): max(xv, yv),
-                    }.get((kind.name, regime))
-                    if ideal is not None:
-                        key = (kind.name, regime)
-                        worst[key] = max(worst.get(key, 0.0), abs(z - ideal))
+        # the second input's generator, and the correlation the regime is named for
+        for regime, streams, nominal in (("uncorrelated", s2, 0.0), ("correlated", s1, 1.0)):
+            z, c, formula = sc_core.gate_sweep(kind, s1, streams, n)
+            c_text = ["undefined" if np.isnan(v) else format(v, ".6f") for v in c.ravel().tolist()]
+            rows += zip(repeat(kind.name), repeat(regime), xs.ravel().tolist(),
+                        ys.ravel().tolist(), c_text, z.ravel().tolist(), formula.ravel().tolist())
+            if kind is GateKind.XNOR or regime == "correlated":
+                ideal = sc_core.gate_law(kind, xs, ys, nominal)
+                worst[kind.name, regime] = float(np.max(np.abs(z - ideal)))
     out = _output(args.out, cfg.reports_dir)
     ref_nn.write_csv(out, [["gate", "regime", "x", "y", "C_measured", "z_measured", "z_formula"],
                            *rows])

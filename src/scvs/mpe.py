@@ -196,12 +196,21 @@ def write_scatter_csv(path, entries) -> None:
 def write_csv_atoms(path, tables) -> None:
     """The molecules of the tables, in order, as a csv-atoms file; 9
     significant digits."""
-    def rows(t):
-        ids = chain.from_iterable(map(repeat, t.ids, np.diff(t.offsets).tolist()))
-        values = (map(format, col.tolist(), repeat(".9g")) for col in (*t.positions.T, t.charges))
-        return zip(ids, t.elements, *values)
+    tables = list(tables)
+    atoms = [n for t in tables for n in np.diff(t.offsets).tolist()]
+    ids = chain.from_iterable(map(repeat, chain.from_iterable(t.ids for t in tables), atoms))
+    values = np.concatenate([np.empty((0, 4)),  # x, y, z, charge; also for no tables
+                             *(np.column_stack([t.positions, t.charges]) for t in tables)])
+    write_csv(path, chain([CSV_ATOM_COLUMNS], zip(
+        ids, chain.from_iterable(t.elements for t in tables), *map(_format_column, values.T))))
 
-    write_csv(path, chain([CSV_ATOM_COLUMNS], chain.from_iterable(map(rows, tables))))
+
+def _format_column(values: np.ndarray) -> list:
+    """``format(v, ".9g")`` of each value, computed once per distinct value;
+    values are told apart by bit pattern, so -0.0 still writes -0."""
+    distinct, where = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([format(v, ".9g") for v in distinct.view(np.float64).tolist()], dtype=object)
+    return texts[where].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -194,11 +194,14 @@ def train_adam(mlp: Mlp, x, y, cfg: TrainConfig):
         xv, yv = x[val_idx], y[val_idx]
         x, y = x[train_idx], y[train_idx]
 
-    mlp = mlp.copy()
-    mw = [np.zeros_like(w) for w in mlp.weights]
-    vw = [np.zeros_like(w) for w in mlp.weights]
-    mb = [np.zeros_like(b) for b in mlp.biases]
-    vb = [np.zeros_like(b) for b in mlp.biases]
+    # every weight and bias is a view of one flat vector, layer by layer,
+    # so one Adam step updates them all
+    params = [p for pair in zip(mlp.weights, mlp.biases) for p in pair]
+    flat = np.concatenate([p.ravel() for p in params])
+    parts = np.split(flat, np.cumsum([p.size for p in params])[:-1])
+    views = [part.reshape(p.shape) for part, p in zip(parts, params)]
+    mlp = Mlp(mlp.shape, mlp.activation, views[0::2], views[1::2])
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
     t = 0
     history = {"train_loss": [], "val_loss": [], "stopped_epoch": None}
     best_val = np.inf
@@ -217,21 +220,19 @@ def train_adam(mlp: Mlp, x, y, cfg: TrainConfig):
             t += 1
             corr1 = 1.0 - ADAM_BETA1 ** t
             corr2 = 1.0 - ADAM_BETA2 ** t
-            for l in range(mlp.n_layers):
-                for g, m, v, p in ((gw[l], mw[l], vw[l], mlp.weights[l]),
-                                   (gb[l], mb[l], vb[l], mlp.biases[l])):
-                    m *= ADAM_BETA1
-                    m += (1 - ADAM_BETA1) * g
-                    v *= ADAM_BETA2
-                    v += (1 - ADAM_BETA2) * g * g
-                    p -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+            g = np.concatenate([d.ravel() for pair in zip(gw, gb) for d in pair])
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            flat -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
         history["train_loss"].append(float(np.mean(losses)))
         if use_val:
             val_loss = _bce_with_logits(forward_batch(mlp, xv), yv)
             history["val_loss"].append(val_loss)
             if val_loss < best_val - 1e-12:
                 best_val = val_loss
-                best_state = ([w.copy() for w in mlp.weights], [b.copy() for b in mlp.biases])
+                best_state = flat.copy()
                 stale = 0
             else:
                 stale += 1
@@ -239,8 +240,8 @@ def train_adam(mlp: Mlp, x, y, cfg: TrainConfig):
                     history["stopped_epoch"] = epoch
                     break
 
-    if use_val and best_state is not None:
-        mlp.weights, mlp.biases = best_state
+    if best_state is not None:
+        flat[:] = best_state
     mlp.trained = True
     return mlp, history
 

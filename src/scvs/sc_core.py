@@ -331,8 +331,13 @@ def to_stochastic(x: FixedWord, rng: WordSequence, n: int | None = None) -> BitS
         n = len(rng)
     if n > len(rng):
         raise ValueError(f"need {n} RNG words, only {len(rng)} available")
-    bits = x.value > rng.words[:n]
-    return BitStream(_pack(bits), n, rng.origin)
+    return BitStream(comparator_streams(x.value, rng, n), n, rng.origin)
+
+
+def comparator_streams(words, rng: WordSequence, n: int) -> np.ndarray:
+    """Packed comparator streams of an array of words at once: row i packs
+    bits t = 0..n-1 of (words[i] > R(t))."""
+    return _pack(np.asarray(words)[..., None] > rng.words[:n])
 
 
 def counter_trace(s: BitStream) -> np.ndarray:
@@ -355,15 +360,19 @@ def gate_eval(kind: GateKind, a: BitStream, b: BitStream) -> BitStream:
     """Elementwise gate application; the result carries a derived origin."""
     if a.n != b.n:
         raise ValueError(f"stream lengths differ: {a.n} vs {b.n}")
+    return BitStream(_gate_packed(kind, a.packed, b.packed, a.n), a.n, origin="derived")
+
+
+def _gate_packed(kind: GateKind, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The gate on packed n-bit streams of any broadcastable shapes; pad bits
+    stay clear."""
     if kind is GateKind.AND:
-        packed = a.packed & b.packed
-    elif kind is GateKind.OR:
-        packed = a.packed | b.packed
-    elif kind is GateKind.XNOR:
-        packed = ~(a.packed ^ b.packed) & _tail_mask(a.n)
-    else:
-        raise ValueError(f"unknown gate {kind!r}")
-    return BitStream(packed, a.n, origin="derived")
+        return a & b
+    if kind is GateKind.OR:
+        return a | b
+    if kind is GateKind.XNOR:
+        return ~(a ^ b) & _tail_mask(n)
+    raise ValueError(f"unknown gate {kind!r}")
 
 
 def apc_accumulate(columns, n: int | None = None) -> int:
@@ -389,6 +398,20 @@ def apc_accumulate(columns, n: int | None = None) -> int:
 # Correlation metric and the analytic gate laws
 
 
+def _ones(packed: np.ndarray) -> np.ndarray:
+    return _popcount(packed).sum(axis=-1, dtype=np.int64)
+
+
+def _correlation(x, y, matches, n: int):
+    """SC correlation (clamped to [-1, 1]) and its normalizer, elementwise,
+    for streams of values x and y that agree on ``matches`` of n bits."""
+    cov = (2 * matches - n) / n - x * y
+    denom = np.where(cov >= 0, 1.0 - np.abs(x - y) - x * y, 1.0 - np.abs(x + y) + x * y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # |cov| <= denom exactly; the clamp only absorbs rounding
+        return np.clip(cov / denom, -1.0, 1.0), denom
+
+
 def sc_correlation(a: BitStream, b: BitStream) -> float:
     """SC correlation (Alaghi & Hayes, ICCD 2013) of two bipolar streams.
 
@@ -401,38 +424,64 @@ def sc_correlation(a: BitStream, b: BitStream) -> float:
     """
     if a.n != b.n:
         raise ValueError(f"stream lengths differ: {a.n} vs {b.n}")
-    x = a.value
-    y = b.value
-    matches = a.n - int(_popcount(a.packed ^ b.packed).sum())
-    mean_product = (2 * matches - a.n) / a.n
-    cov = mean_product - x * y
-    denom = 1.0 - abs(x - y) - x * y if cov >= 0 else 1.0 - abs(x + y) + x * y
+    x, y = a.value, b.value
+    c, denom = _correlation(x, y, a.n - int(_ones(a.packed ^ b.packed)), a.n)
     if abs(denom) < _CORRELATION_EPS:
         raise CorrelationUndefined(
             f"correlation undefined: normalizer {denom:.3e} vanishes for x={x:+.4f}, y={y:+.4f}"
         )
-    # |cov| <= denom exactly; the clamp only absorbs rounding
-    return max(-1.0, min(1.0, cov / denom))
+    return float(c)
+
+
+def gate_law(kind: GateKind, x, y, c):
+    """Closed-form gate output as a function of input values and correlation,
+    elementwise: the decorrelated output f(0) blended linearly with f(+1) for
+    c >= 0 and with f(-1) for c < 0, the outputs at the two correlation
+    extremes."""
+    if kind is GateKind.AND:
+        f0 = (x * y + x + y - 1.0) * 0.5
+        f_pos, f_neg = np.minimum(x, y), np.maximum(x + y, 0.0) - 1.0
+    elif kind is GateKind.OR:
+        f0 = (x + y + 1.0 - x * y) * 0.5
+        f_pos, f_neg = np.maximum(x, y), np.minimum(x + y, 0.0) + 1.0
+    elif kind is GateKind.XNOR:
+        f0, f_pos, f_neg = x * y, 1.0 - np.abs(x - y), np.abs(x + y) - 1.0
+    else:
+        raise ValueError(f"unknown gate {kind!r}")
+    return np.where(c >= 0, f0 * (1.0 - c) + c * f_pos, (1.0 + c) * f0 - c * f_neg)
 
 
 def expected_gate_output(kind: GateKind, x: float, y: float, c: float) -> float:
-    """Closed-form gate output as a function of input values and correlation:
-    the decorrelated output f(0) blended linearly with f(+1) for c >= 0 and
-    with f(-1) for c < 0, the outputs at the two correlation extremes."""
+    """:func:`gate_law` at one point, with x, y and C checked to lie in [-1, 1]."""
     for name, v in (("x", x), ("y", y), ("C", c)):
         if not -1.0 <= v <= 1.0:
             raise ValueError(f"{name}={v} outside [-1, 1]")
-    if kind is GateKind.AND:
-        f0, f_pos, f_neg = (x * y + x + y - 1.0) * 0.5, min(x, y), max(x + y, 0.0) - 1.0
-    elif kind is GateKind.OR:
-        f0, f_pos, f_neg = (x + y + 1.0 - x * y) * 0.5, max(x, y), min(x + y, 0.0) + 1.0
-    elif kind is GateKind.XNOR:
-        f0, f_pos, f_neg = x * y, 1.0 - abs(x - y), abs(x + y) - 1.0
-    else:
-        raise ValueError(f"unknown gate {kind!r}")
-    if c >= 0:
-        return f0 * (1.0 - c) + c * f_pos
-    return (1.0 + c) * f0 - c * f_neg
+    return float(gate_law(kind, x, y, c))
+
+
+_SWEEP_BLOCK = 1 << 21  # 16 MiB of uint64 per broadcast temporary
+
+
+def gate_sweep(kind: GateKind, a: np.ndarray, b: np.ndarray, n: int):
+    """The gate on every pairing of the packed n-bit streams ``a`` (k, words)
+    and ``b`` (m, words), as three (k, m) arrays: the measured output value,
+    the SC correlation (NaN where it is undefined) and :func:`gate_law` at
+    that correlation (the measured value where it is undefined).  Rows of
+    ``a`` go through in blocks of at most ``_SWEEP_BLOCK`` packed words."""
+    rows = max(1, _SWEEP_BLOCK // b.size)
+    blocks = [_sweep_block(kind, a[i:i + rows], b, n) for i in range(0, len(a), rows)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _sweep_block(kind: GateKind, a: np.ndarray, b: np.ndarray, n: int):
+    a, b = a[:, None], b[None, :]
+    x, y = ((2 * _ones(s) - n) / n for s in (a, b))
+    z = (2 * _ones(_gate_packed(kind, a, b, n)) - n) / n
+    c, denom = _correlation(x, y, n - _ones(a ^ b), n)
+    undefined = np.abs(denom) < _CORRELATION_EPS
+    formula = np.where(undefined, z, gate_law(kind, x, y, c))
+    c[undefined] = np.nan
+    return z, c, formula
 
 
 def comparator_value(word: int, width: int = DEFAULT_WIDTH) -> float:

@@ -613,6 +613,7 @@ def build_sc_network(doc, path) -> ScNetwork:
                None if l["bias"] is None else json_array(l, "bias", np.int32, path, where))
         for where, l in entries
     ]
+    placed(path, "", sc.check_width, doc["width"])  # before the generators of that width
     gens = [(f"{k} ", require_fields(doc[k], {"taps": list, "seed": int}, path, f"{k} "))
             for k in ("lfsr1", "lfsr2")]
     lfsr1, lfsr2 = (placed(path, where, Lfsr, doc["width"],

@@ -29,19 +29,19 @@ ACTIVE_NOISE = 14.0
 _PAIR_SPACING = 1.0e5  # Angstrom between realized atom pairs; cross terms < 0.01
 
 
-def _sorted_vector(pos_vals: np.ndarray, neg_vals: np.ndarray) -> np.ndarray:
-    """One descriptor row: positives descending, then negatives ascending."""
-    return np.concatenate([np.sort(np.maximum(pos_vals, 1.0))[::-1],
-                           np.sort(np.minimum(neg_vals, -1.0))])
+# Per-column draw bounds and signs of a descriptor row: six positive values,
+# then six negative ones.
+_LOW = np.repeat([POS_RANGE[0], NEG_RANGE[0]], 6)
+_HIGH = np.repeat([POS_RANGE[1], NEG_RANGE[1]], 6)
+_SIGN = np.repeat([1.0, -1.0], 6)
 
 
-def _active(rng, center: np.ndarray) -> np.ndarray:
-    noisy = center + rng.normal(0.0, ACTIVE_NOISE, size=12)
-    return _sorted_vector(noisy[:6], noisy[6:])
-
-
-def _decoy(rng) -> np.ndarray:
-    return _sorted_vector(rng.uniform(*POS_RANGE, size=6), rng.uniform(*NEG_RANGE, size=6))
+def _sorted_rows(draws: np.ndarray) -> np.ndarray:
+    """Descriptor rows from (k, 12) draws: positives clamped to >= 1 and
+    descending, then negatives clamped to <= -1 and ascending, that is each
+    side by magnitude, largest first."""
+    magnitudes = np.maximum(draws * _SIGN, 1.0).reshape(-1, 2, 6)
+    return np.sort(magnitudes, axis=-1)[..., ::-1].reshape(-1, 12) * _SIGN
 
 
 def make_benchmark(seed: int = 2024, n_targets: int = 10, n_actives: int = 60,
@@ -50,14 +50,13 @@ def make_benchmark(seed: int = 2024, n_targets: int = 10, n_actives: int = 60,
     rng = np.random.default_rng(seed)
     targets = []
     for t in range(n_targets):
-        center = np.concatenate([
-            np.sort(rng.uniform(*POS_RANGE, size=6))[::-1],
-            np.sort(rng.uniform(*NEG_RANGE, size=6)),
-        ])
+        center = _sorted_rows(rng.uniform(_LOW, _HIGH, size=(1, 12)))  # |draws| >= 20: no clamp
+        crystal, *actives = _sorted_rows(
+            center + rng.normal(0.0, ACTIVE_NOISE, size=(1 + n_actives, 12)))
+        decoys = _sorted_rows(rng.uniform(_LOW, _HIGH, size=(n_decoys, 12)))
         tid = f"synt{t:02d}"
-        crystal = _active(rng, center)
-        compounds = [(f"{tid}_a{i:03d}", _active(rng, center), 1) for i in range(n_actives)]
-        compounds += [(f"{tid}_d{i:03d}", _decoy(rng), 0) for i in range(n_decoys)]
+        compounds = [(f"{tid}_a{i:03d}", v, 1) for i, v in enumerate(actives)]
+        compounds += [(f"{tid}_d{i:03d}", v, 0) for i, v in enumerate(decoys)]
         targets.append(TargetData(tid, crystal, compounds))
     return targets
 

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scvs import cli, mpe, ref_nn, sc_nn
+from scvs import cli, mpe, ref_nn, sc_core, sc_nn
 from scvs.cli import RunConfig, build_parser, load_config, main
+from scvs.sc_core import GateKind
 
 DATA = Path(__file__).parent / "data"
 # Two csv-atoms rows whose pairing energy overflows float64.
@@ -592,7 +593,7 @@ class TestWrongFieldTypes:
 # value, value, the place and message the error must show)
 RANGE_ERRORS = [
     (("lfsr1", "seed"), 0, "lfsr1 seed must be a nonzero state"),
-    (("width",), 3, "lfsr1 seed must be a nonzero state"),
+    (("width",), 3, "SC width 3 outside [4, 16]"),
     (("stream_len",), 0, "stream_len must be >= 1"),
     (("layers", 0, "scale"), 0, "layer 0 scale must be positive"),
     (("layers", 0, "scale"), float("nan"), "layer 0 scale must be positive and finite"),
@@ -716,6 +717,53 @@ class TestScBench:
         assert any(float(r[4]) < 0 for r in defined)
         for r in defined:
             assert abs(float(r[5]) - float(r[6])) <= 1e-9, r
+
+
+    @pytest.mark.parametrize("seeds", [(1, 5), (9, 3)], ids=["seeds-1-5", "seeds-9-3"])
+    @pytest.mark.parametrize("width", [4, 8, 12])
+    @pytest.mark.parametrize("step", [0.5, 0.25, 0.13])
+    def test_rows_equal_scalar_spec_ops(self, tmp_path, step, width, seeds):
+        # One period per width: 15, 255 and 4095 bits, each with pad bits in
+        # its last packed word.
+        n = (1 << width) - 1
+        settings = ["--width", width, "--stream-len", n, "--seed1", seeds[0], "--seed2", seeds[1]]
+        out = tmp_path / "gates.csv"
+        assert run("sc-bench", "--out", out, "--step", step, *settings) == 0
+        cfg = RunConfig(width=width, stream_len=n, seed1=seeds[0], seed2=seeds[1])
+        r1, r2 = (g.word_sequence(n) for g in cfg.lfsrs())
+        bits = {GateKind.AND: np.logical_and, GateKind.OR: np.logical_or,
+                GateKind.XNOR: np.equal}
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        grid = len(np.arange(-1.0, 1.0001, step))
+        assert len(rows) == 3 * 2 * grid * grid
+        for gate, regime, x, y, c_text, z_text, formula_text in rows:
+            kind = GateKind[gate]
+            a = sc_core.to_stochastic(sc_core.encode(float(x), width), r1)
+            b = sc_core.to_stochastic(sc_core.encode(float(y), width),
+                                      r2 if regime == "uncorrelated" else r1)
+            z = sc_core.gate_eval(kind, a, b).value
+            assert z_text == str(z)
+            # the gate on the unpacked bits, which holds no pad bits to count
+            assert z == (2 * int(bits[kind](a.to_bools(), b.to_bools()).sum()) - n) / n
+            try:
+                c = sc_core.sc_correlation(a, b)
+            except sc_core.CorrelationUndefined:
+                assert (c_text, formula_text) == ("undefined", z_text)
+                continue
+            assert c_text == format(c, ".6f")
+            formula = sc_core.expected_gate_output(kind, a.value, b.value, c)
+            assert formula_text == str(formula)
+            # Eq. 3 holds exactly at the measured correlation
+            assert abs(formula - z) <= 1e-9
+
+    @pytest.mark.parametrize("block", [None, 1], ids=["one-block", "block-per-row"])
+    def test_step_0_03_bytes_pinned(self, tmp_path, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(sc_core, "_SWEEP_BLOCK", block)
+        out = tmp_path / "gates.csv"
+        assert run("sc-bench", "--out", out, "--step", "0.03") == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "3d91baabfd9ded130aee4dcfc9099b983ef535220251491de6f76d579d37b164"
 
 
 class TestMakeBench:

@@ -2,6 +2,7 @@
 fixtures, feature scaling."""
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -458,6 +459,34 @@ class TestCsvAtomsWriter:
         assert path.read_bytes().startswith(b"molecule_id,element,x,y,z,charge\r\n")
         assert _as_tuples(parse_molecules(path, "csv-atoms")) == \
             _as_tuples(mol2) + _as_tuples(atoms)
+
+
+    def test_each_value_written_as_its_own_9g_text(self, tmp_path):
+        # -0.0 and 0.0 differ only in bit pattern; repeats span both tables
+        first = MoleculeTable(["m1", "m2"], np.array([0, 2, 3]),
+                              np.array([[-0.0, 0.0, 1e-300], [1e300, -0.0, 0.1],
+                                        [0.1, 0.1, -1e300]]),
+                              np.array([0.5, -0.0, 0.5]), ["C", "O", "N"])
+        second = MoleculeTable(["m3"], np.array([0, 2]),
+                               np.array([[1e-300, 0.0, 2.0 / 3.0], [-0.0, 1e300, 0.1]]),
+                               np.array([1e-300, 0.5]), ["H", "C"])
+        path = tmp_path / "out.csv"
+        mpe.write_csv_atoms(path, [first, second])
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows(
+            [mpe.CSV_ATOM_COLUMNS]
+            + [[mol_id, element, *(format(v, ".9g") for v in (*xyz, q))]
+               for mol_id, element, xyz, q in zip(["m1", "m1", "m2", "m3", "m3"],
+                                                  first.elements + second.elements,
+                                                  [*first.positions, *second.positions],
+                                                  [*first.charges, *second.charges])])
+        assert path.read_bytes().decode() == expected.getvalue()
+        assert "m1,C,-0,0,1e-300,0.5" in expected.getvalue()
+
+    def test_no_tables_writes_the_header(self, tmp_path):
+        path = tmp_path / "out.csv"
+        mpe.write_csv_atoms(path, [])
+        assert path.read_bytes() == b"molecule_id,element,x,y,z,charge\r\n"
 
 
 class TestDescriptorCache:

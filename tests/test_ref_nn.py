@@ -1,6 +1,9 @@
 """Reference network tests: forward oracles, Adam training, gradient checks,
 oversampling."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,38 @@ class TestForward:
             forward_batch(mlp, [np.inf, 0.0])
 
 
+def _noisy_rows(n=90, seed=12):
+    # Labels from two features plus noise, so validation loss turns up early.
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n, 24))
+    return x, (x[:, 0] - x[:, 1] + rng.normal(0.0, 0.5, size=n) > 0).astype(np.float64)
+
+
+def _adam_digest(net, history) -> str:
+    h = hashlib.sha256(json.dumps(history).encode())
+    for p in net.weights + net.biases:
+        h.update(np.ascontiguousarray(p).tobytes())
+    return h.hexdigest()
+
+
+ADAM_CASES = {
+    "early-stop": ([24, 12, 6, 1], "relu",
+                   TrainConfig(learning_rate=0.05, epochs=40, batch_size=32, rng_seed=2,
+                               val_fraction=0.3, patience=1)),
+    "no-validation": ([24, 8, 1], "tanh",
+                      TrainConfig(learning_rate=0.01, epochs=6, batch_size=64, rng_seed=3,
+                                  val_fraction=0.0)),
+    "many-batches": ([24, 16, 8, 1], "tanh",
+                     TrainConfig(learning_rate=0.003, epochs=4, batch_size=7, rng_seed=4,
+                                 val_fraction=0.2, patience=10)),
+}
+ADAM_DIGESTS = {
+    "early-stop": "dc8493bd8ec1065c62058bcc2901a96fd24232e7dad0ef95043d49e607cb3a7f",
+    "no-validation": "e577a68a5fafb908a19c6b299a0f7d7c52591346eebf69b64fa9a2ba21f74966",
+    "many-batches": "a719d12da541870d6460eae20596b0ed5a8a88b5c3d1657a43f0c62bb54405e1",
+}
+
+
 class TestTraining:
     def test_zero_learning_rate_is_identity(self):
         pairs = _toy_separable(40)
@@ -139,6 +174,27 @@ class TestTraining:
         _, h2 = train_adam(init_mlp([24, 12, 6, 1], "tanh", seed=1), *pairs, cfg)
         assert h1["train_loss"] == h2["train_loss"]
         assert h1["val_loss"] == h2["val_loss"]
+
+    @pytest.mark.parametrize("case", sorted(ADAM_DIGESTS))
+    def test_trained_weights_pinned(self, case):
+        # digests of the weights, biases and history, as a per-layer Adam
+        # loop computed them
+        shape, activation, cfg = ADAM_CASES[case]
+        trained, history = train_adam(init_mlp(shape, activation, seed=9), *_noisy_rows(), cfg)
+        assert (history["stopped_epoch"] is not None) == (case == "early-stop")
+        assert _adam_digest(trained, history) == ADAM_DIGESTS[case]
+
+    def test_runs_from_one_net_share_no_arrays(self):
+        net = init_mlp([24, 8, 4, 1], "relu", seed=2)
+        kept = [p.copy() for p in net.weights + net.biases]
+        cfg = TrainConfig(epochs=3, batch_size=16, val_fraction=0.25, patience=1)
+        a, _ = train_adam(net, *_noisy_rows(), cfg)
+        b, _ = train_adam(net, *_noisy_rows(), cfg)
+        for p, q in zip(net.weights + net.biases, kept):
+            np.testing.assert_array_equal(p, q)
+        for one, other in ((net, a), (net, b), (a, b)):
+            assert not any(np.shares_memory(p, q) for p in one.weights + one.biases
+                           for q in other.weights + other.biases)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):

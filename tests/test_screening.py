@@ -484,6 +484,35 @@ class TestTargetTypes:
         assert data.crystal[0] == 9.0
 
 
+def _per_compound_benchmark(seed, n_targets, n_actives, n_decoys):
+    """The synthetic benchmark drawn one compound at a time: per target its
+    center (six positive, then six negative uniforms), the crystal and each
+    active (twelve normals), then each decoy (six positive, then six
+    negative uniforms).  Returns (target_id, crystal, compounds) triples."""
+    def row(pos, neg):
+        return np.concatenate([np.sort(np.maximum(pos, 1.0))[::-1],
+                               np.sort(np.minimum(neg, -1.0))])
+
+    rng = np.random.default_rng(seed)
+    targets = []
+    for t in range(n_targets):
+        center = np.concatenate([np.sort(rng.uniform(*synth.POS_RANGE, size=6))[::-1],
+                                 np.sort(rng.uniform(*synth.NEG_RANGE, size=6))])
+
+        def active():
+            noisy = center + rng.normal(0.0, synth.ACTIVE_NOISE, size=12)
+            return row(noisy[:6], noisy[6:])
+
+        tid = f"synt{t:02d}"
+        crystal = active()
+        compounds = [(f"{tid}_a{i:03d}", active(), 1) for i in range(n_actives)]
+        compounds += [(f"{tid}_d{i:03d}", row(rng.uniform(*synth.POS_RANGE, size=6),
+                                              rng.uniform(*synth.NEG_RANGE, size=6)), 0)
+                      for i in range(n_decoys)]
+        targets.append((tid, crystal, compounds))
+    return targets
+
+
 class TestSyntheticBenchmark:
     def test_deterministic(self):
         a = synth.make_benchmark(seed=3, n_targets=2, n_actives=5, n_decoys=7)
@@ -507,6 +536,19 @@ class TestSyntheticBenchmark:
             rows = np.array([t.crystal] + [v for _, v, _ in t.compounds])
             assert rows.shape == (361, 12) and rows.dtype == np.float64
             assert mpe._rows_valid(rows)
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (3, 7, 11)], ids=["1-1-1", "3-7-11"])
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    def test_equals_per_compound_draws(self, seed, sizes):
+        got = synth.make_benchmark(seed, *sizes)
+        want = _per_compound_benchmark(seed, *sizes)
+        assert len(got) == len(want)
+        for t, (tid, crystal, compounds) in zip(got, want):
+            assert t.target_id == tid and t.crystal.tobytes() == crystal.tobytes()
+            assert [(cid, label) for cid, _, label in t.compounds] == \
+                [(cid, label) for cid, _, label in compounds]
+            assert all(v.tobytes() == w.tobytes()
+                       for (_, v, _), (_, w, _) in zip(t.compounds, compounds))
 
     def test_realized_molecule_reproduces_descriptor(self):
         targets = synth.make_benchmark(seed=8, n_targets=1, n_actives=2, n_decoys=2)
