@@ -269,18 +269,24 @@ def _decoded(path, data: bytes, newline):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline), fault
 
 
+# Line feeds become commas; ``_split_plain`` deletes CRs in the same pass.
+_LINE_ENDS = bytes.maketrans(b"\n", b",")
+
+
 def _split_plain(data: bytes, width: int):
     """The fields of the first line, and those of every later line column
     by column, when the csv module would read each line as exactly
     ``line.split(",")`` with ``width`` fields; else None.  That holds for a
     file that decodes as UTF-8, holds no quote and no NUL, has no CR outside
     a CRLF, and whose every line holds width - 1 commas and is no longer
-    than ``csv.field_size_limit()``."""
+    than ``csv.field_size_limit()``.
+
+    The split is one pass over the bytes: every CR (each one part of a
+    CRLF) is deleted and every LF turned into a comma, then the one decode,
+    whose failure declines the file, and one ``split(",")``.  No UTF-8
+    continuation byte is an LF, CR or comma, so these are the fields the
+    csv module reads."""
     if b'"' in data or b"\0" in data:
-        return None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
         return None
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
@@ -294,7 +300,10 @@ def _split_plain(data: bytes, width: int):
             or (np.diff(commas, prepend=0) != width - 1).any() \
             or np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
         return None
-    fields = (text.replace("\r\n", ",") if crlf else text).replace("\n", ",").split(",")
+    try:
+        fields = data.translate(_LINE_ENDS, b"\r").decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
     if data.endswith(b"\n"):
         fields.pop()  # the empty field after the last line end
     return fields[:width], [fields[width + c::width] for c in range(width)]

@@ -404,30 +404,43 @@ class _PrefixTables(NamedTuple):
     """One layer's weight streams, read in the sorted order of the input window.
 
     ``packs`` and ``prefix`` hold, for every 64-bit block q and input line i
-    at row ``q * n_inputs + i``, each neuron's weight-stream bits and the
+    at row ``q * fan_in + i``, each neuron's weight-stream bits and the
     number of ones before the block; ``ones`` is each weight stream's total
-    (n_inputs, fan_out) and ``offset`` the per-neuron constant n_inputs*n -
-    2*sum(ones) of the APC.
+    (fan_in, fan_out) and ``offset`` the per-neuron constant of the APC:
+    fan_in*n - 2*sum(ones), plus the bias line's product.  ``acc`` is the
+    integer type that sums the layer's d over its lines (``_sum_dtype``).
     """
 
     packs: np.ndarray
     prefix: np.ndarray
     ones: np.ndarray
     offset: np.ndarray
+    acc: type
 
 
-def _prefix_tables(order: np.ndarray, w_window: WordSequence,
-                   weights: np.ndarray) -> _PrefixTables:
-    """Prefix-popcount tables of one layer for its (fan_out, n_inputs) weights.
+def _sum_dtype(n_inputs: int, n: int) -> type:
+    """The accumulator of a layer's d sums: 4 * sum(d) over its input lines
+    is at most 4 * n_inputs * n, so int32 while that stays below 2^31 and
+    int64 from there on (the stream length has no upper bound)."""
+    return np.int32 if 4 * n_inputs * n < 1 << 31 else np.int64
+
+
+def _prefix_tables(order: np.ndarray, w_window: WordSequence, weights: np.ndarray,
+                   bias: np.ndarray | None) -> _PrefixTables:
+    """Prefix-popcount tables of one layer for its (fan_out, fan_in) weights
+    and its (fan_out,) bias words, or None.
 
     ``order`` is the stable sort order of the input window A; read in it,
     every input stream is a prefix of ones.  The weight streams are built per
     distinct weight word, without comparing each word against the window: bit
     t of the stream of the u-th smallest word is set iff u >= first[t], the
     number of distinct words <= B_t, so a 64-bit block of every stream is a
-    running sum over u of the block's bits binned by ``first``.
+    running sum over u of the block's bits binned by ``first``.  The bias
+    line is all ones (r = n, so d = c), and its product 2c - n, with c the
+    ones of the bias word's stream, goes into ``offset``; it has no rows.
     """
     n = len(order)
+    fan_out, fan_in = weights.shape
     values, inverse = np.unique(weights, return_inverse=True)
     first = np.searchsorted(values, w_window.words[order], side="right")
     t = np.arange(n)
@@ -438,11 +451,14 @@ def _prefix_tables(order: np.ndarray, w_window: WordSequence,
     counts = np.bitwise_count(packs).astype(np.int32)
     totals = np.cumsum(counts, axis=0, dtype=np.int32)
     lines = inverse.reshape(weights.shape).T.reshape(-1)
-    ones = totals[-1, lines].reshape(weights.shape[::-1])
-    return _PrefixTables(
-        np.take(packs, lines, axis=1).reshape(-1, weights.shape[0]),
-        np.take(totals - counts, lines, axis=1).reshape(-1, weights.shape[0]), ones,
-        weights.shape[1] * n - 2 * ones.sum(axis=0, dtype=np.int64))
+    ones = totals[-1, lines].reshape(fan_in, fan_out)
+    offset = fan_in * n - 2 * ones.sum(axis=0, dtype=np.int64)
+    if bias is not None:
+        # c = #{t: B_t < bias word}
+        offset += 2 * np.searchsorted(np.sort(w_window.words), bias) - n
+    return _PrefixTables(np.take(packs, lines, axis=1).reshape(-1, fan_out),
+                         np.take(totals - counts, lines, axis=1).reshape(-1, fan_out), ones,
+                         offset, _sum_dtype(fan_in + (bias is not None), n))
 
 
 def _ones_inside(tables: _PrefixTables, r: np.ndarray, lines: np.ndarray) -> np.ndarray:
@@ -459,10 +475,19 @@ def _ones_inside(tables: _PrefixTables, r: np.ndarray, lines: np.ndarray) -> np.
 
 
 # Bit-true inference runs a batch in chunks of about this many (row, line,
-# neuron) counts of its widest layer: 128 rows of a 25-input, 48-neuron
-# layer, whose uint64 temporaries stay near 1.2 MB, and never fewer than
-# one row.
+# neuron) counts gathered in its widest layer (``_row_work``): 128 rows of 25
+# varying lines into 48 neurons, whose uint64 temporaries stay near 1.2 MB,
+# and never fewer than one row.
 INFER_CHUNK_WORDS = 128 * 25 * 48
+
+
+def _row_work(layers, x: np.ndarray) -> int:
+    """The most (line, neuron) counts that any layer gathers per row of the
+    batch ``x``, and at least 1.  Layer 0 gathers only the lines that vary
+    over the batch: a line constant over the whole batch is constant in
+    every chunk and folded.  A later layer gathers at most its fan_in lines."""
+    varying = int(np.count_nonzero((x != x[:1]).any(axis=0)))
+    return max(1, varying * layers[0].fan_out, *(l.fan_in * l.fan_out for l in layers[1:]))
 
 
 class ScSimulator:
@@ -479,13 +504,15 @@ class ScSimulator:
     partial-word popcount.  The result is the XNOR popcount of the actual
     streams, bit for bit.
 
-    The APC is an integer sum over input lines, so a line whose input word
-    is the same in every row of a chunk (the bias line, the crystal ligand's
-    half of a screening batch, a hidden neuron that ReLU holds at zero) is
-    counted once and added as a per-neuron constant; only the other lines
-    are gathered per row.  ``infer_many`` runs a batch in chunks of
-    ``INFER_CHUNK_WORDS`` counts of the widest layer, so wide nets take
-    fewer rows at a time and no net's temporaries outgrow the budget.
+    The APC is an integer sum over input lines.  The bias line's product
+    is the same for every row and is folded into a per-neuron constant when
+    the tables are built.  A line whose input word is the same in every row
+    of a chunk (the crystal ligand's half of a screening batch, a hidden
+    neuron that ReLU holds at zero) is counted once and added to that
+    constant; only the other lines are gathered per row.  ``infer_many``
+    runs a batch in chunks of ``INFER_CHUNK_WORDS`` gathered counts of the
+    widest layer (``_row_work``), so wide nets take fewer rows at a time and
+    no net's temporaries outgrow the budget.
 
     Counts generator instantiations (two for any network) and saturation
     events.  Inference is a pure function of (network, input); repeat runs
@@ -501,46 +528,38 @@ class ScSimulator:
             x_window, w_windows = _windows(net.lfsr1, net.lfsr2, net.stream_len,
                                            len(net.layers))
             order = np.argsort(x_window.words, kind="stable")
-            tables = []
-            for layer, w_window in zip(net.layers, w_windows):
-                wq = layer.weights_q
-                if layer.bias_q is not None:
-                    wq = np.concatenate([wq, layer.bias_q[:, None]], axis=1)
-                tables.append(_prefix_tables(order, w_window, wq))
-            net._engine = _rank(x_window), tables
+            net._engine = _rank(x_window), [
+                _prefix_tables(order, w_window, layer.weights_q, layer.bias_q)
+                for layer, w_window in zip(net.layers, w_windows)]
         self._rank, self._tables = net._engine
 
     def _prefix_apc(self, li: int, words: np.ndarray):
         """APC of layer ``li`` for its (k >= 1, fan_in) input words, from the
-        prefix lengths r (k, n_inputs) of the input streams and the ones d of
+        prefix lengths r (k, fan_in) of the input streams and the ones d of
         every weight stream inside them.
 
         A line whose r is the same in every row (every line of a single row)
         has the same d in every row too, so its terms are counted once, from
         the first row, into the per-neuron constant.
         """
-        half = 1 << (self.net.width - 1)
         tables = self._tables[li]
-        if self.net.layers[li].bias_q is not None:
-            # the bias word 2^(b-1) is above every generator word: r = n
-            words = np.concatenate([words, np.full((len(words), 1), half)], axis=1)
-        r = self._rank[words + half]
+        r = self._rank[words + (1 << (self.net.width - 1))]
         fixed = (r == r[0]).all(axis=0)
         const, vary = np.flatnonzero(fixed), np.flatnonzero(~fixed)
         r_const, r_vary = r[0, const], r.T[vary]
         d_const = _ones_inside(tables, r_const, const)
         d_vary = _ones_inside(tables, r_vary, vary)
-        constant = tables.offset + 4 * d_const.sum(axis=0) - 2 * r_const.sum()
-        apc = 4 * d_vary.sum(axis=0) - 2 * r_vary.sum(axis=0)[:, None] + constant
+        constant = tables.offset + 4 * d_const.sum(axis=0, dtype=tables.acc) - 2 * r_const.sum()
+        apc = 4 * d_vary.sum(axis=0, dtype=tables.acc) - 2 * r_vary.sum(axis=0)[:, None] + constant
         return apc, self.net.layers[li].norm_shift
 
     def infer_many(self, x: np.ndarray) -> np.ndarray:
         """Scores of a batch of input rows, in chunks of as many rows as
-        ``INFER_CHUNK_WORDS`` holds (row, line, neuron) counts of the widest
-        layer."""
+        ``INFER_CHUNK_WORDS`` holds gathered (row, line, neuron) counts of
+        the widest layer."""
         net = self.net
         x = _input_rows(net, x)
-        chunk = max(1, INFER_CHUNK_WORDS // max(l.n_inputs * l.fan_out for l in net.layers))
+        chunk = max(1, INFER_CHUNK_WORDS // _row_work(net.layers, x))
         out = np.empty(len(x))
         for i in range(0, len(x), chunk):
             out[i:i + chunk], saturations = _forward(x[i:i + chunk], len(net.layers), net.width,

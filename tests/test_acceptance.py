@@ -123,9 +123,8 @@ def criterion_6_network_parity(nets_per_shape: int = 20, inputs_per_net: int = 1
             mlp.trained = True
             net = quantize_weights(mlp, calib=rng.uniform(-1, 1, (128, 24)))
             x = rng.uniform(-1, 1, (inputs_per_net, 24))
-            widest = max(layer.n_inputs * layer.fan_out for layer in net.layers)
             with pytest.MonkeyPatch.context() as mp:  # 32 rows per chunk
-                mp.setattr(sc_nn, "INFER_CHUNK_WORDS", 32 * widest)
+                mp.setattr(sc_nn, "INFER_CHUNK_WORDS", 32 * sc_nn._row_work(net.layers, x))
                 got = net.simulator().infer_many(x)
             ref = fixed_point_reference(net, x)
             errs.append(np.abs(got - np.asarray(ref)))

@@ -2,13 +2,19 @@
 corpus, exit codes, determinism, config handling."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import re
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scvs import cli, mpe, ref_nn, sc_core, sc_nn
 from scvs.cli import RunConfig, build_parser, load_config, main
@@ -515,6 +521,105 @@ class TestUnreadableInputs:
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+
+
+def _mutated(data: bytes, kind: str, at: int, byte: bytes) -> bytes:
+    """``data`` truncated at a byte, with ``byte`` inserted, or with a comma
+    dropped or added; ``at`` picks the place."""
+    if kind == "truncate":
+        return data[:at % len(data)]
+    if kind == "drop comma":
+        commas = [i for i, b in enumerate(data) if b == ord(",")]
+        i = commas[at % len(commas)]
+        return data[:i] + data[i + 1:]
+    i = at % (len(data) + 1)
+    return data[:i] + (b"," if kind == "add comma" else byte) + data[i:]
+
+
+_MUTATIONS = st.tuples(st.sampled_from(["truncate", "insert", "drop comma", "add comma"]),
+                       st.integers(0, 1 << 20), st.sampled_from([b"\xff", b"\0", b'"', b"\r"]))
+
+
+def _captured(*argv):
+    """Exit code and stderr of one command; the command must return a
+    documented code, not raise."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(*argv)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+def _library_fault(read, path):
+    """The MoleculeParseError the library's reader raises for ``path``, or
+    None when it reads the file."""
+    try:
+        read(path)
+    except mpe.MoleculeParseError as exc:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc))
+        return exc
+    return None
+
+
+def _fresh_dir(ws):
+    """A new directory for one example's files: every file is written new,
+    none rewritten."""
+    return Path(tempfile.mkdtemp(dir=ws))
+
+
+def _assert_failed_cleanly(code, err, path):
+    """A failing command exits 1, 2 or 3 with a message that names ``path``."""
+    if code:
+        assert err.startswith(("error: ", "numeric failure: ")) and str(path) in err
+
+
+class TestMutatedInputs:
+    """A csv-atoms file and a descriptor cache, truncated, with a byte
+    inserted or a comma dropped or added, through ``descriptors`` and a
+    cached ``evaluate``: a file the library rejects fails its target (naming
+    file and line) or the command (exit 2, naming it); no mutation gives a
+    traceback."""
+
+    @given(_MUTATIONS)
+    @settings(max_examples=60, deadline=None)
+    def test_csv_atoms(self, workspace, mutation):
+        ws, manifest = workspace
+        doc = json.loads(manifest.read_text())
+        target = doc["targets"][1]
+        bad = _fresh_dir(ws) / "decoys.csv"
+        bad.write_bytes(_mutated(Path(target["decoys"]).read_bytes(), *mutation))
+        fault = _library_fault(lambda p: mpe.parse_molecules(p, "csv-atoms"), bad)
+
+        code, err = _captured("descriptors", bad, "--out", bad.parent / "cache.csv")
+        _assert_failed_cleanly(code, err, bad)
+        if fault is not None:
+            assert code == 2 and f"error: {fault}\n" in err
+
+        target["decoys"] = str(bad)
+        bad_manifest = bad.parent / "manifest.json"
+        bad_manifest.write_text(json.dumps(doc))
+        code, err = _captured("evaluate", "--model", ws / "relu48.json",
+                              "--manifest", bad_manifest, "--cache", ws / "cache.csv",
+                              "--scaler", ws / "scaler.json", "--report", bad.parent / "r.json")
+        assert code == 0
+        failed = json.loads((bad.parent / "r.json").read_text())["failed_targets"]
+        if fault is not None:
+            assert failed == [{"target_id": target["target_id"], "error": str(fault)}]
+
+    @given(_MUTATIONS)
+    @settings(max_examples=60, deadline=None)
+    def test_descriptor_cache(self, workspace, mutation):
+        ws, manifest = workspace
+        bad = _fresh_dir(ws) / "cache.csv"
+        bad.write_bytes(_mutated((ws / "cache.csv").read_bytes(), *mutation))
+        fault = _library_fault(mpe.read_descriptor_cache, bad)
+        code, err = _captured("evaluate", "--model", ws / "relu48.json",
+                              "--manifest", manifest, "--cache", bad,
+                              "--scaler", ws / "scaler.json", "--report", bad.parent / "r.json")
+        _assert_failed_cleanly(code, err, bad)
+        assert code == (0 if fault is None else 2)
+        if fault is not None:
+            assert err == f"error: {fault}\n"
 
 
 # (file, key path into it, a value of the wrong type for the field it names)

@@ -569,7 +569,7 @@ def _ref_molecule(mol_id, atoms):
 
 def reference_csv_atoms(path):
     molecules: dict = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -626,7 +626,7 @@ def reference_mol2(path):
 
 def reference_cache(path):
     out = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -920,7 +920,15 @@ class TestParserDifferential:
         "comma-only row": ("m,C,0,0,0,0.5\n,,,,,\nm,C,1,0,0,-0.5\n",
                            "c0" + ",0" * 12 + "\n" + "," * 12 + "\n"),
         "no final line end": ("m,C,0,0,0,0.5\r\nm,C,1,0,0,-0.5", "c0" + ",0" * 12),
+        "mixed LF and CRLF": ("m,C,0,0,0,0.5\r\nm,C,1,0,0,-0.5\nn,O,2,0,0,0\r\n",
+                              "c0" + ",0" * 12 + "\r\nc1" + ",0" * 12 + "\nc2" + ",0" * 12
+                              + "\r\n"),
+        "CR as last byte": ("m,C,0,0,0,0.5\nm,C,1,0,0,-0.5\r", "c0" + ",0" * 12 + "\r"),
+        "multi-byte UTF-8": ("m\u00e9\u20ac\U0001d11e,\u03a9,0,0,0,0.5\nm,C,1,0,0,-0.5\n",
+                             "c\u00e9\u20ac\U0001d11e" + ",0" * 12 + "\nc1" + ",0" * 12 + "\n"),
     }
+    # the valid edge cases that the one split must take
+    PLAIN_EDGES = {"mixed LF and CRLF", "multi-byte UTF-8", "no final line end"}
 
     @pytest.mark.parametrize("case", sorted(EDGE_BODIES))
     @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
@@ -930,7 +938,7 @@ class TestParserDifferential:
         path = tmp_path / "f.csv"
         path.write_bytes((",".join(header) + "\n" + (atoms if fmt == "csv-atoms" else cache))
                          .encode())
-        self._assert_matches(path, fmt)
+        self._assert_matches(path, fmt, plain=case in self.PLAIN_EDGES)
 
     @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
     def test_padded_header_matches_reference(self, tmp_path, fmt):
@@ -967,13 +975,19 @@ class TestParserDifferential:
         assert csv.field_size_limit() == old
 
     @staticmethod
-    def _assert_matches(path, fmt):
-        if fmt == "csv-atoms":
-            want = _outcome(reference_csv_atoms, path)
-            got = _outcome(lambda p: _as_tuples(parse_molecules(p, "csv-atoms")), path)
-        else:
-            want = _outcome(reference_cache, path)
-            got = _outcome(lambda p: _cache_bytes(mpe.read_descriptor_cache(p)), path)
+    def _assert_matches(path, fmt, plain=False):
+        """The file reads as the reference reads it; when ``plain``, it is
+        valid and splits without the csv module."""
+        reference, read = (
+            (reference_csv_atoms, lambda p: _as_tuples(parse_molecules(p, "csv-atoms")))
+            if fmt == "csv-atoms" else
+            (reference_cache, lambda p: _cache_bytes(mpe.read_descriptor_cache(p))))
+        want = _outcome(reference, path)
+        with pytest.MonkeyPatch.context() as m:
+            if plain:
+                assert want[0] == "ok"
+                m.setattr(csv, "reader", _refuse)
+            got = _outcome(read, path)
         assert got == want
 
     @pytest.mark.parametrize("fmt", ["csv-atoms", "mol2-subset", "cache"])

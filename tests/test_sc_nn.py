@@ -159,11 +159,11 @@ class TestScNeuron:
 
 
 @contextlib.contextmanager
-def _rows_per_chunk(net, rows):
-    """Within the block, ``infer_many`` runs ``net`` ``rows`` rows per chunk."""
-    widest = max(layer.n_inputs * layer.fan_out for layer in net.layers)
+def _rows_per_chunk(net, X, rows):
+    """Within the block, ``infer_many`` runs ``net`` over the batch ``X``
+    ``rows`` rows per chunk."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sc_nn, "INFER_CHUNK_WORDS", rows * widest)
+        mp.setattr(sc_nn, "INFER_CHUNK_WORDS", rows * sc_nn._row_work(net.layers, X))
         yield
 
 
@@ -227,25 +227,43 @@ class TestScNetwork:
         _, net = _random_net([24, 12, 6, 1], 17, rng)
         X = rng.uniform(-1, 1, (7, 24))
         sim = net.simulator()
-        with _rows_per_chunk(net, 3):
+        with _rows_per_chunk(net, X, 3):
             batch = sim.infer_many(X)
         singles = np.array([sim.infer_many(x)[0] for x in X])
         np.testing.assert_array_equal(batch, singles)
 
     def test_inference_memory_is_bounded_by_work(self):
-        # Chunks hold a fixed number of counts of the widest layer, so the
-        # 24-256-1 net takes 24 rows at a time where a 24-48-24-1 net takes 128.
+        # Chunks hold a fixed number of gathered counts of the widest layer,
+        # on a batch whose 24 inputs all vary and on a screening batch, whose
+        # first 12 (the crystal ligand's) are the same in every row.
         rng = np.random.default_rng(8)
         _, net = _random_net(ref_nn.ARCH_SHAPES["256"], 23, rng)
         X = rng.uniform(-1, 1, (3600, 24))
+        screening = X.copy()
+        screening[:, :12] = X[0, :12]
         sim = net.simulator()
-        tracemalloc.start()
-        try:
-            sim.infer_many(X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3e6
+        for batch in (X, screening):
+            tracemalloc.start()
+            try:
+                sim.infer_many(batch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3e6
+
+    def test_rows_per_chunk_follow_the_gathered_lines(self):
+        # With all 24 inputs varying the 24-256-1 net takes 25 rows at a time
+        # (24 lines into 256 neurons) and a 24-48-24-1 net 133 (48 into 24 in
+        # layer 1).  On a screening batch layer 0 gathers 12 lines, so the
+        # 24-256-1 net takes 50 rows and the 24-48-24-1 net still 133.
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-1, 1, (360, 24))
+        screening = X.copy()
+        screening[:, :12] = X[0, :12]
+        for arch, want in (("256", [25, 50]), ("48", [133, 133])):
+            _, net = _random_net(ref_nn.ARCH_SHAPES[arch], 23, rng)
+            assert [sc_nn.INFER_CHUNK_WORDS // sc_nn._row_work(net.layers, batch)
+                    for batch in (X, screening)] == want, arch
 
     def test_simulator_cached_across_equivalent_phases(self):
         rng = np.random.default_rng(9)
@@ -331,7 +349,7 @@ class TestReferenceFidelity:
         net = quantize_weights(mlp, calib=x)
         rng = np.random.default_rng(15)
         X = rng.uniform(-1, 1, (1000, 24))
-        with _rows_per_chunk(net, 32):
+        with _rows_per_chunk(net, X, 32):
             err = np.abs(net.simulator().infer_many(X) - fixed_point_reference(net, X))
         assert err.mean() <= 0.1
 
@@ -406,7 +424,7 @@ class TestGateLevelEquality:
         net, X = case
         sim = sc_nn.ScSimulator(net)
         want, saturations = sc_nn.gate_level_scores(net, X)
-        with _rows_per_chunk(net, 2):
+        with _rows_per_chunk(net, X, 2):
             np.testing.assert_array_equal(sim.infer_many(X), want)
         assert sim.saturation_count == saturations
 
@@ -458,7 +476,7 @@ class TestPrefixEngineEdges:
             want, saturations = sc_nn.gate_level_scores(net, batch)
             for chunk in (1, 3, len(batch) + 5):
                 sim = net.simulator()
-                with _rows_per_chunk(net, chunk):
+                with _rows_per_chunk(net, batch, chunk):
                     np.testing.assert_array_equal(sim.infer_many(batch), want)
                 assert sim.saturation_count == saturations
         empty = net.simulator().infer_many(np.empty((0, 3)))
@@ -469,19 +487,57 @@ class TestPrefixEngineEdges:
         # Every pair of 4-bit input words, sorted by the first, through a
         # 2-3-1 net with bias lines, at stream lengths 1, P - 1, P, P + 1
         # and 2P + 3 of the period P = 15, and at 64, where the bias line's
-        # prefix r = n ends on a 64-bit block boundary.  One-row chunks fold
-        # every line, 16-row chunks hold the first column constant and one
-        # 256-row chunk folds only the bias line and lines that ReLU holds
-        # at zero.
+        # prefix r = n ends on a 64-bit block boundary.  The bias line is
+        # folded when the tables are built.  One-row chunks fold every line,
+        # 16-row chunks hold the first column constant and one 256-row chunk
+        # folds only lines that ReLU holds at zero.
         net = _fixed_net(4, n, seed=n, shape=(2, 3, 1))
         words = np.arange(-8, 8)
         X = np.array([[a, b] for a in words for b in words]) / 8
         want, saturations = sc_nn.gate_level_scores(net, X)
         for chunk in (1, 16, 256):
             sim = net.simulator()
-            with _rows_per_chunk(net, chunk):
+            with _rows_per_chunk(net, X, chunk):
                 np.testing.assert_array_equal(sim.infer_many(X), want, err_msg=f"chunk {chunk}")
             assert sim.saturation_count == saturations
+
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_screening_layout(self, use_bias):
+        # A 24-256-1 net at width 8 with a short stream, over a batch whose
+        # first 12 inputs (the crystal ligand's half) are equal in every row:
+        # layer 0 is the widest and gathers 12 lines into 256 neurons per
+        # row.  Budgets of 5, 3, 2 and 1 such rows give 1, 2, 3 and 5 chunks.
+        rng = np.random.default_rng(24)
+        mlp = ref_nn.init_mlp(ref_nn.ARCH_SHAPES["256"], "relu", seed=256)
+        mlp.biases = [rng.uniform(-0.5, 0.5, b.shape) for b in mlp.biases]
+        mlp.trained = True
+        net = quantize_weights(mlp, width=8, stream_len=100, use_bias=use_bias,
+                               calib=rng.uniform(-0.5, 0.5, (16, 24)))
+        X = rng.uniform(-1, 1, (5, 24))
+        X[:, :12] = X[0, :12]
+        assert sc_nn._row_work(net.layers, X) == 12 * 256
+        want, saturations = sc_nn.gate_level_scores(net, X)
+        assert saturations > 0
+        forward = sc_nn._forward
+        for rows, chunks in ((5, [5]), (3, [3, 2]), (2, [2, 2, 1]), (1, [1] * 5)):
+            sim, seen = net.simulator(), []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sc_nn, "INFER_CHUNK_WORDS", rows * 12 * 256)
+                mp.setattr(sc_nn, "_forward",
+                           lambda x, *rest: seen.append(len(x)) or forward(x, *rest))
+                np.testing.assert_array_equal(sim.infer_many(X), want, err_msg=f"{rows} rows")
+            assert seen == chunks
+            assert sim.saturation_count == saturations
+
+    def test_sum_dtype_rule(self):
+        # |4 * sum(d)| <= 4 * n_inputs * n, a multiple of 4: int32 holds every
+        # such bound up to 2^31 - 4, the last below 2^31, and int64 takes
+        # over at 2^31.  Pinned on the rule, without a stream that long.
+        assert np.iinfo(np.int32).max >= (1 << 31) - 4
+        for n_inputs, n, want in ((1, (1 << 29) - 1, np.int32), (1, 1 << 29, np.int64),
+                                  (2, (1 << 28) - 1, np.int32), (2, 1 << 28, np.int64),
+                                  (257, 4095, np.int32), (1 << 29, 1, np.int64)):
+            assert sc_nn._sum_dtype(n_inputs, n) is want, (n_inputs, n)
 
     @pytest.mark.parametrize("width", [4, 5, 6])
     def test_every_product_count_is_the_xnor_popcount(self, width):
@@ -489,8 +545,10 @@ class TestPrefixEngineEdges:
         # every phase of the weight window, over stream lengths 1, P - 1, P,
         # P + 1 and 2P + 3 of the generator period P: the engine's count
         # 4d - 2r - 2c + n is the XNOR popcount of the comparator streams,
-        # as agreements minus disagreements.  Width 6 is the smallest at
-        # which a prefix length r reaches a 64-bit block boundary.
+        # as agreements minus disagreements, and so is the bias line's
+        # product that the tables fold into their offset.  Width 6 is the
+        # smallest at which a prefix length r reaches a 64-bit block
+        # boundary.
         half = 1 << (width - 1)
         lfsr1, lfsr2 = sc_nn.generator(width, 0, 41), sc_nn.generator(width, 1, 1987)
         period = lfsr2.period
@@ -513,12 +571,17 @@ class TestPrefixEngineEdges:
             for n in lengths:
                 x, w = x_rows[:, :n], w_rows[:, :n]
                 want = 2 * (x @ w.T + (1 - x) @ (1 - w).T) - n
-                tables = sc_nn._prefix_tables(orders[n], lfsr2.word_sequence(n, phase),
-                                              words[:, None])
+                window = lfsr2.word_sequence(n, phase)
+                tables = sc_nn._prefix_tables(orders[n], window, words[:, None], None)
                 r = ranks[n]
                 d = sc_nn._ones_inside(tables, r, np.zeros(len(r), dtype=np.intp))
                 got = 4 * d - 2 * r[:, None] - 2 * tables.ones + n
                 np.testing.assert_array_equal(got, want, err_msg=f"phase {phase}, n {n}")
+                # each weight word as a one-input neuron's bias word, against
+                # the all-ones stream (the last row of ``want``)
+                biased = sc_nn._prefix_tables(orders[n], window, words[:, None], words)
+                np.testing.assert_array_equal(biased.offset - tables.offset, want[-1],
+                                              err_msg=f"bias, phase {phase}, n {n}")
                 checked += want.size
         assert checked == period * len(lengths) * (2 * half + 1) * 2 * half
 
@@ -551,7 +614,7 @@ def _sc_digest(arch, width):
                     put(layer.weights_q, -1 if layer.bias_q is None else layer.bias_q,
                         layer.norm_shift, layer.scale)
                 sim = net.simulator()
-                with _rows_per_chunk(net, 10):
+                with _rows_per_chunk(net, X, 10):
                     scores = sim.infer_many(X)
                 put(scores, sim.saturation_count,
                     fixed_point_reference(net, X), fixed_point_reference(net, X[2]))
