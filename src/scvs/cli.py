@@ -44,6 +44,15 @@ class ValidationError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejected command line raises
+    ValidationError, so it exits 1 like any other validation error and
+    prints no usage text; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _setting(default, *commands):
     """A RunConfig field that ``commands`` take as ``--dashed-name``, typed
     by its default."""
@@ -56,16 +65,13 @@ _SPLIT, _TRAIN = SplitSpec(), TrainConfig()  # the library's defaults
 
 @dataclass
 class RunConfig:
-    """Resolved run parameters; embedded in every report for provenance."""
+    """Resolved run parameters, embedded in every report for provenance; K and
+    the LFSR polynomials are constants (``mpe.DEFAULT_K``, ``sc_core.MAXIMAL_TAPS``)."""
 
-    k: float = mpe.DEFAULT_K  # descriptors' --K, declared in build_parser
     width: int = _setting(sc_core.DEFAULT_WIDTH, *_SC)
     stream_len: int = _setting(sc_nn.DEFAULT_STREAM_LEN, *_SC)
     seed1: int = _setting(sc_nn.DEFAULT_SEEDS[0], *_SC)
     seed2: int = _setting(sc_nn.DEFAULT_SEEDS[1], *_SC)
-    # Empty taps select a verified maximal polynomial for the width.
-    taps1: str = _setting("", *_SC)
-    taps2: str = _setting("", *_SC)
     active_fraction: float = _setting(_SPLIT.active_fraction, "train")
     decoy_fraction: float = _setting(_SPLIT.decoy_fraction, "train")
     split_seed: int = _setting(_SPLIT.seed, "train")
@@ -80,8 +86,6 @@ class RunConfig:
     reports_dir: str = ""
 
     def validate(self):
-        if not (np.isfinite(self.k) and self.k > 0):
-            raise ValidationError(f"K must be finite and > 0, got {self.k}")
         sc_core.check_width(self.width)
         if self.stream_len < 1:
             raise ValidationError("stream_len must be >= 1")
@@ -93,10 +97,8 @@ class RunConfig:
 
     def lfsrs(self) -> tuple:
         """The generator pair (R1, R2)."""
-        return tuple(
-            sc_nn.generator(self.width, index, seed, _parse_taps(taps) if taps else None)
-            for index, (taps, seed) in enumerate(((self.taps1, self.seed1),
-                                                  (self.taps2, self.seed2))))
+        return (sc_nn.generator(self.width, 0, self.seed1),
+                sc_nn.generator(self.width, 1, self.seed2))
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec(self.active_fraction, self.decoy_fraction, self.split_seed)
@@ -110,13 +112,6 @@ class RunConfig:
 
 _ENV_PATH_KEYS = {"data_dir": "SCVS_DATA_DIR", "models_dir": "SCVS_MODELS_DIR",
                   "reports_dir": "SCVS_REPORTS_DIR"}
-
-
-def _parse_taps(text: str) -> tuple:
-    try:
-        return tuple(int(t) for t in str(text).split(","))
-    except ValueError:
-        raise ValidationError(f"cannot parse taps {text!r}; expected e.g. 12,11,10,4") from None
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -216,7 +211,7 @@ def _command_targets(args, cfg: RunConfig):
     """``load_targets`` over a subcommand's --manifest and optional --cache."""
     cache = mpe.read_descriptor_cache(_require_file(_resolve(args.cache, cfg.data_dir))) \
         if args.cache else None
-    return load_targets(_resolve(args.manifest, cfg.data_dir), cache, cfg.k)
+    return load_targets(_resolve(args.manifest, cfg.data_dir), cache, mpe.DEFAULT_K)
 
 
 def load_model(path: Path):
@@ -238,11 +233,11 @@ def cmd_descriptors(args, cfg: RunConfig) -> int:
     for name in args.inputs:
         path = _resolve(name, cfg.data_dir)
         try:
-            table = mpe.parse_molecules(_require_file(path), args.format or _infer_format(path))
+            table = mpe.parse_molecules(_require_file(path), _infer_format(path))
         except (OSError, MoleculeParseError) as exc:  # their messages name the file
             errors.append(str(exc))
             continue
-        for mol_id, v in zip(table.ids, mpe.mpe_vectors(table, cfg.k)):
+        for mol_id, v in zip(table.ids, mpe.mpe_vectors(table)):
             if isinstance(v, ValueError):
                 errors.append(f"{path}: {v}")
             else:
@@ -503,7 +498,7 @@ def cmd_make_bench(args, cfg: RunConfig) -> int:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     manifest = synth.write_benchmark(
         _resolve(args.out_dir, cfg.data_dir), seed=args.seed, n_targets=args.targets,
-        n_actives=args.actives, n_decoys=args.decoys, k=cfg.k)
+        n_actives=args.actives, n_decoys=args.decoys)
     print(f"synthetic benchmark manifest -> {manifest}")
     return EXIT_OK
 
@@ -513,18 +508,16 @@ def cmd_make_bench(args, cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scvs",
         description="Stochastic-computing screening accelerator model")
     parser.add_argument("--config", help="key = value configuration file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("descriptors", help="extract pairing-energy descriptors")
-    p.add_argument("inputs", nargs="+", help="molecule files (mol2 or csv-atoms)")
-    p.add_argument("--format", choices=["mol2-subset", "csv-atoms"])
+    p.add_argument("inputs", nargs="+", help="molecule files (.mol2, else csv-atoms)")
     p.add_argument("--out", required=True, help="descriptor cache CSV")
     p.add_argument("--scatter", help="also write (id, most+, most-) scatter CSV")
-    p.add_argument("--K", dest="k", type=float, help="pairing-energy constant")
     p.set_defaults(fn=cmd_descriptors)
 
     p = sub.add_parser("train", help="train the float reference network")
@@ -591,8 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                      if hasattr(args, f.name)}
         return args.fn(args, load_config(args.config, overrides))

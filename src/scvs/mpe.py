@@ -310,24 +310,27 @@ def _split_plain(data: bytes, width: int):
 
 
 def _read_table(path, width: int):
-    """(header, columns, rows, stopped) of a csv file; ``header`` is None
-    for an empty file.  A plain file (``_split_plain``) gives the fields of
-    its data rows column by column in ``columns``, and ``rows`` None.  Any
-    other file gives ``columns`` None, its data ``rows`` as read by the csv
-    module, and in ``stopped`` a MoleculeParseError for the decoding or csv
+    """(header, columns, rows, line_nos, stopped) of a csv file; ``header``
+    is None for an empty file.  A plain file (``_split_plain``) gives the
+    fields of its data rows column by column in ``columns``, the rest None.
+    Any other file gives ``columns`` None, its data ``rows`` as read by the
+    csv module with the line each starts on (a quoted field may span
+    lines), and in ``stopped`` a MoleculeParseError for the decoding or csv
     error that ended them early (else None); see ``_decoded``."""
     data = _read_bytes(path)
     plain = _split_plain(data, width)
     if plain is not None:
-        return *plain, None, None
+        return *plain, None, None, None
     text, stopped = _decoded(path, data, newline="")
     reader = csv.reader(text)
-    rows = []
+    rows, ends = [], []  # ends: the last line of each row
     try:
-        rows.extend(reader)
+        for row in reader:
+            rows.append(row)
+            ends.append(reader.line_num)
     except csv.Error as exc:
         stopped = MoleculeParseError(path, reader.line_num, str(exc))
-    return (rows.pop(0) if rows else None), None, rows, stopped
+    return (rows.pop(0) if rows else None), None, rows, [e + 1 for e in ends[:-1]], stopped
 
 
 def _row_columns(rows, width: int) -> list:
@@ -432,7 +435,7 @@ def _read_csv(path, width: int, check_header, convert, keep, rescan):
     converted again, and if that fails too ``rescan(path, line_nos, rows)``
     raises the first fault in file order.  A decoding or csv error that
     ended the rows early is raised after that."""
-    header, columns, rows, stopped = _read_table(path, width)
+    header, columns, rows, line_nos, stopped = _read_table(path, width)
     if header is None:
         if stopped is not None:
             raise stopped
@@ -443,8 +446,8 @@ def _read_csv(path, width: int, check_header, convert, keep, rescan):
         out = convert(columns)
         if out is None:
             rows = list(zip(*columns))
+            line_nos = range(2, len(rows) + 2)  # one row per line
     if out is None:
-        line_nos = range(2, len(rows) + 2)
         kept = list(map(keep, rows))
         if not all(kept):
             line_nos = list(compress(line_nos, kept))

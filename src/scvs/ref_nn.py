@@ -112,9 +112,9 @@ def _phi(x: np.ndarray, activation: str) -> np.ndarray:
     return np.tanh(x) if activation == "tanh" else np.maximum(x, 0.0)
 
 
-def forward_batch(mlp: Mlp, x: np.ndarray, keep: bool = False):
-    """Pre-sigmoid scores for a (k, n_in) batch; keep=True also returns
-    per-layer pre-activations and activations for backprop."""
+def _layer_values(mlp: Mlp, x: np.ndarray):
+    """Per-layer pre-activations and activations (the input first, the
+    scores last) of a (k, n_in) batch, as backprop needs them."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != mlp.shape[0]:
         raise ValueError(f"input width {x.shape[1]} != {mlp.shape[0]}")
@@ -129,10 +129,12 @@ def forward_batch(mlp: Mlp, x: np.ndarray, keep: bool = False):
         pres.append(z)
         h = z if l == mlp.n_layers - 1 else _phi(z, mlp.activation)
         acts.append(h)
-    out = acts[-1][:, 0]
-    if keep:
-        return out, pres, acts
-    return out
+    return pres, acts
+
+
+def forward_batch(mlp: Mlp, x: np.ndarray) -> np.ndarray:
+    """Pre-sigmoid scores for a (k, n_in) batch."""
+    return _layer_values(mlp, x)[1][-1][:, 0]
 
 
 def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> float:
@@ -151,7 +153,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def loss_and_grads(mlp: Mlp, x: np.ndarray, y: np.ndarray):
     """Mean BCE(sigmoid(forward)) and its gradients for a batch."""
-    z, pres, acts = forward_batch(mlp, x, keep=True)
+    pres, acts = _layer_values(mlp, x)
+    z = acts[-1][:, 0]
     k = len(y)
     loss = _bce_with_logits(z, y)
     delta = (_sigmoid(z) - y)[:, None] / k

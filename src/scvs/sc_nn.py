@@ -66,11 +66,11 @@ DEFAULT_STREAM_LEN = 4095
 GAIN_CAP = 0.5
 
 
-def generator(width: int, index: int, seed: int, taps: tuple | None = None) -> Lfsr:
-    """Generator R1 (``index`` 0) or R2 (1) of a ``width``-bit network: the
-    seed folded into a nonzero register state, the taps defaulting to the
-    width's tabled maximal polynomial for that generator."""
-    return Lfsr(width, taps or sc.MAXIMAL_TAPS[width][index], seed % (1 << width) or 1)
+def generator(width: int, index: int, seed: int) -> Lfsr:
+    """Generator R1 (``index`` 0) or R2 (1) of a ``width``-bit network: its
+    tabled maximal polynomial for the width (``sc_core.MAXIMAL_TAPS``), and
+    the seed folded into a nonzero register state."""
+    return Lfsr(width, sc.MAXIMAL_TAPS[width][index], seed % (1 << width) or 1)
 
 
 def default_lfsr1(width: int = sc.DEFAULT_WIDTH) -> Lfsr:

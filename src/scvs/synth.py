@@ -61,8 +61,7 @@ def make_benchmark(seed: int = 2024, n_targets: int = 10, n_actives: int = 60,
     return targets
 
 
-def realize_molecule(vec: np.ndarray, mol_id: str,
-                     k: float = mpe.DEFAULT_K) -> mpe.MoleculeTable:
+def realize_molecule(vec: np.ndarray, mol_id: str) -> mpe.MoleculeTable:
     """A one-molecule table whose pairing-energy descriptor reproduces ``vec``.
 
     Twelve atom pairs at unit distance, far enough apart that cross-pair
@@ -72,7 +71,7 @@ def realize_molecule(vec: np.ndarray, mol_id: str,
     for e in vec:
         if e == 0.0:
             continue
-        q = float(np.sqrt(abs(e) / k))
+        q = float(np.sqrt(abs(e) / mpe.DEFAULT_K))
         x = slot * _PAIR_SPACING
         xs += [x - 0.5, x + 0.5]
         charges += [q, q if e > 0 else -q]
@@ -86,8 +85,7 @@ def realize_molecule(vec: np.ndarray, mol_id: str,
 
 
 def write_benchmark(out_dir, seed: int = 2024, n_targets: int = 10,
-                    n_actives: int = 60, n_decoys: int = 300,
-                    k: float = mpe.DEFAULT_K) -> Path:
+                    n_actives: int = 60, n_decoys: int = 300) -> Path:
     """Materialize the benchmark as csv-atoms files plus a target manifest;
     returns the manifest path."""
     out_dir = Path(out_dir)
@@ -96,9 +94,9 @@ def write_benchmark(out_dir, seed: int = 2024, n_targets: int = 10,
     for t in make_benchmark(seed, n_targets, n_actives, n_decoys):
         tdir = out_dir / t.target_id
         tdir.mkdir(exist_ok=True)
-        crystal = realize_molecule(t.crystal, f"{t.target_id}_crystal", k)
-        actives = [realize_molecule(v, cid, k) for cid, v, l in t.compounds if l == 1]
-        decoys = [realize_molecule(v, cid, k) for cid, v, l in t.compounds if l == 0]
+        crystal = realize_molecule(t.crystal, f"{t.target_id}_crystal")
+        actives = [realize_molecule(v, cid) for cid, v, l in t.compounds if l == 1]
+        decoys = [realize_molecule(v, cid) for cid, v, l in t.compounds if l == 0]
         mpe.write_csv_atoms(tdir / "crystal.csv", [crystal])
         mpe.write_csv_atoms(tdir / "actives.csv", actives)
         mpe.write_csv_atoms(tdir / "decoys.csv", decoys)

@@ -54,7 +54,7 @@ def test_every_benchmark_command_line_parses(monkeypatch):
     for argv in argvs:
         try:
             parser.parse_args(argv)
-        except SystemExit:
+        except (SystemExit, cli.ValidationError):
             pytest.fail(f"the CLI rejects the benchmark's command line {argv}")
     assert argvs
 

@@ -113,14 +113,6 @@ class TestDescriptors:
         assert run("descriptors", missing, "--out", tmp_path / "c.csv") == 2
         assert str(missing) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "0"])
-    def test_bad_k_exit_1_names_it(self, tmp_path, capsys, value):
-        out = tmp_path / "c.csv"
-        assert run("descriptors", DATA / "fixture_atoms.csv", "--out", out, "--K", value) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: K ") and "Traceback" not in err
-        assert not out.exists()
-
 
 class TestTrain:
     def test_model_round_trips_and_forward_reproducible(self, workspace):
@@ -879,15 +871,6 @@ class TestMakeBench:
         assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
         assert not (tmp_path / "bench").exists()
 
-    def test_bad_k_in_config_exit_1_writes_nothing(self, tmp_path, capsys):
-        cfg = tmp_path / "k.cfg"
-        cfg.write_text("k = nan\n")
-        assert run("--config", cfg, "make-bench", "--out-dir", tmp_path / "bench",
-                   "--targets", "1", "--actives", "2", "--decoys", "2") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: K ") and "Traceback" not in err
-        assert not (tmp_path / "bench").exists()
-
     def test_negative_seed_exit_1_writes_nothing(self, tmp_path, capsys):
         assert run("make-bench", "--out-dir", tmp_path / "bench", "--seed", "-1",
                    "--targets", "1", "--actives", "2", "--decoys", "2") == 1
@@ -938,7 +921,8 @@ class TestConfig:
                    "--out", tmp_path / "x.json") == 1
         assert "no_such_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["workers", "clip_quantile", "margin", "gain_cap"])
+    @pytest.mark.parametrize("key", ["workers", "clip_quantile", "margin", "gain_cap",
+                                     "k", "taps1", "taps2"])
     def test_removed_config_key_exit_1(self, workspace, tmp_path, capsys, key):
         ws, manifest = workspace
         cfg = tmp_path / "old.cfg"
@@ -978,6 +962,43 @@ class TestConfig:
                    "--epochs", "3", "--learning-rate", "1e150") == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,extra", [
+        ("descriptors", ["--K", "1"]),  # K is mpe.DEFAULT_K
+        ("descriptors", ["--format", "csv-atoms"]),  # the extension decides
+        ("quantize", ["--taps1", "12,6"]),  # the tabled maximal polynomials
+        ("sc-bench", ["--taps2", "12,6"]),
+        ("train", ["--epochs", "abc"]),
+        ("train", ["--activation", "sigmoid"]),
+        ("train", ["--no-such-flag"]),
+        ("evaluate", []),  # --manifest, --scaler and --report missing
+        ("no-such-command", []),
+    ])
+    def test_rejected_command_line_exit_1_writes_nothing(self, workspace, tmp_path, capsys,
+                                                         command, extra):
+        ws, manifest = workspace
+        out = tmp_path / "out"
+        argv = {
+            "descriptors": ["descriptors", DATA / "fixture_atoms.csv", "--out", out / "c.csv"],
+            "quantize": ["quantize", "--model", ws / "relu48.json", "--calib", ws / "feats.csv",
+                         "--out", out / "hw.json"],
+            "sc-bench": ["sc-bench", "--out", out / "gates.csv"],
+            "train": ["train", "--manifest", manifest, "--cache", ws / "cache.csv",
+                      "--arch", "12", "--activation", "relu", "--out", out / "m.json",
+                      "--scaler-out", out / "s.json", "--log-out", out / "l.json"],
+            "evaluate": ["evaluate", "--model", ws / "hw48.json"],
+        }.get(command, [command])
+        assert run(*argv, *extra) == 1
+        stdout, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "usage" not in err and "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sc-bench", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: scvs sc-bench")
+
 
 class TestDescriptorPartialFailure:
     def test_good_files_written_bad_file_reported(self, tmp_path, capsys):
@@ -995,9 +1016,8 @@ class TestDescriptorPartialFailure:
 CLI_SURFACE = {
     None: [("--config", "config", None, None)],
     "descriptors": [
-        ("inputs", "inputs", None, None), ("--format", "format", None, None),
-        ("--out", "out", None, None), ("--scatter", "scatter", None, None),
-        ("--K", "k", "float", None)],
+        ("inputs", "inputs", None, None),
+        ("--out", "out", None, None), ("--scatter", "scatter", None, None)],
     "train": [
         ("--manifest", "manifest", None, None), ("--cache", "cache", None, None),
         ("--arch", "arch", None, "64"), ("--activation", "activation", None, "tanh"),
@@ -1016,8 +1036,7 @@ CLI_SURFACE = {
         ("--model", "model", None, None), ("--out", "out", None, None),
         ("--calib", "calib", None, None), ("--no-bias", "no_bias", None, False),
         ("--width", "width", "int", None), ("--stream-len", "stream_len", "int", None),
-        ("--seed1", "seed1", "int", None), ("--seed2", "seed2", "int", None),
-        ("--taps1", "taps1", "str", None), ("--taps2", "taps2", "str", None)],
+        ("--seed1", "seed1", "int", None), ("--seed2", "seed2", "int", None)],
     "evaluate": [
         ("--model", "model", None, None), ("--manifest", "manifest", None, None),
         ("--cache", "cache", None, None), ("--scaler", "scaler", None, None),
@@ -1034,8 +1053,7 @@ CLI_SURFACE = {
     "sc-bench": [
         ("--out", "out", None, None), ("--step", "step", "float", 0.2),
         ("--width", "width", "int", None), ("--stream-len", "stream_len", "int", None),
-        ("--seed1", "seed1", "int", None), ("--seed2", "seed2", "int", None),
-        ("--taps1", "taps1", "str", None), ("--taps2", "taps2", "str", None)],
+        ("--seed1", "seed1", "int", None), ("--seed2", "seed2", "int", None)],
     "make-bench": [
         ("--out-dir", "out_dir", None, None), ("--seed", "seed", "int", 2024),
         ("--targets", "targets", "int", 10), ("--actives", "actives", "int", 60),
@@ -1057,6 +1075,12 @@ class TestCliSurface:
         got = {None: _surface(parser)}
         got.update({name: _surface(p) for name, p in sub.choices.items()})
         assert got == CLI_SURFACE
+
+    def test_every_setting_is_some_command_flag(self):
+        # A setting that no command takes cannot vary between callers, so it
+        # is a constant; only the base directories are set another way.
+        untaken = {f.name for f in fields(RunConfig) if not f.metadata.get("commands")}
+        assert untaken == {"data_dir", "models_dir", "reports_dir"}
 
     def test_config_file_accepts_every_key(self, tmp_path, monkeypatch):
         for env in ("SCVS_DATA_DIR", "SCVS_MODELS_DIR", "SCVS_REPORTS_DIR"):
@@ -1114,9 +1138,9 @@ WALKTHROUGH_SHA256 = {
     "hw48.json":
         "2d3013b64bb67c5a6d251d6598adc257dce5cc24a50f02db92a2498214b59770",
     "hw_report.json":
-        "a68d15e526f89afa305aa4ef05673001d4c32b8d1326fa87bb9aef0a56f3c2dc",
+        "6a5edb118bd628dade53b871f43eb2dbf3aa25f0b4f8f1a318032fced456c9a6",
     "pt.json":
-        "197bbab79cd22a16c89b754cd30a3a3b93f2ce467b5a02da7dcd0966c8bab2fb",
+        "1e1aefa095afdc9782c1e130b3395696d98833d646b5959861c4fcff07e03cc9",
     "relu48.json":
         "2393bf9e0f00c24b387eb28c74df0a9f92cea48256ea8b182f55a842e69589e9",
     "scaler.json":
@@ -1126,9 +1150,9 @@ WALKTHROUGH_SHA256 = {
     "sw.csv":
         "03c8e700338e9267d342d5dcc98c61419c66f3ad745ff630cef037a4d3cbc371",
     "sw_report.json":
-        "5aad01d53f88337d103886d9641937719f1834bef85d5bc28acb6d0211d99b98",
+        "c3d7fceeca8cc55957b4e6c8a17cee7db09773f5d2816dd36f87914aae100595",
     "train_log.json":
-        "8bd89fe10e4984f69618b5dd432fd734203c56e316ba5a004e7faa34e2bd72f0",
+        "b9a1cc1d0fce9623488a1cf92547ccb79324ca9f9c38a690789a7d32f660c549",
 }
 
 

@@ -567,6 +567,15 @@ def _ref_molecule(mol_id, atoms):
     return (mol_id, pos.tobytes(), q.tobytes(), tuple(a[0] for a in atoms))
 
 
+def _numbered(reader):
+    """(line, row) of each further row of a csv reader, numbered by the
+    physical line the row starts on; a quoted field may span lines."""
+    start = reader.line_num + 1
+    for row in reader:
+        yield start, row
+        start = reader.line_num + 1
+
+
 def reference_csv_atoms(path):
     molecules: dict = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -577,7 +586,7 @@ def reference_csv_atoms(path):
         if [h.strip() for h in header] != mpe.CSV_ATOM_COLUMNS:
             raise MoleculeParseError(
                 path, 1, f"header must be {','.join(mpe.CSV_ATOM_COLUMNS)}")
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in _numbered(reader):
             if not "".join(row).strip():
                 continue
             if len(row) != 6:
@@ -633,7 +642,7 @@ def reference_cache(path):
             return out
         if header != mpe.CACHE_COLUMNS:
             raise MoleculeParseError(path, 1, "not a descriptor cache (bad header)")
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in _numbered(reader):
             if not row:
                 continue
             if row[0] in out:
@@ -909,6 +918,11 @@ class TestParserDifferential:
         assert _cache_bytes(mpe.read_descriptor_cache(cache)) == want_cache
         assert len(want_cache) == 1 + 3 + 3 + 5
 
+    # A quoted field that spans lines 3-4, then a bad field on line 6.
+    QUOTED_LINE_BREAK = ('m,C,0,0,0,0.5\nm,"C\n",0,0,0,0\nm,C,1,0,0,-0.5\nm,C,x,0,0,0\n',
+                         "c0" + ",0" * 12 + '\n"c\n1"' + ",0" * 12 + "\nc2" + ",0" * 12
+                         + "\nc3,x" + ",0" * 11 + "\n")
+
     # Edge cases around the one-split path, for (csv-atoms, cache): what each
     # file holds after its header line; every one must read as the
     # reference reader reads it, whichever path it takes.
@@ -926,6 +940,7 @@ class TestParserDifferential:
         "CR as last byte": ("m,C,0,0,0,0.5\nm,C,1,0,0,-0.5\r", "c0" + ",0" * 12 + "\r"),
         "multi-byte UTF-8": ("m\u00e9\u20ac\U0001d11e,\u03a9,0,0,0,0.5\nm,C,1,0,0,-0.5\n",
                              "c\u00e9\u20ac\U0001d11e" + ",0" * 12 + "\nc1" + ",0" * 12 + "\n"),
+        "quoted line break": QUOTED_LINE_BREAK,
     }
     # the valid edge cases that the one split must take
     PLAIN_EDGES = {"mixed LF and CRLF", "multi-byte UTF-8", "no final line end"}
@@ -939,6 +954,19 @@ class TestParserDifferential:
         path.write_bytes((",".join(header) + "\n" + (atoms if fmt == "csv-atoms" else cache))
                          .encode())
         self._assert_matches(path, fmt, plain=case in self.PLAIN_EDGES)
+
+    @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
+    def test_error_after_quoted_line_break_names_physical_line(self, tmp_path, fmt):
+        atoms, cache = self.QUOTED_LINE_BREAK
+        header = mpe.CSV_ATOM_COLUMNS if fmt == "csv-atoms" else mpe.CACHE_COLUMNS
+        path = tmp_path / "q.csv"
+        path.write_text(",".join(header) + "\n" + (atoms if fmt == "csv-atoms" else cache))
+        what = "x coordinate" if fmt == "csv-atoms" else "descriptor"
+        with pytest.raises(MoleculeParseError, match=rf"^{path}:6: unparseable {what} 'x'$"):
+            if fmt == "cache":
+                mpe.read_descriptor_cache(path)
+            else:
+                parse_molecules(path, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
     def test_padded_header_matches_reference(self, tmp_path, fmt):
