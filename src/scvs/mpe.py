@@ -19,7 +19,7 @@ import json
 import math
 from functools import partial
 from itertools import chain, compress, repeat
-from operator import itemgetter, ne
+from operator import itemgetter
 
 import numpy as np
 
@@ -216,13 +216,15 @@ def _format_column(values: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 # Parsers
 #
-# Each reader tokenizes a whole file, then converts and finiteness-checks
-# its numeric columns in one pass (``_float_columns``).  Only when that pass
-# finds a fault are the rows re-scanned one at a time (``_check_rows``), to
-# raise the first fault in file order with its line, as a row-at-a-time
-# reader would.  A csv-atoms file or descriptor cache without quotes is
-# split whole on commas (``_split_plain``); every other one goes through the
-# csv module.  Results and errors are the same either way.
+# A csv-atoms file or descriptor cache that the csv module would read line
+# by line as ``line.split(",")`` is read in one ``np.loadtxt`` pass
+# (``_load_plain``).  When loadtxt or the conversion rejects such a file it
+# is split on commas line by line, and every other file is read by the csv
+# module; those rows, and a mol2 file's, are converted and finiteness-checked
+# column by column (``_float_columns``).  Only when that finds a fault are
+# the rows re-scanned one at a time (``_check_rows``), to raise the first
+# fault in file order with its line, as a row-at-a-time reader would.
+# Results and errors are the same on every path.
 
 
 def parse_molecules(path, format: str) -> MoleculeTable:
@@ -269,58 +271,71 @@ def _decoded(path, data: bytes, newline):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline), fault
 
 
-# Line feeds become commas; ``_split_plain`` deletes CRs in the same pass.
-_LINE_ENDS = bytes.maketrans(b"\n", b",")
-
-
-def _split_plain(data: bytes, width: int):
-    """The fields of the first line, and those of every later line column
-    by column, when the csv module would read each line as exactly
-    ``line.split(",")`` with ``width`` fields; else None.  That holds for a
-    file that decodes as UTF-8, holds no quote and no NUL, has no CR outside
-    a CRLF, and whose every line holds width - 1 commas and is no longer
-    than ``csv.field_size_limit()``.
-
-    The split is one pass over the bytes: every CR (each one part of a
-    CRLF) is deleted and every LF turned into a comma, then the one decode,
-    whose failure declines the file, and one ``split(",")``.  No UTF-8
-    continuation byte is an LF, CR or comma, so these are the fields the
-    csv module reads."""
-    if b'"' in data or b"\0" in data:
-        return None
+def _plain_widths(data: bytes, width: int, n_text: int):
+    """Byte length of the longest data field of each of the first ``n_text``
+    columns of a plain file, else None.  A plain file holds no quote, NUL,
+    byte in 0x1C-0x1F or CR outside a CRLF, and width - 1 commas and at most
+    ``csv.field_size_limit()`` bytes on each line: the csv module reads each
+    of its lines, if it decodes as UTF-8, as ``line.split(",")``."""
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     crlf = np.count_nonzero(buf[ends[ends > 0] - 1] == ord("\r"))
     if not data.endswith(b"\n"):
         ends = np.append(ends, len(data))
-    commas = np.searchsorted(np.flatnonzero(buf == ord(",")), ends)
-    # Byte lengths bound character lengths, so a long multi-byte line is
-    # declined here and left to the csv module.
-    if np.count_nonzero(buf == ord("\r")) != crlf \
-            or (np.diff(commas, prepend=0) != width - 1).any() \
-            or np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
+    commas = np.flatnonzero(buf == ord(","))
+    # A quote or NUL the csv module reads otherwise; numpy's float parser
+    # strips 0x1C-0x1F as whitespace, where float() rejects them.
+    if any(map(data.__contains__, (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f"))) \
+            or np.count_nonzero(buf == ord("\r")) != crlf or len(commas) != len(ends) * (width - 1):
+        return None
+    # With that many commas, each line holds width - 1 of them when its
+    # first and its last comma lie on it.
+    commas = commas.reshape(len(ends), width - 1)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if (commas[:, 0] < starts).any() or (commas[:, -1] > ends).any() \
+            or (ends - starts).max() > csv.field_size_limit():
+        return None
+    # Field j of a line runs from the byte after its comma j - 1 (or after
+    # the previous line end) to its comma j; line 0 is the header.
+    bounds = np.column_stack([starts - 1, commas[:, :n_text]])[1:]
+    return (np.diff(bounds).max(axis=0, initial=1) - 1).tolist()
+
+
+def _load_plain(data: bytes, width: int, n_text: int):
+    """(lines, rows) of a plain file that decodes as UTF-8, else None: its
+    lines (a CRLF's CR kept) and one ``np.loadtxt`` pass over its data lines,
+    fields "0" to n_text - 1 unicode as wide as the column's widest field in
+    bytes, so none is truncated, and "v" the rest as float64.  ``rows`` is
+    None without data lines, when loadtxt rejects a field, for a non-finite
+    value, or when the padded text would outgrow the file's bytes."""
+    widths = _plain_widths(data, width, n_text)
+    if widths is None:
         return None
     try:
-        fields = data.translate(_LINE_ENDS, b"\r").decode("utf-8").split(",")
+        lines = data.decode("utf-8").removesuffix("\n").split("\n")
     except UnicodeDecodeError:
         return None
-    if data.endswith(b"\n"):
-        fields.pop()  # the empty field after the last line end
-    return fields[:width], [fields[width + c::width] for c in range(width)]
+    # loadtxt warns of a file without data lines
+    if len(lines) < 2 or sum(widths) * (len(lines) - 1) > len(data):
+        return lines, None
+    try:
+        rows = np.loadtxt(lines, np.dtype([(str(j), f"U{max(w, 1)}") for j, w in enumerate(widths)]
+                                          + [("v", np.float64, width - n_text)]),
+                          delimiter=",", comments=None, quotechar=None, skiprows=1, ndmin=1)
+    except ValueError:
+        return lines, None
+    return lines, (rows if np.isfinite(rows["v"]).all() else None)
 
 
-def _read_table(path, width: int):
-    """(header, columns, rows, line_nos, stopped) of a csv file; ``header``
-    is None for an empty file.  A plain file (``_split_plain``) gives the
-    fields of its data rows column by column in ``columns``, the rest None.
-    Any other file gives ``columns`` None, its data ``rows`` as read by the
-    csv module with the line each starts on (a quoted field may span
-    lines), and in ``stopped`` a MoleculeParseError for the decoding or csv
-    error that ended them early (else None); see ``_decoded``."""
-    data = _read_bytes(path)
-    plain = _split_plain(data, width)
-    if plain is not None:
-        return *plain, None, None, None
+def _read_table(path, data: bytes, lines):
+    """(header, rows, line_nos, stopped) of a csv file: header None if it is
+    empty, the data rows with the line each starts on, and a
+    MoleculeParseError for the decoding or csv error that ended them early
+    (else None; see ``_decoded``).  A plain file's ``lines`` are split on
+    commas; any other file is read by the csv module."""
+    if lines is not None:
+        rows = [line.removesuffix("\r").split(",") for line in lines]
+        return rows[0], rows[1:], range(2, len(rows) + 1), None
     text, stopped = _decoded(path, data, newline="")
     reader = csv.reader(text)
     rows, ends = [], []  # ends: the last line of each row
@@ -330,7 +345,7 @@ def _read_table(path, width: int):
             ends.append(reader.line_num)
     except csv.Error as exc:
         stopped = MoleculeParseError(path, reader.line_num, str(exc))
-    return (rows.pop(0) if rows else None), None, rows, [e + 1 for e in ends[:-1]], stopped
+    return (rows.pop(0) if rows else None), rows, [e + 1 for e in ends[:-1]], stopped
 
 
 def _row_columns(rows, width: int) -> list:
@@ -427,36 +442,33 @@ def _parse_mol2(path) -> MoleculeTable:
                   values, [f[5].split(".")[0] for f in rows])
 
 
-def _read_csv(path, width: int, check_header, convert, keep, rescan):
-    """``convert(columns)`` of the data rows of a csv file; an empty file
-    has none.  ``check_header(header)`` raises for a bad header.
-    ``convert`` returns None on any fault; the rows are then read as the
-    csv module reads them, the blank ones (``keep(row)`` false) dropped, and
-    converted again, and if that fails too ``rescan(path, line_nos, rows)``
-    raises the first fault in file order.  A decoding or csv error that
-    ended the rows early is raised after that."""
-    header, columns, rows, line_nos, stopped = _read_table(path, width)
-    if header is None:
-        if stopped is not None:
-            raise stopped
-        return convert([[]] * width)
-    check_header(header)
-    out = None
-    if columns is not None:
-        out = convert(columns)
-        if out is None:
-            rows = list(zip(*columns))
-            line_nos = range(2, len(rows) + 2)  # one row per line
+def _read_csv(path, width: int, n_text: int, check_header, convert, keep, rescan):
+    """``convert(*text, values)`` of a csv file's data rows: their first
+    ``n_text`` columns as arrays, the rest as a checked float64 array.
+    ``check_header(header)`` raises for a bad header.  A plain file is read
+    in one pass (``_load_plain``).  Any other file, or one whose rows
+    ``convert`` rejects with None, is read as the csv module reads it, blank
+    rows (``keep(row)`` false) dropped, and converted again; if that fails
+    too, ``rescan(path, line_nos, rows)`` raises the first fault in file
+    order.  A decoding or csv error that ended the rows early comes last."""
+    data = _read_bytes(path)
+    lines, rows = _load_plain(data, width, n_text) or (None, None)
+    if rows is not None:
+        check_header(lines[0].removesuffix("\r").split(","))  # as the csv module reads it
+        out = convert(*(rows[str(j)] for j in range(n_text)), rows["v"])
+        if out is not None:
+            return out
+    header, rows, line_nos, stopped = _read_table(path, data, lines)
+    if header is not None:
+        check_header(header)
+    kept = list(map(keep, rows))
+    line_nos, rows = list(compress(line_nos, kept)), list(compress(rows, kept))
+    columns = _row_columns(rows, width)
+    values = columns and _float_columns(columns[n_text:], len(rows))
+    out = None if values is None else convert(
+        *(np.array(c, dtype=object) for c in columns[:n_text]), values)
     if out is None:
-        kept = list(map(keep, rows))
-        if not all(kept):
-            line_nos = list(compress(line_nos, kept))
-            rows = list(compress(rows, kept))
-        columns = _row_columns(rows, width)
-        if columns is not None:
-            out = convert(columns)
-        if out is None:
-            rescan(path, line_nos, rows)
+        rescan(path, line_nos, rows)
     if stopped is not None:
         raise stopped
     return out
@@ -468,27 +480,23 @@ def _parse_csv_atoms(path) -> MoleculeTable:
             raise MoleculeParseError(path, 1, f"header must be {','.join(CSV_ATOM_COLUMNS)}")
 
     width = len(CSV_ATOM_COLUMNS)
-    return _read_csv(path, width, check_header, _atom_table,
+    return _read_csv(path, width, 2, check_header, _atom_table,
                      lambda row: "".join(row).strip(),
                      partial(_check_rows, cols=(2, 3, 4, 5), width=width))
 
 
-def _atom_table(columns):
-    """The molecules of the csv-atoms columns; None if a coordinate or
-    charge is unparseable or not finite (a blank row fails here too).  Rows
-    group by id in order of first appearance, each molecule's rows in file
-    order, so they need not be contiguous."""
-    values = _float_columns(columns[2:], len(columns[0]))
-    if values is None:
-        return None
-    raw = columns[0]
-    elements = list(map(str.strip, columns[1]))
+def _atom_table(raw, elements, values) -> MoleculeTable:
+    """The molecules of the csv-atoms rows, from their id and element
+    columns and their x, y, z and charge values.  Rows group by id in order
+    of first appearance, each molecule's rows in file order, so they need
+    not be contiguous."""
     # Runs of one id: in the usual file each molecule is one run, and
     # comparing every id with its neighbour is the whole grouping.  Runs
     # split on the ids as written and join on the ids stripped.
-    starts = list(compress(range(len(raw)), map(ne, raw, [None] + raw)))
-    offsets = starts + [len(raw)]
-    firsts = [raw[s].strip() for s in starts]
+    starts = np.flatnonzero(np.insert(raw[1:] != raw[:-1], 0, len(raw) > 0))
+    offsets = starts.tolist() + [len(raw)]
+    firsts = [mol_id.strip() for mol_id in raw[starts].tolist()]
+    elements = list(map(str.strip, elements.tolist()))
     ids = list(dict.fromkeys(firsts))
     if len(ids) < len(firsts):
         group_of = {mol_id: g for g, mol_id in enumerate(ids)}
@@ -518,20 +526,15 @@ def read_descriptor_cache(path) -> dict:
         if header != CACHE_COLUMNS:
             raise MoleculeParseError(path, 1, "not a descriptor cache (bad header)")
 
-    return _read_csv(path, len(CACHE_COLUMNS), check_header, _cache_entries, len,
+    return _read_csv(path, len(CACHE_COLUMNS), 1, check_header, _cache_entries, len,
                      _check_cache_rows)
 
 
-def _cache_entries(columns):
-    """Descriptor rows by id of the cache's columns, views of one checked
-    (n, 12) array; None if an id repeats or a row is not a descriptor."""
-    ids = columns[0]
-    if len(set(ids)) != len(ids):
-        return None
-    values = _float_columns(columns[1:], len(ids))
-    if values is None or not _rows_valid(values):
-        return None
-    return dict(zip(ids, values))
+def _cache_entries(ids, values):
+    """Descriptor rows by id, views of one (n, 12) array; None if an id
+    repeats or a row is not a descriptor."""
+    entries = dict(zip(ids.tolist(), np.ascontiguousarray(values)))
+    return entries if len(entries) == len(values) and _rows_valid(values) else None
 
 
 def _check_cache_rows(path, line_nos, rows) -> None:

@@ -215,18 +215,23 @@ class Lfsr:
     """Fibonacci linear feedback shift register.
 
     ``taps`` lists the feedback polynomial exponents (the register width must
-    appear).  With a primitive polynomial the state walks all 2^width - 1
-    nonzero states before repeating.  Emitted words are the raw state
-    reinterpreted as a signed two's complement word: uniform over all words
-    except 0, which never occurs (the locked-up state is excluded), a
-    documented <= 1/(2^width - 1) bias.
+    appear); without them the register takes its width's first tabled
+    polynomial, ``MAXIMAL_TAPS[width][0]``.  With a primitive polynomial the
+    state walks all 2^width - 1 nonzero states before repeating.  Emitted
+    words are the raw state reinterpreted as a signed two's complement word:
+    uniform over all words except 0, which never occurs (the locked-up state
+    is excluded), a documented <= 1/(2^width - 1) bias.
     """
 
     width: int = DEFAULT_WIDTH
-    taps: tuple[int, ...] = DEFAULT_TAPS_1
+    taps: tuple[int, ...] | None = None
     seed: int = 1
 
     def __post_init__(self):
+        if self.taps is None:
+            if self.width not in MAXIMAL_TAPS:
+                raise ValueError(f"no tabled polynomial for a {self.width}-bit register")
+            object.__setattr__(self, "taps", MAXIMAL_TAPS[self.width][0])
         if self.seed == 0 or not 0 < self.seed < (1 << self.width):
             raise ValueError("seed must be a nonzero state of the register")
         if not self.taps or max(self.taps) != self.width or min(self.taps) < 1:

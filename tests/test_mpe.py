@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -356,12 +357,12 @@ class TestRowsValid:
         assert mpe._rows_valid(values) == all(wanted)
         if mpe._rows_valid(values):
             ids = [f"c{i}" for i in range(len(values))]
-            got = mpe._cache_entries([ids] + [list(map(repr, c)) for c in values.T.tolist()])
+            got = mpe._cache_entries(np.array(ids, dtype=object), values)
             assert [_row_bytes(v) for v in got.values()] == [_row_bytes(v) for v in values]
 
     def test_empty_matrix_is_valid(self):
         assert mpe._rows_valid(np.empty((0, 12)))
-        assert mpe._cache_entries([[] for _ in mpe.CACHE_COLUMNS]) == {}
+        assert mpe._cache_entries(np.array([], dtype=object), np.empty((0, 12))) == {}
 
 
 class TestParsers:
@@ -684,30 +685,55 @@ def _as_tuples(table):
 
 
 _BAD_NUMBERS = ["abc", "", "1.2.3", "nan", "NaN", "inf", "-Infinity", "1e400", "0x1", "1,5"]
+# Where numpy's text reader and float() could disagree.  float() rejects
+# 0x1C-0x1F around a number, which numpy strips as whitespace; it accepts
+# what ``_odd`` writes, which numpy's reader rejects or strips.
+_ODD_BAD_NUMBERS = ["1\x1c", "\x1f1"]
+_ODD_KINDS = ["_", "arabic", "pad"]
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# longer than every other field of the file it is in
+_LONG = "x" * 40
 
 
-def _number(rng, v, plain=False):
+def _odd(rng, text, odd):
+    """The number ``text``, respelled a third of the time when ``odd`` names
+    a way: digits grouped by ``_`` ("1_5"), Arabic-Indic digits, or NBSP or
+    U+3000 padding."""
+    if odd is None or rng.random() < 2 / 3:
+        return text
+    if odd == "_":
+        return re.sub(r"(\d)(\d)", r"\1_\2", text, count=1)
+    if odd == "arabic":
+        return text.translate(_ARABIC_INDIC)
+    return rng.choice(["\xa0", "\u3000"]) + text + rng.choice(["", "\xa0", "\u3000"])
+
+
+def _number(rng, v, plain=False, odd=None):
     """A valid spelling of v: plain, exponent, padded, quoted or signed;
-    never quoted when ``plain``."""
+    never quoted when ``plain``; see ``_odd``."""
     text = rng.choice([repr(v), f"{v:.6g}", f"{v:e}", f"+{v!r}" if str(v)[0] != "-" else repr(v)])
-    text = rng.choice(["", " ", "  "]) + text + rng.choice(["", " "])
+    text = rng.choice(["", " ", "  "]) + _odd(rng, text, odd) + rng.choice(["", " "])
     return f'"{text}"' if not plain and rng.random() < 0.2 else text
 
 
-def _csv_rows(rng, plain=False):
+def _csv_rows(rng, plain=False, odd=None):
     """Data rows of a valid csv-atoms file, ids interleaved, each a list of
     raw field texts; without quotes when ``plain``, and then with each
-    molecule's rows kept together half the time."""
+    molecule's rows kept together half the time.  When ``odd`` (see
+    ``_odd``), ids may also hold ``#``, outgrow every other field, or
+    differ from row to row of one molecule by trailing spaces."""
     rows = []
     ids = ["m{}", " m{} ", "mol_{}"] if plain else ["m{}", " m{} ", '"m,{}"', "mol_{}"]
+    ids += ["m#{}", "m{}" + _LONG] if odd else []
     elements = ["C", " N ", "Cl", "O" if plain else '"O"']
     for i in range(rng.randint(1, 6)):
         mol_id = rng.choice(ids).format(i)
         for _ in range(rng.randint(1, 5)):
-            xyz = [_number(rng, round(rng.uniform(-9, 9), rng.randint(0, 6)), plain)
+            xyz = [_number(rng, round(rng.uniform(-9, 9), rng.randint(0, 6)), plain, odd)
                    for _ in range(3)]
-            q = _number(rng, rng.choice([0.0, -0.0, round(rng.gauss(0, 0.5), 4)]), plain)
-            rows.append([mol_id, rng.choice(elements), *xyz, q])
+            q = _number(rng, rng.choice([0.0, -0.0, round(rng.gauss(0, 0.5), 4)]), plain, odd)
+            pad = rng.choice(["", " ", "  "]) if odd else ""
+            rows.append([mol_id + pad, rng.choice(elements), *xyz, q])
     if not plain or rng.random() < 0.5:
         rng.shuffle(rows)
     return rows
@@ -726,11 +752,11 @@ def _write_csv(path, rows, rng, plain=False):
     path.write_text(end.join(lines) + end, newline="")
 
 
-def _mutate_row(rng, row):
+def _mutate_row(rng, row, odd=None):
     row = list(row)
     kind = rng.choice(["number", "number", "short", "long"])
     if kind == "number":
-        row[rng.choice([2, 3, 4, 5])] = rng.choice(_BAD_NUMBERS)
+        row[rng.choice([2, 3, 4, 5])] = rng.choice(_BAD_NUMBERS + (_ODD_BAD_NUMBERS if odd else []))
     elif kind == "short":
         del row[rng.randrange(1, len(row)):]
     else:
@@ -763,12 +789,18 @@ def _write_mol2(path, blocks, rng):
     path.write_text("\n".join(lines) + rng.choice(["\n", "\n\n", ""]))
 
 
-def _cache_rows(rng):
+def _cache_rows(rng, odd=None):
+    """Rows of a valid cache; when ``odd`` (see ``_odd``), ids may also hold
+    ``#`` or outgrow every other field, and two differ only by a trailing
+    space."""
     rows = []
     for i in range(rng.randint(1, 8)):
         p = sorted((rng.choice([0.0, rng.uniform(0, 300)]) for _ in range(6)), reverse=True)
         n = sorted(rng.choice([0.0, -rng.uniform(0, 300)]) for _ in range(6))
-        rows.append([f"c{i}"] + [format(v, ".9g") for v in p + n])
+        mol_id = rng.choice(["c{}", "c#{}", "c{}" + _LONG]).format(i) if odd else f"c{i}"
+        rows.append([mol_id] + [_odd(rng, format(v, ".9g"), odd) for v in p + n])
+    if odd:
+        rows.append([rows[0][0] + " "] + rows[0][1:])
     return rows
 
 
@@ -784,11 +816,11 @@ def _write_cache(path, rows, rng, plain=False):
     path.write_text(end.join(lines) + end, newline="")
 
 
-def _mutate_cache_row(rng, row, rows):
+def _mutate_cache_row(rng, row, rows, odd=None):
     kind = rng.choice(["number", "short", "long", "dup", "order", "sign"])
     row = list(row)
     if kind == "number":
-        row[rng.randrange(1, 13)] = rng.choice(_BAD_NUMBERS)
+        row[rng.randrange(1, 13)] = rng.choice(_BAD_NUMBERS + (_ODD_BAD_NUMBERS if odd else []))
     elif kind == "short":
         del row[rng.randrange(1, 13):]
     elif kind == "long":
@@ -817,7 +849,13 @@ def _cache_bytes(cache):
 
 
 class TestParserDifferential:
-    SEEDS = range(60)
+    # Seeds from 60 on also write the inputs of ``_odd``, ``_ODD_BAD_NUMBERS``
+    # and the odd ids, one kind of odd number per file.
+    SEEDS = range(90)
+
+    @staticmethod
+    def _odd_kind(seed):
+        return _ODD_KINDS[seed % 3] if seed >= 60 else None
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_csv_atoms_matches_reference(self, tmp_path, monkeypatch, seed):
@@ -827,12 +865,13 @@ class TestParserDifferential:
     def test_plain_csv_atoms_matches_reference(self, tmp_path, monkeypatch, seed):
         self._csv_atoms_case(tmp_path, monkeypatch, seed, plain=True)
 
-    @staticmethod
-    def _csv_atoms_case(tmp_path, monkeypatch, seed, plain):
+    @classmethod
+    def _csv_atoms_case(cls, tmp_path, monkeypatch, seed, plain):
         """A valid file, then the same with one or two rows broken; a plain
         valid file must split without the csv module."""
         rng = random.Random(seed)
-        rows = _csv_rows(rng, plain)
+        odd = cls._odd_kind(seed)
+        rows = _csv_rows(rng, plain, odd)
         path = tmp_path / "atoms.csv"
         _write_csv(path, rows, rng, plain)
         want = reference_csv_atoms(path)
@@ -841,13 +880,13 @@ class TestParserDifferential:
                 m.setattr(csv, "reader", _refuse)
             assert _as_tuples(parse_molecules(path, "csv-atoms")) == want
         for i in _fault_rows(rng, rows):
-            rows[i] = _mutate_row(rng, rows[i])
+            rows[i] = _mutate_row(rng, rows[i], odd)
         _write_csv(path, rows, rng, plain)
         want = _outcome(reference_csv_atoms, path)
         got = _outcome(lambda p: _as_tuples(parse_molecules(p, "csv-atoms")), path)
         assert got == want
 
-    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("seed", SEEDS[:60])
     def test_mol2_matches_reference(self, tmp_path, seed):
         rng = random.Random(seed)
         blocks = _mol2_blocks(rng)
@@ -877,11 +916,12 @@ class TestParserDifferential:
     def test_plain_cache_matches_reference(self, tmp_path, monkeypatch, seed):
         self._cache_case(tmp_path, monkeypatch, seed, plain=True)
 
-    @staticmethod
-    def _cache_case(tmp_path, monkeypatch, seed, plain):
+    @classmethod
+    def _cache_case(cls, tmp_path, monkeypatch, seed, plain):
         """As ``_csv_atoms_case``, for a descriptor cache."""
         rng = random.Random(seed)
-        rows = _cache_rows(rng)
+        odd = cls._odd_kind(seed)
+        rows = _cache_rows(rng, odd)
         path = tmp_path / "cache.csv"
         _write_cache(path, rows, rng, plain)
         want = reference_cache(path)
@@ -892,7 +932,7 @@ class TestParserDifferential:
         assert _cache_bytes(got) == want
         assert list(got) == list(want)
         for i in _fault_rows(rng, rows):
-            rows[i] = _mutate_cache_row(rng, rows[i], rows)
+            rows[i] = _mutate_cache_row(rng, rows[i], rows, odd)
         _write_cache(path, rows, rng, plain)
         want = _outcome(reference_cache, path)
         got = _outcome(lambda p: _cache_bytes(mpe.read_descriptor_cache(p)), path)
@@ -941,9 +981,12 @@ class TestParserDifferential:
         "multi-byte UTF-8": ("m\u00e9\u20ac\U0001d11e,\u03a9,0,0,0,0.5\nm,C,1,0,0,-0.5\n",
                              "c\u00e9\u20ac\U0001d11e" + ",0" * 12 + "\nc1" + ",0" * 12 + "\n"),
         "quoted line break": QUOTED_LINE_BREAK,
+        "header only": ("", ""),
+        "one row": ("m,C,0,0,0,0.5\n", "c0" + ",0" * 12 + "\n"),
     }
     # the valid edge cases that the one split must take
-    PLAIN_EDGES = {"mixed LF and CRLF", "multi-byte UTF-8", "no final line end"}
+    PLAIN_EDGES = {"mixed LF and CRLF", "multi-byte UTF-8", "no final line end", "header only",
+                   "one row"}
 
     @pytest.mark.parametrize("case", sorted(EDGE_BODIES))
     @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
@@ -967,6 +1010,23 @@ class TestParserDifferential:
                 mpe.read_descriptor_cache(path)
             else:
                 parse_molecules(path, fmt)
+
+    def test_one_field_acceptance_set_matches_reference(self, tmp_path):
+        # One-row files whose x, y, z or charge field is 1{c}, {c}1 or 1{c}5,
+        # for every ASCII character, every whitespace character up to U+3000
+        # and some non-ASCII decimal digits: numpy's text reader and float()
+        # must not be told apart.
+        chars = {chr(i) for i in range(128)} | {chr(i) for i in range(0x3001) if chr(i).isspace()}
+        chars |= set("\u0661\u06f5\u0967\uff11\U0001d7ce")
+        cases = itertools.product(sorted(chars), ["1{}", "{}1", "1{}5"], range(2, 6))
+        for n, (c, form, field) in enumerate(cases):
+            fields = ["m", "C", "0", "0", "0", "0"]
+            fields[field] = form.format(c)
+            path = tmp_path / f"{n}.csv"
+            path.write_bytes((",".join(mpe.CSV_ATOM_COLUMNS) + "\n" + ",".join(fields) + "\n")
+                             .encode())
+            assert _outcome(lambda p: _as_tuples(parse_molecules(p, "csv-atoms")), path) \
+                == _outcome(reference_csv_atoms, path), (c, form, field)
 
     @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
     def test_padded_header_matches_reference(self, tmp_path, fmt):

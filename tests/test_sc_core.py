@@ -96,6 +96,15 @@ class TestLfsr:
             assert Lfsr(width, taps_a, 1).is_maximal
             assert Lfsr(width, taps_b, 1).is_maximal
 
+    def test_default_taps_are_the_widths_first_tabled_polynomial(self):
+        for width, (taps_a, _) in sc.MAXIMAL_TAPS.items():
+            lfsr = Lfsr(width=width)
+            assert lfsr == Lfsr(width, taps_a, 1)
+            assert np.array_equal(lfsr.states(40), Lfsr(width, taps_a, 1).states(40))
+        assert Lfsr() == Lfsr(sc.DEFAULT_WIDTH, sc.DEFAULT_TAPS_1, 1)
+        with pytest.raises(ValueError, match="no tabled polynomial for a 3-bit register"):
+            Lfsr(width=3)
+
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
             Lfsr(seed=0)
