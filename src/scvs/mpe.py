@@ -18,7 +18,7 @@ import io
 import json
 import math
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -218,8 +218,10 @@ def _format_column(values: np.ndarray) -> list:
 #
 # A csv-atoms file or descriptor cache that the csv module would read line
 # by line as ``line.split(",")`` is read in one ``np.loadtxt`` pass
-# (``_load_plain``).  When loadtxt or the conversion rejects such a file it
-# is split on commas line by line, and every other file is read by the csv
+# (``_load_plain``), ids and elements as Python strings.  When loadtxt
+# rejects such a file (a line of another field count, or a field it cannot
+# convert) or the conversion does, it is split on commas line by line, an
+# empty line holding no field, and every other file is read by the csv
 # module; those rows, and a mol2 file's, are converted and finiteness-checked
 # column by column (``_float_columns``).  Only when that finds a fault are
 # the rows re-scanned one at a time (``_check_rows``), to raise the first
@@ -271,55 +273,42 @@ def _decoded(path, data: bytes, newline):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline), fault
 
 
-def _plain_widths(data: bytes, width: int, n_text: int):
-    """Byte length of the longest data field of each of the first ``n_text``
-    columns of a plain file, else None.  A plain file holds no quote, NUL,
-    byte in 0x1C-0x1F or CR outside a CRLF, and width - 1 commas and at most
-    ``csv.field_size_limit()`` bytes on each line: the csv module reads each
-    of its lines, if it decodes as UTF-8, as ``line.split(",")``."""
+def _plain(data: bytes) -> bool:
+    """Whether the csv module reads each line of the file, if it decodes as
+    UTF-8, as ``line.split(",")``: the file is not empty and holds no quote,
+    NUL, byte in 0x1C-0x1F or CR outside a CRLF, and no line longer than
+    ``csv.field_size_limit()`` bytes."""
+    # A quote or NUL the csv module reads otherwise; numpy's float parser
+    # strips 0x1C-0x1F as whitespace, where float() rejects them.
+    if not data or any(map(data.__contains__, (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f"))):
+        return False
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     crlf = np.count_nonzero(buf[ends[ends > 0] - 1] == ord("\r"))
-    if not data.endswith(b"\n"):
-        ends = np.append(ends, len(data))
-    commas = np.flatnonzero(buf == ord(","))
-    # A quote or NUL the csv module reads otherwise; numpy's float parser
-    # strips 0x1C-0x1F as whitespace, where float() rejects them.
-    if any(map(data.__contains__, (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f"))) \
-            or np.count_nonzero(buf == ord("\r")) != crlf or len(commas) != len(ends) * (width - 1):
-        return None
-    # With that many commas, each line holds width - 1 of them when its
-    # first and its last comma lie on it.
-    commas = commas.reshape(len(ends), width - 1)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    if (commas[:, 0] < starts).any() or (commas[:, -1] > ends).any() \
-            or (ends - starts).max() > csv.field_size_limit():
-        return None
-    # Field j of a line runs from the byte after its comma j - 1 (or after
-    # the previous line end) to its comma j; line 0 is the header.
-    bounds = np.column_stack([starts - 1, commas[:, :n_text]])[1:]
-    return (np.diff(bounds).max(axis=0, initial=1) - 1).tolist()
+    # a line runs from the byte after the previous line end to its own end,
+    # or to the file's end
+    return np.count_nonzero(buf == ord("\r")) == crlf \
+        and np.diff(ends, prepend=-1, append=len(data)).max() - 1 <= csv.field_size_limit()
 
 
 def _load_plain(data: bytes, width: int, n_text: int):
-    """(lines, rows) of a plain file that decodes as UTF-8, else None: its
-    lines (a CRLF's CR kept) and one ``np.loadtxt`` pass over its data lines,
-    fields "0" to n_text - 1 unicode as wide as the column's widest field in
-    bytes, so none is truncated, and "v" the rest as float64.  ``rows`` is
-    None without data lines, when loadtxt rejects a field, for a non-finite
-    value, or when the padded text would outgrow the file's bytes."""
-    widths = _plain_widths(data, width, n_text)
-    if widths is None:
+    """(lines, rows) of a plain file (``_plain``) that decodes as UTF-8,
+    else None: its lines (a CRLF's CR kept) and one ``np.loadtxt`` pass over
+    its data lines, fields "0" to n_text - 1 Python strings and "v" the rest
+    float64.  ``rows`` is None without a data line, when loadtxt rejects a
+    line (one of another field count) or a field, or for a non-finite
+    value."""
+    if not _plain(data):
         return None
     try:
         lines = data.decode("utf-8").removesuffix("\n").split("\n")
     except UnicodeDecodeError:
         return None
-    # loadtxt warns of a file without data lines
-    if len(lines) < 2 or sum(widths) * (len(lines) - 1) > len(data):
+    # loadtxt skips empty lines, and warns of a file without data lines
+    if not any(map(str.strip, islice(lines, 1, None))):
         return lines, None
     try:
-        rows = np.loadtxt(lines, np.dtype([(str(j), f"U{max(w, 1)}") for j, w in enumerate(widths)]
+        rows = np.loadtxt(lines, np.dtype([(str(j), object) for j in range(n_text)]
                                           + [("v", np.float64, width - n_text)]),
                           delimiter=",", comments=None, quotechar=None, skiprows=1, ndmin=1)
     except ValueError:
@@ -334,7 +323,9 @@ def _read_table(path, data: bytes, lines):
     (else None; see ``_decoded``).  A plain file's ``lines`` are split on
     commas; any other file is read by the csv module."""
     if lines is not None:
-        rows = [line.removesuffix("\r").split(",") for line in lines]
+        # an empty line holds no field, as the csv module reads it
+        rows = [line.removesuffix("\r").split(",") if line not in ("", "\r") else []
+                for line in lines]
         return rows[0], rows[1:], range(2, len(rows) + 1), None
     text, stopped = _decoded(path, data, newline="")
     reader = csv.reader(text)

@@ -958,6 +958,24 @@ class TestParserDifferential:
         assert _cache_bytes(mpe.read_descriptor_cache(cache)) == want_cache
         assert len(want_cache) == 1 + 3 + 3 + 5
 
+    def test_one_long_id_takes_the_one_pass(self, tmp_path, monkeypatch):
+        # One id of 400 characters among short rows: the ids are read as
+        # Python strings, so no column is padded to its widest field and the
+        # file needs neither the csv module nor the comma split.
+        long_id = "m" * 400
+        atoms, cache = tmp_path / "atoms.csv", tmp_path / "cache.csv"
+        atoms.write_text(",".join(mpe.CSV_ATOM_COLUMNS) + "\n" + "".join(
+            f"{mol_id},C,{i},0,0,0.5\n" for i, mol_id in enumerate(["a", "b", long_id] + ["c"] * 5)))
+        cache.write_text(",".join(mpe.CACHE_COLUMNS) + "\n" + "".join(
+            f"{mol_id}" + ",0" * 12 + "\n" for mol_id in ["a", "b", long_id, "c", "d", "e"]))
+        want, want_cache = reference_csv_atoms(atoms), reference_cache(cache)
+        monkeypatch.setattr(csv, "reader", _refuse)
+        monkeypatch.setattr(mpe, "_row_columns", _refuse)
+        got = _as_tuples(parse_molecules(atoms, "csv-atoms"))
+        assert got == want and got[2][0] == long_id
+        assert _cache_bytes(mpe.read_descriptor_cache(cache)) == want_cache
+        assert list(want_cache)[2] == long_id
+
     # A quoted field that spans lines 3-4, then a bad field on line 6.
     QUOTED_LINE_BREAK = ('m,C,0,0,0,0.5\nm,"C\n",0,0,0,0\nm,C,1,0,0,-0.5\nm,C,x,0,0,0\n',
                          "c0" + ",0" * 12 + '\n"c\n1"' + ",0" * 12 + "\nc2" + ",0" * 12
@@ -986,7 +1004,7 @@ class TestParserDifferential:
     }
     # the valid edge cases that the one split must take
     PLAIN_EDGES = {"mixed LF and CRLF", "multi-byte UTF-8", "no final line end", "header only",
-                   "one row"}
+                   "one row", "trailing blank line"}
 
     @pytest.mark.parametrize("case", sorted(EDGE_BODIES))
     @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
