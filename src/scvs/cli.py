@@ -355,7 +355,6 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     per_target, metric_failures, inferences, elapsed = _evaluate_targets(model, targets, scaler)
 
     report = {
-        "config": asdict(cfg),
         "model": str(args.model),
         "model_kind": "sc_network" if isinstance(model, sc_nn.ScNetwork) else "mlp",
         "targets": {tid: m.as_dict() for tid, m in per_target.items()},

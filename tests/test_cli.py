@@ -286,6 +286,8 @@ class TestEvaluate:
         assert "sw64-published" in doc["published_baselines"]
         assert "not reproduced at desk scale" in doc["reproducibility_note"]
         assert "inferences_per_second" not in json.dumps(doc["aggregate"])
+        # the settings that shape a model live in its file, not in the report
+        assert "config" not in doc
         lines = csv_out.read_text().strip().splitlines()
         assert lines[0] == "target,auc,ef1,ef5,ef10"
         assert len(lines) == 4
@@ -1138,7 +1140,7 @@ WALKTHROUGH_SHA256 = {
     "hw48.json":
         "2d3013b64bb67c5a6d251d6598adc257dce5cc24a50f02db92a2498214b59770",
     "hw_report.json":
-        "6a5edb118bd628dade53b871f43eb2dbf3aa25f0b4f8f1a318032fced456c9a6",
+        "dca20f7e0a0b076732f62b5145549d8c1d367c3003e2ec2ec73bc86968c632b7",
     "pt.json":
         "1e1aefa095afdc9782c1e130b3395696d98833d646b5959861c4fcff07e03cc9",
     "relu48.json":
@@ -1150,7 +1152,7 @@ WALKTHROUGH_SHA256 = {
     "sw.csv":
         "03c8e700338e9267d342d5dcc98c61419c66f3ad745ff630cef037a4d3cbc371",
     "sw_report.json":
-        "c3d7fceeca8cc55957b4e6c8a17cee7db09773f5d2816dd36f87914aae100595",
+        "01058865caec7586fe6509ccefc09521fb86694b467cbebddb8ad183779b4af7",
     "train_log.json":
         "b9a1cc1d0fce9623488a1cf92547ccb79324ca9f9c38a690789a7d32f660c549",
 }
