@@ -276,10 +276,10 @@ class Lfsr:
         if words is None:
             raw = [self.seed]
             s = self.step(self.seed)
+            # The width tap makes the step a bijection on nonzero states, so
+            # every seed returns.
             while s != self.seed:
                 raw.append(s)
-                if len(raw) > 1 << self.width:
-                    raise RuntimeError("LFSR failed to cycle")
                 s = self.step(s)
             raw = np.array(raw, dtype=np.int64)
             half = 1 << (self.width - 1)

@@ -50,9 +50,11 @@ class CorrelationViolation(ValueError):
     """An operation that requires shared-generator streams got foreign ones."""
 
 
-# Default generator pair: distinct primitive polynomials, seeds picked by a
-# decorrelation sweep (lowest multiplier error and per-neuron noise among
-# candidate phase pairs).
+# Default generator pair: distinct primitive polynomials and two fixed seeds
+# that no sweep here chose.  At a stream length of one period the pair acts
+# only through the relative phase of its two generators.  On the README
+# walkthrough's relu48 net (make-bench --seed 2024), this pair's phase ranks
+# 192nd of the 4095 by calibration MAE, so the choice is still open.
 DEFAULT_SEEDS = (41, 1987)
 
 # Default stream length: one period of a 12-bit generator.

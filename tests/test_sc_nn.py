@@ -687,6 +687,95 @@ class TestPartialWindow:
                 assert s.value == sc_nn._values(rank, w.value)
 
 
+def _relu_net_with_biases(seed=3):
+    """A seeded [24, 12, 6, 1] ReLU net with nonzero biases, and 40
+    calibration rows in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    mlp = ref_nn.init_mlp([24, 12, 6, 1], "relu", seed=seed)
+    mlp.biases = [rng.normal(0, 0.2, b.shape) for b in mlp.biases]
+    mlp.trained = True
+    return mlp, rng.uniform(-1, 1, (40, 24))
+
+
+def _advanced(g, k):
+    """Generator g started k steps later: its stream rotated by k."""
+    return Lfsr(g.width, g.taps, int(g.states(k + 1)[-1]))
+
+
+class TestGeneratorPhase:
+    """At n = period every window holds each nonzero word once, and every
+    layer's weights ride R2 from phase 0.  Each XNOR count is then a sum over
+    one whole cycle of both generators, so the pair acts only through its
+    relative phase, and the ideal model does not see the seeds at all."""
+
+    WIDTHS = (4, 5, 6, 8, 12)
+
+    @staticmethod
+    def _calibrated(lfsr1, lfsr2, n):
+        """(net, bit-true scores, shifts) of the calibrated net."""
+        mlp, rows = _relu_net_with_biases()
+        net = quantize_weights(mlp, width=lfsr1.width, stream_len=n, lfsr1=lfsr1,
+                               lfsr2=lfsr2, calib=rows)
+        return net, net.simulator().infer_many(rows), [l.norm_shift for l in net.layers]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_same_phase_gives_identical_scores_and_shifts(self, width):
+        g1, g2 = default_lfsr1(width), default_lfsr2(width)
+        _, scores, shifts = self._calibrated(g1, g2, g1.period)
+        for k in (1, 5):
+            _, moved, moved_shifts = self._calibrated(_advanced(g1, k), _advanced(g2, k),
+                                                      g1.period)
+            assert moved.tobytes() == scores.tobytes() and moved_shifts == shifts
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_other_phase_gives_other_scores(self, width):
+        g1, g2 = default_lfsr1(width), default_lfsr2(width)
+        _, scores, _ = self._calibrated(g1, g2, g1.period)
+        _, other, _ = self._calibrated(g1, _advanced(g2, 5), g1.period)
+        assert other.tobytes() != scores.tobytes()
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_two_periods_double_every_count(self, width):
+        # The streams repeat exactly, so every APC doubles and calibration
+        # raises every shift by one: the floored words are the same.
+        g1, g2 = default_lfsr1(width), default_lfsr2(width)
+        _, scores, shifts = self._calibrated(g1, g2, g1.period)
+        _, doubled, doubled_shifts = self._calibrated(g1, g2, 2 * g1.period)
+        assert doubled.tobytes() == scores.tobytes()
+        assert doubled_shifts == [s + 1 for s in shifts]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_ideal_model_ignores_the_seeds(self, width):
+        g1, g2 = default_lfsr1(width), default_lfsr2(width)
+        net, _, shifts = self._calibrated(g1, g2, g1.period)
+        other, _, other_shifts = self._calibrated(_advanced(g1, 3), _advanced(g2, 11), g1.period)
+        _, rows = _relu_net_with_biases()
+        assert other_shifts == shifts
+        assert fixed_point_reference(other, rows).tobytes() == \
+            fixed_point_reference(net, rows).tobytes()
+
+
+class TestOutputScale:
+    # The fixed-point reference differs from the float score times
+    # ``output_scale`` only by rounding weights and inputs to words and by
+    # each layer's floor shift; seeds 0-5 of this net read at most 4.4 LSB.
+    # The bit-true score adds the stochastic multiplication noise on top.
+    TOLERANCE_LSB = 8
+
+    @pytest.mark.parametrize("width", [8, 12])
+    def test_fixed_point_score_is_float_score_times_output_scale(self, width):
+        mlp, rows = _relu_net_with_biases()
+        net = quantize_weights(mlp, width=width, stream_len=(1 << width) - 1, calib=rows)
+        sim = net.simulator()
+        sim.infer_many(rows)
+        assert sim.saturation_count == 0
+        half = 1 << (width - 1)
+        want = ref_nn.forward_batch(mlp, rows) * net.output_scale
+        assert np.ptp(want) * half > 4 * self.TOLERANCE_LSB  # scores spread over many LSB
+        err = np.abs(fixed_point_reference(net, rows) - want) * half
+        assert err.max() <= self.TOLERANCE_LSB
+
+
 class TestNetworkFile:
     def test_round_trip_preserves_inference(self, tmp_path):
         rng = np.random.default_rng(21)
