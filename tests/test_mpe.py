@@ -1000,11 +1000,12 @@ class TestParserDifferential:
                              "c\u00e9\u20ac\U0001d11e" + ",0" * 12 + "\nc1" + ",0" * 12 + "\n"),
         "quoted line break": QUOTED_LINE_BREAK,
         "header only": ("", ""),
+        "blank lines only": ("\n\r\n", "\n"),
         "one row": ("m,C,0,0,0,0.5\n", "c0" + ",0" * 12 + "\n"),
     }
     # the valid edge cases that the one split must take
     PLAIN_EDGES = {"mixed LF and CRLF", "multi-byte UTF-8", "no final line end", "header only",
-                   "one row", "trailing blank line"}
+                   "one row", "trailing blank line", "blank lines only"}
 
     @pytest.mark.parametrize("case", sorted(EDGE_BODIES))
     @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
