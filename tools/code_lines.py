@@ -6,6 +6,7 @@ spans.
 Usage: python tools/code_lines.py PATH [PATH ...]   (files or directories)
 """
 
+import io
 import sys
 import tokenize
 from pathlib import Path
@@ -18,8 +19,8 @@ def code_lines(source: str) -> int:
     """The number of code lines of one file's source."""
     lines = set()
     statement = []  # the current logical line's tokens, layout left out
-    for tok in tokenize.generate_tokens(iter(source.splitlines(keepends=True)).__next__):
-        if tok.type == tokenize.NEWLINE or tok.type == tokenize.ENDMARKER:
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
             if not (len(statement) == 1 and statement[0].type == tokenize.STRING):
                 for t in statement:
                     lines.update(range(t.start[0], t.end[0] + 1))
@@ -31,7 +32,7 @@ def code_lines(source: str) -> int:
 
 def main(argv) -> int:
     if not argv:
-        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        print(__doc__, file=sys.stderr)
         return 1
     files = [f for p in map(Path, argv) for f in (sorted(p.rglob("*.py")) if p.is_dir() else [p])]
     print(sum(code_lines(f.read_text(encoding="utf-8")) for f in files))
