@@ -65,8 +65,9 @@ _SPLIT, _TRAIN = SplitSpec(), TrainConfig()  # the library's defaults
 
 @dataclass
 class RunConfig:
-    """Resolved run parameters, embedded in every report for provenance; K and
-    the LFSR polynomials are constants (``mpe.DEFAULT_K``, ``sc_core.MAXIMAL_TAPS``)."""
+    """Resolved run parameters, embedded in the train log and the per-target
+    report for provenance (an SC model file records its own); K and the LFSR
+    polynomials are constants (``mpe.DEFAULT_K``, ``sc_core.MAXIMAL_TAPS``)."""
 
     width: int = _setting(sc_core.DEFAULT_WIDTH, *_SC)
     stream_len: int = _setting(sc_nn.DEFAULT_STREAM_LEN, *_SC)
