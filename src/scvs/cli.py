@@ -173,10 +173,6 @@ def _require_file(path: Path) -> Path:
     return path
 
 
-def _infer_format(path: Path) -> str:
-    return "mol2-subset" if path.suffix.lower() == ".mol2" else "csv-atoms"
-
-
 # ---------------------------------------------------------------------------
 # Target loading
 
@@ -198,10 +194,8 @@ def load_targets(manifest_path: Path, cache: dict | None, k: float):
     for entry in load_manifest(manifest_path):
         tid = entry["target_id"]
         try:
-            tables = []
-            for key in ("crystal_ligand", "actives", "decoys"):
-                p = _require_file(Path(entry[key]))
-                tables.append(mpe.parse_molecules(p, _infer_format(p)))
+            tables = [mpe.parse_molecules(_require_file(Path(entry[key])))
+                      for key in ("crystal_ligand", "actives", "decoys")]
             targets.append(screening.target_descriptors(tid, *tables, k, cache))
         except (OSError, ValueError) as exc:
             failures.append({"target_id": tid, "error": str(exc)})
@@ -234,7 +228,7 @@ def cmd_descriptors(args, cfg: RunConfig) -> int:
     for name in args.inputs:
         path = _resolve(name, cfg.data_dir)
         try:
-            table = mpe.parse_molecules(_require_file(path), _infer_format(path))
+            table = mpe.parse_molecules(_require_file(path))
         except (OSError, MoleculeParseError) as exc:  # their messages name the file
             errors.append(str(exc))
             continue

@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from functools import partial
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
-from .ref_nn import json_array, read_json, require_fields, write_csv
+from .ref_nn import json_array, placed, read_json, require_fields, write_csv, write_json
 
 # Coulomb constant in kcal*Angstrom/(mol*e^2); only consistency matters here
 # because features are rescaled before they reach a network.
@@ -229,15 +229,14 @@ def _format_column(values: np.ndarray) -> list:
 # Results and errors are the same on every path.
 
 
-def parse_molecules(path, format: str) -> MoleculeTable:
-    """Read molecules with charges from a mol2 atom-block subset or a
-    csv-atoms table, as one table.  An empty file is an empty table, not an
+def parse_molecules(path) -> MoleculeTable:
+    """Read molecules with charges as one table: a mol2 atom-block subset
+    from a file whose name ends in ``.mol2``, in any case, and a csv-atoms
+    table from any other file.  An empty file is an empty table, not an
     error."""
-    if format == "mol2-subset":
+    if Path(path).suffix.lower() == ".mol2":
         return _parse_mol2(path)
-    if format == "csv-atoms":
-        return _parse_csv_atoms(path)
-    raise ValueError(f"unknown molecule format {format!r}")
+    return _parse_csv_atoms(path)
 
 
 _ATOM_FIELDS = ("x coordinate", "y coordinate", "z coordinate", "charge")
@@ -583,18 +582,13 @@ class FeatureScaler:
         return np.clip(scaled, -1.0, 1.0)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"mins": list(self.mins), "maxs": list(self.maxs)}, fh, indent=1)
-            fh.write("\n")
+        write_json({"mins": list(self.mins), "maxs": list(self.maxs)}, path)
 
     @classmethod
     def load(cls, path) -> "FeatureScaler":
         doc = require_fields(read_json(path), {"mins": list, "maxs": list}, path)
         mins, maxs = (json_array(doc, name, np.float64, path) for name in ("mins", "maxs"))
-        try:
-            return cls(mins, maxs)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return placed(path, "", cls, mins, maxs)
 
 
 def pair_features(ligand: np.ndarray, candidate: np.ndarray) -> np.ndarray:

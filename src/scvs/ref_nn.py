@@ -300,26 +300,21 @@ def oversample(y, seed: int = 0) -> np.ndarray:
 
 
 def save_mlp(mlp: Mlp, path) -> None:
-    doc = {
-        "kind": "mlp",
-        "version": MODEL_FORMAT_VERSION,
-        "activation": mlp.activation,
-        "trained": mlp.trained,
-        "layers": [
-            {
-                "fan_in": int(w.shape[1]),
-                "fan_out": int(w.shape[0]),
-                "weights": [float(v) for v in w.reshape(-1)],
-                "bias": [float(v) for v in b],
-            }
-            for w, b in zip(mlp.weights, mlp.biases)
-        ],
-    }
-    write_json(doc, path)
+    layers = [
+        {
+            "fan_in": int(w.shape[1]),
+            "fan_out": int(w.shape[0]),
+            "weights": [float(v) for v in w.reshape(-1)],
+            "bias": [float(v) for v in b],
+        }
+        for w, b in zip(mlp.weights, mlp.biases)
+    ]
+    write_model(path, "mlp", layers, activation=mlp.activation, trained=mlp.trained)
 
 
 def write_json(doc, path) -> None:
-    """``doc`` as indented JSON with sorted keys and a final newline."""
+    """``doc`` as indented JSON with sorted keys and a final newline: the
+    one spelling of every JSON file the package writes."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -376,6 +371,12 @@ def json_array(doc: dict, name: str, dtype, path, where: str = "") -> np.ndarray
         pass
     raise ValueError(f"{path}: {where}field {name!r} must be a list of "
                      f"{np.dtype(dtype).name} values")
+
+
+def write_model(path, kind: str, layers: list, **fields) -> None:
+    """A model file: the envelope that ``model_layers`` reads (``kind``, the
+    format version and ``layers``) around the network's own ``fields``."""
+    write_json({"kind": kind, "version": MODEL_FORMAT_VERSION, **fields, "layers": layers}, path)
 
 
 def model_layers(doc, path, kind: str, what: str, fields: dict, layer_fields: dict) -> list:

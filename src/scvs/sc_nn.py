@@ -41,8 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sc_core as sc
-from .ref_nn import (Mlp, MODEL_FORMAT_VERSION, json_array, model_layers, placed,
-                     require_fields, write_json)
+from .ref_nn import Mlp, json_array, model_layers, placed, require_fields, write_model
 from .sc_core import BitStream, GateKind, Lfsr, WordSequence
 
 
@@ -597,26 +596,20 @@ def fixed_point_reference(net: ScNetwork, x):
 
 
 def save_sc_network(net: ScNetwork, path) -> None:
-    doc = {
-        "kind": "sc_network",
-        "version": MODEL_FORMAT_VERSION,
-        "width": net.width,
-        "stream_len": net.stream_len,
-        "lfsr1": {"taps": list(net.lfsr1.taps), "seed": net.lfsr1.seed},
-        "lfsr2": {"taps": list(net.lfsr2.taps), "seed": net.lfsr2.seed},
-        "layers": [
-            {
-                "fan_in": l.fan_in,
-                "fan_out": l.fan_out,
-                "norm_shift": l.norm_shift,
-                "scale": l.scale,
-                "weights": [int(v) for v in l.weights_q.reshape(-1)],
-                "bias": None if l.bias_q is None else [int(v) for v in l.bias_q],
-            }
-            for l in net.layers
-        ],
-    }
-    write_json(doc, path)
+    layers = [
+        {
+            "fan_in": l.fan_in,
+            "fan_out": l.fan_out,
+            "norm_shift": l.norm_shift,
+            "scale": l.scale,
+            "weights": [int(v) for v in l.weights_q.reshape(-1)],
+            "bias": None if l.bias_q is None else [int(v) for v in l.bias_q],
+        }
+        for l in net.layers
+    ]
+    write_model(path, "sc_network", layers, width=net.width, stream_len=net.stream_len,
+                lfsr1={"taps": list(net.lfsr1.taps), "seed": net.lfsr1.seed},
+                lfsr2={"taps": list(net.lfsr2.taps), "seed": net.lfsr2.seed})
 
 
 def build_sc_network(doc, path) -> ScNetwork:

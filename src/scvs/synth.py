@@ -15,12 +15,12 @@ pipeline end to end.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from . import mpe
+from .ref_nn import write_json
 from .screening import TargetData
 
 POS_RANGE = (20.0, 260.0)
@@ -107,7 +107,5 @@ def write_benchmark(out_dir, seed: int = 2024, n_targets: int = 10,
             "decoys": str(tdir / "decoys.csv"),
         })
     path = out_dir / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump({"seed": seed, "targets": manifest}, fh, indent=1)
-        fh.write("\n")
+    write_json({"seed": seed, "targets": manifest}, path)
     return path

@@ -582,7 +582,7 @@ class TestMutatedInputs:
         target = doc["targets"][1]
         bad = _fresh_dir(ws) / "decoys.csv"
         bad.write_bytes(_mutated(Path(target["decoys"]).read_bytes(), *mutation))
-        fault = _library_fault(lambda p: mpe.parse_molecules(p, "csv-atoms"), bad)
+        fault = _library_fault(lambda p: mpe.parse_molecules(p), bad)
 
         code, err = _captured("descriptors", bad, "--out", bad.parent / "cache.csv")
         _assert_failed_cleanly(code, err, bad)
@@ -1106,7 +1106,7 @@ class TestCliSurface:
 # sha256 of every file the walkthrough below writes.
 WALKTHROUGH_SHA256 = {
     "bench/manifest.json":
-        "3eb23e1c0d28fdac591e0a7f7fe01e740600adf39694dd63599b50633f1d04c7",
+        "188c98be6f49fa1601b1cb37e0242e4549bf7c9961cc9b683b9fa3c4dc039f6f",
     "bench/synt00/actives.csv":
         "908b1d59317db95b3309e8d5a621e597e96c445dcfa1e5691da5f0a3b913412a",
     "bench/synt00/crystal.csv":
@@ -1146,7 +1146,7 @@ WALKTHROUGH_SHA256 = {
     "relu48.json":
         "2393bf9e0f00c24b387eb28c74df0a9f92cea48256ea8b182f55a842e69589e9",
     "scaler.json":
-        "1476fd245690da1ea443623e865ed28aac53caf74312387d1011fd2595cd6a86",
+        "669b8b499325893c0b602192a1c094500b38e2bbead0c77890422d7a69d29631",
     "scatter.csv":
         "f91ad7cc9680d42621f323a59504806f5bcdbc39c6a7072dd4fb61beb651060b",
     "sw.csv":

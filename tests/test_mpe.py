@@ -310,7 +310,7 @@ class TestBatchedDescriptors:
                                    repr(float(m.charges[a]))]))
         path = tmp_path / "atoms.csv"
         path.write_text("\n".join(lines) + "\n")
-        table = parse_molecules(path, "csv-atoms")
+        table = parse_molecules(path)
         assert table.ids == [f"m{i}" for i in dict.fromkeys(owners)]
         by_id = {m.ids[0]: m for m in mols}
         got = [_vector_outcome(v) for v in mpe.mpe_vectors(table)]
@@ -367,7 +367,7 @@ class TestRowsValid:
 
 class TestParsers:
     def test_mol2_fixture_two_molecules(self):
-        table = parse_molecules(DATA / "fixture.mol2", "mol2-subset")
+        table = parse_molecules(DATA / "fixture.mol2")
         assert table.ids == ["ethanol_frag", "salt_pair"]
         assert np.diff(table.offsets).tolist() == [3, 2]
         assert table.charges[1] == pytest.approx(-0.3856)
@@ -377,7 +377,7 @@ class TestParsers:
         p = tmp_path / "twice.mol2"
         block = "@<TRIPOS>MOLECULE\nsame\n@<TRIPOS>ATOM\n1 C1 {} 0 0 C.3 1 L {}\n"
         p.write_text(block.format(0, 0.5) + block.format(1, -0.5))
-        table = parse_molecules(p, "mol2-subset")
+        table = parse_molecules(p)
         assert table.ids == ["same", "same"] and len(table) == 2
         assert table.offsets.tolist() == [0, 1, 2]
         assert table.charges.tolist() == [0.5, -0.5]
@@ -387,12 +387,12 @@ class TestParsers:
         p.write_text("")
         q = tmp_path / "empty.csv"
         q.write_text("")
-        for table in (parse_molecules(p, "mol2-subset"), parse_molecules(q, "csv-atoms")):
+        for table in (parse_molecules(p), parse_molecules(q)):
             assert len(table) == 0 and table.ids == [] and table.offsets.tolist() == [0]
             assert table.positions.shape == (0, 3) and table.charges.shape == (0,)
 
     def test_csv_fixture(self):
-        table = parse_molecules(DATA / "fixture_atoms.csv", "csv-atoms")
+        table = parse_molecules(DATA / "fixture_atoms.csv")
         assert table.ids == ["pair_neg", "square", "lone", "triangle", "chain"]
         assert np.diff(table.offsets).tolist() == [2, 4, 1, 3, 4]
 
@@ -400,23 +400,20 @@ class TestParsers:
         p = tmp_path / "bad.csv"
         p.write_text("molecule_id,element,x,y,z,charge\nm1,C,0,0,0,NaN\n")
         with pytest.raises(MoleculeParseError, match="bad.csv:2"):
-            parse_molecules(p, "csv-atoms")
+            parse_molecules(p)
 
     def test_short_mol2_atom_record_rejected(self, tmp_path):
         p = tmp_path / "bad.mol2"
         p.write_text("@<TRIPOS>MOLECULE\nm\n@<TRIPOS>ATOM\n1 C 0.0 0.0\n")
         with pytest.raises(MoleculeParseError, match="bad.mol2:4"):
-            parse_molecules(p, "mol2-subset")
+            parse_molecules(p)
 
     def test_missing_charge_column_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("molecule_id,element,x,y,z\nm1,C,0,0,0\n")
         with pytest.raises(MoleculeParseError, match="header"):
-            parse_molecules(p, "csv-atoms")
+            parse_molecules(p)
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            parse_molecules(DATA / "fixture.mol2", "sdf")
 
 
 def _entries(table):
@@ -440,7 +437,7 @@ class TestScatter:
         assert path.read_text().strip() == "molecule_id,most_positive,most_negative"
 
     def test_fixture_rows_match_vectors(self, tmp_path):
-        entries = _entries(parse_molecules(DATA / "fixture_atoms.csv", "csv-atoms"))
+        entries = _entries(parse_molecules(DATA / "fixture_atoms.csv"))
         path = tmp_path / "scatter.csv"
         mpe.write_scatter_csv(path, entries)
         with open(path, newline="") as fh:
@@ -453,12 +450,12 @@ class TestScatter:
 
 class TestCsvAtomsWriter:
     def test_written_tables_read_back(self, tmp_path):
-        mol2 = parse_molecules(DATA / "fixture.mol2", "mol2-subset")
-        atoms = parse_molecules(DATA / "fixture_atoms.csv", "csv-atoms")
+        mol2 = parse_molecules(DATA / "fixture.mol2")
+        atoms = parse_molecules(DATA / "fixture_atoms.csv")
         path = tmp_path / "out.csv"
         mpe.write_csv_atoms(path, [mol2, atoms])
         assert path.read_bytes().startswith(b"molecule_id,element,x,y,z,charge\r\n")
-        assert _as_tuples(parse_molecules(path, "csv-atoms")) == \
+        assert _as_tuples(parse_molecules(path)) == \
             _as_tuples(mol2) + _as_tuples(atoms)
 
 
@@ -492,7 +489,7 @@ class TestCsvAtomsWriter:
 
 class TestDescriptorCache:
     def test_round_trip_9_sig_digits(self, tmp_path):
-        entries = _entries(parse_molecules(DATA / "fixture_atoms.csv", "csv-atoms"))
+        entries = _entries(parse_molecules(DATA / "fixture_atoms.csv"))
         path = tmp_path / "cache.csv"
         mpe.write_descriptor_cache(path, entries)
         back = mpe.read_descriptor_cache(path)
@@ -878,12 +875,12 @@ class TestParserDifferential:
         with monkeypatch.context() as m:
             if plain:
                 m.setattr(csv, "reader", _refuse)
-            assert _as_tuples(parse_molecules(path, "csv-atoms")) == want
+            assert _as_tuples(parse_molecules(path)) == want
         for i in _fault_rows(rng, rows):
             rows[i] = _mutate_row(rng, rows[i], odd)
         _write_csv(path, rows, rng, plain)
         want = _outcome(reference_csv_atoms, path)
-        got = _outcome(lambda p: _as_tuples(parse_molecules(p, "csv-atoms")), path)
+        got = _outcome(lambda p: _as_tuples(parse_molecules(p)), path)
         assert got == want
 
     @pytest.mark.parametrize("seed", SEEDS[:60])
@@ -893,7 +890,7 @@ class TestParserDifferential:
         path = tmp_path / "mols.mol2"
         _write_mol2(path, blocks, rng)
         want = reference_mol2(path)
-        assert _as_tuples(parse_molecules(path, "mol2-subset")) == want
+        assert _as_tuples(parse_molecules(path)) == want
         records = [r for _, block in blocks for r in block]
         for i in _fault_rows(rng, records):
             if rng.random() < 0.3:
@@ -905,7 +902,7 @@ class TestParserDifferential:
             rng.choice(blocks)[1] = []  # a block without atoms
         _write_mol2(path, blocks, rng)
         want = _outcome(reference_mol2, path)
-        got = _outcome(lambda p: _as_tuples(parse_molecules(p, "mol2-subset")), path)
+        got = _outcome(lambda p: _as_tuples(parse_molecules(p)), path)
         assert got == want
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -950,11 +947,11 @@ class TestParserDifferential:
         want = [reference_csv_atoms(p) for p in atoms]
         cache = tmp_path / "cache.csv"
         mpe.write_descriptor_cache(cache, [e for p in atoms
-                                           for e in _entries(parse_molecules(p, "csv-atoms"))])
+                                           for e in _entries(parse_molecules(p))])
         want_cache = reference_cache(cache)
         monkeypatch.setattr(csv, "reader", _refuse)
         monkeypatch.setattr(mpe, "_row_columns", _refuse)
-        assert [_as_tuples(parse_molecules(p, "csv-atoms")) for p in atoms] == want
+        assert [_as_tuples(parse_molecules(p)) for p in atoms] == want
         assert _cache_bytes(mpe.read_descriptor_cache(cache)) == want_cache
         assert len(want_cache) == 1 + 3 + 3 + 5
 
@@ -971,7 +968,7 @@ class TestParserDifferential:
         want, want_cache = reference_csv_atoms(atoms), reference_cache(cache)
         monkeypatch.setattr(csv, "reader", _refuse)
         monkeypatch.setattr(mpe, "_row_columns", _refuse)
-        got = _as_tuples(parse_molecules(atoms, "csv-atoms"))
+        got = _as_tuples(parse_molecules(atoms))
         assert got == want and got[2][0] == long_id
         assert _cache_bytes(mpe.read_descriptor_cache(cache)) == want_cache
         assert list(want_cache)[2] == long_id
@@ -1028,7 +1025,7 @@ class TestParserDifferential:
             if fmt == "cache":
                 mpe.read_descriptor_cache(path)
             else:
-                parse_molecules(path, fmt)
+                parse_molecules(path)
 
     def test_one_field_acceptance_set_matches_reference(self, tmp_path):
         # One-row files whose x, y, z or charge field is 1{c}, {c}1 or 1{c}5,
@@ -1044,7 +1041,7 @@ class TestParserDifferential:
             path = tmp_path / f"{n}.csv"
             path.write_bytes((",".join(mpe.CSV_ATOM_COLUMNS) + "\n" + ",".join(fields) + "\n")
                              .encode())
-            assert _outcome(lambda p: _as_tuples(parse_molecules(p, "csv-atoms")), path) \
+            assert _outcome(lambda p: _as_tuples(parse_molecules(p)), path) \
                 == _outcome(reference_csv_atoms, path), (c, form, field)
 
     @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
@@ -1076,7 +1073,7 @@ class TestParserDifferential:
                     if fmt == "cache":
                         mpe.read_descriptor_cache(path)
                     else:
-                        parse_molecules(path, fmt)
+                        parse_molecules(path)
         finally:
             csv.field_size_limit(old)
         assert csv.field_size_limit() == old
@@ -1086,7 +1083,7 @@ class TestParserDifferential:
         """The file reads as the reference reads it; when ``plain``, it is
         valid and splits without the csv module."""
         reference, read = (
-            (reference_csv_atoms, lambda p: _as_tuples(parse_molecules(p, "csv-atoms")))
+            (reference_csv_atoms, lambda p: _as_tuples(parse_molecules(p)))
             if fmt == "csv-atoms" else
             (reference_cache, lambda p: _cache_bytes(mpe.read_descriptor_cache(p))))
         want = _outcome(reference, path)
@@ -1110,13 +1107,13 @@ class TestParserDifferential:
         else:
             head = ",".join(mpe.CACHE_COLUMNS) + "\nc0" + ",0" * 11 + ",x\n"
             body = "".join(f"c{i + 1}" + ",0" * 12 + "\n" for i in range(4000))
-        path = tmp_path / "f"
+        path = tmp_path / ("f.mol2" if fmt == "mol2-subset" else "f")
         path.write_bytes((head + body).encode() + b"\xff\n")
         with pytest.raises(MoleculeParseError, match=r":2: unparseable"):
             if fmt == "cache":
                 mpe.read_descriptor_cache(path)
             else:
-                parse_molecules(path, fmt)
+                parse_molecules(path)
 
     @pytest.mark.parametrize("fmt", ["csv-atoms", "mol2-subset", "cache"])
     def test_malformed_row_in_same_buffer_as_undecodable_bytes_wins(self, tmp_path, fmt):
@@ -1129,13 +1126,13 @@ class TestParserDifferential:
         else:
             lines = [",".join(mpe.CACHE_COLUMNS), "c0" + ",0" * 11 + ",x", "c1" + ",0" * 12,
                      "c2" + ",0" * 11 + ","]
-        path = tmp_path / "f"
+        path = tmp_path / ("f.mol2" if fmt == "mol2-subset" else "f")
         path.write_bytes("\n".join(lines).encode() + b"\xff\n")
         with pytest.raises(MoleculeParseError, match=rf"^{path}:2: unparseable"):
             if fmt == "cache":
                 mpe.read_descriptor_cache(path)
             else:
-                parse_molecules(path, fmt)
+                parse_molecules(path)
 
     @pytest.mark.parametrize("fmt", ["csv-atoms", "mol2-subset", "cache"])
     def test_undecodable_bytes_name_file_and_line(self, tmp_path, fmt):
@@ -1147,14 +1144,14 @@ class TestParserDifferential:
             text = "@<TRIPOS>MOLECULE\nm\n@<TRIPOS>ATOM\n"
         else:
             text = ",".join(mpe.CACHE_COLUMNS) + "\nc0" + ",0" * 12 + "\n"
-        path = tmp_path / "f"
+        path = tmp_path / ("f.mol2" if fmt == "mol2-subset" else "f")
         path.write_bytes(text.encode() + b"c\xff,0\n" + b"more\n")
         line = text.count("\n") + 1
         with pytest.raises(MoleculeParseError, match=rf"^{path}:{line}: cannot decode") as err:
             if fmt == "cache":
                 mpe.read_descriptor_cache(path)
             else:
-                parse_molecules(path, fmt)
+                parse_molecules(path)
         assert err.value.line_no == line
 
     @pytest.mark.parametrize("fmt", ["csv-atoms", "cache"])
@@ -1166,4 +1163,4 @@ class TestParserDifferential:
             if fmt == "cache":
                 mpe.read_descriptor_cache(path)
             else:
-                parse_molecules(path, fmt)
+                parse_molecules(path)
