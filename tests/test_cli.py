@@ -1158,14 +1158,17 @@ WALKTHROUGH_SHA256 = {
 }
 
 
-class TestWalkthroughBytes:
+@pytest.fixture(scope="class")
+def walkthrough(tmp_path_factory):
     """The README walkthrough on a small bench, run with relative paths from
-    a fresh directory: any change that moves a byte of any output fails."""
-
-    def test_every_output_file_pinned(self, tmp_path, monkeypatch):
+    a fresh directory: that directory and the sha256 of every file the
+    walkthrough writes.  An evaluate with a timing sidecar, which is not
+    deterministic, runs after the files are hashed."""
+    root = tmp_path_factory.mktemp("walkthrough")
+    with pytest.MonkeyPatch.context() as m:
         for env in ("SCVS_DATA_DIR", "SCVS_MODELS_DIR", "SCVS_REPORTS_DIR"):
-            monkeypatch.delenv(env, raising=False)
-        monkeypatch.chdir(tmp_path)
+            m.delenv(env, raising=False)
+        m.chdir(root)
         assert run("make-bench", "--out-dir", "bench", "--seed", "7", "--targets", "3",
                    "--actives", "16", "--decoys", "48") == 0
         molecules = [p for t in json.loads(Path("bench/manifest.json").read_text())["targets"]
@@ -1189,7 +1192,27 @@ class TestWalkthroughBytes:
                  "--batch-size", "16", "--out", "pt.json"],
                 ["sc-bench", "--out", "gates.csv", "--step", "0.5"]):
             assert run(*argv) == 0, argv
-        got = {p.relative_to(tmp_path).as_posix():
-               hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.rglob("*")) if p.is_file()}
-        assert got == WALKTHROUGH_SHA256
+        digest = {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in sorted(root.rglob("*")) if p.is_file()}
+        assert run("evaluate", "--model", "hw48.json", *common, "--scaler", "scaler.json",
+                   "--report", "timed_report.json", "--timing-out", "timing.json") == 0
+    return root, digest
+
+
+class TestWalkthroughBytes:
+    def test_every_output_file_pinned(self, walkthrough):
+        # any change that moves a byte of any output fails
+        assert walkthrough[1] == WALKTHROUGH_SHA256
+
+    def test_every_json_file_has_the_one_writer_form(self, walkthrough):
+        # ref_nn.write_json writes every JSON file: sorted keys, indent 1,
+        # a final newline
+        root = walkthrough[0]
+        written = sorted(root.rglob("*.json"))
+        assert {p.relative_to(root).as_posix() for p in written} == {
+            "bench/manifest.json", "scaler.json", "relu48.json", "hw48.json", "train_log.json",
+            "hw_report.json", "sw_report.json", "timed_report.json", "cmp.json", "pt.json",
+            "timing.json"}
+        for p in written:
+            text = p.read_text()
+            assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n", p
