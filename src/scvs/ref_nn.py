@@ -172,11 +172,13 @@ def loss_and_grads(mlp: Mlp, x: np.ndarray, y: np.ndarray):
     return loss, gw, gb
 
 
-def train_adam(mlp: Mlp, x, y, cfg: TrainConfig):
+def train_adam(mlp: Mlp, x, y, cfg: TrainConfig, balance: bool = False):
     """Adam on BCE over the ``(k, n_in)`` rows ``x`` and their ``k`` labels
     ``y``; deterministic for a fixed seed.  Returns the trained net and a
     history dict with per-epoch mean train loss (and validation loss when a
-    validation split is held out for early stopping)."""
+    validation split is held out for early stopping).  With ``balance`` the
+    training rows left after the validation split are oversampled
+    (``oversample``), so no validation row has a copy among them."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size == 0:
@@ -196,6 +198,9 @@ def train_adam(mlp: Mlp, x, y, cfg: TrainConfig):
         val_idx, train_idx = perm[:n_val], perm[n_val:]
         xv, yv = x[val_idx], y[val_idx]
         x, y = x[train_idx], y[train_idx]
+    if balance:
+        rows = oversample(y, seed=cfg.rng_seed)
+        x, y = x[rows], y[rows]
 
     # every weight and bias is a view of one flat vector, layer by layer,
     # so one Adam step updates them all

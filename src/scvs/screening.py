@@ -286,8 +286,9 @@ PER_TARGET_TRAIN_FRACTION = 0.8
 
 
 def per_target_protocol(target: TargetData, cfg: TrainConfig, shape=None):
-    """Seeded stratified 80/20 split, oversampling on the training side,
-    one model trained for this target alone, metrics on the held-out 20%."""
+    """Seeded stratified 80/20 split, one model trained for this target
+    alone on the training side (oversampled once its validation rows are
+    out), metrics on the held-out 20%."""
     shape = shape or ref_nn.ARCH_SHAPES["64"]
     rng = _target_rng(cfg.rng_seed, target.target_id)
     train, test = _split(target, rng, (PER_TARGET_TRAIN_FRACTION,) * 2)
@@ -297,9 +298,8 @@ def per_target_protocol(target: TargetData, cfg: TrainConfig, shape=None):
             f"sides of the {PER_TARGET_TRAIN_FRACTION:.0%} split")
     scaler = FeatureScaler.fit(target.pair_matrix[train])
     x, y = pair_arrays([(target, train)], scaler)
-    rows = ref_nn.oversample(y, seed=cfg.rng_seed)
-    mlp, _ = ref_nn.train_adam(ref_nn.init_mlp(shape, "tanh", seed=cfg.rng_seed),
-                               x[rows], y[rows], cfg)
+    mlp, _ = ref_nn.train_adam(ref_nn.init_mlp(shape, "tanh", seed=cfg.rng_seed), x, y, cfg,
+                               balance=True)
     test_target = TargetData(target.target_id, target.crystal, [target.compounds[i] for i in test])
     return mlp, compute_metrics(score_library(mlp, test_target, scaler))
 

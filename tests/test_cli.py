@@ -1142,7 +1142,7 @@ WALKTHROUGH_SHA256 = {
     "hw_report.json":
         "dca20f7e0a0b076732f62b5145549d8c1d367c3003e2ec2ec73bc86968c632b7",
     "pt.json":
-        "1e1aefa095afdc9782c1e130b3395696d98833d646b5959861c4fcff07e03cc9",
+        "9521b205b6d55923e88bdfe9acf6514980945160a21965a72eb928b81b67cdd5",
     "relu48.json":
         "2393bf9e0f00c24b387eb28c74df0a9f92cea48256ea8b182f55a842e69589e9",
     "scaler.json":

@@ -246,20 +246,16 @@ class TestReportBytesGuard:
         targets, _ = bench
         seen, calls = [], {}
         train_adam, score = ref_nn.train_adam, screening.score_library
-        arrays, oversample = screening.pair_arrays, ref_nn.oversample
+        arrays = screening.pair_arrays
 
         def recording_pair_arrays(sides, scaler):
             calls["sides"] = sides
             return arrays(sides, scaler)
 
-        def recording_oversample(y, seed=0):
-            calls["rows"] = oversample(y, seed=seed)
-            return calls["rows"]
-
-        def recording_train_adam(mlp, x, y, cfg):
-            ((target, idx),) = calls["sides"]
-            seen.extend(_pair_records([(target, idx[calls["rows"]])], x, y))
-            return train_adam(mlp, x, y, cfg)
+        def recording_train_adam(mlp, x, y, cfg, balance=False):
+            seen.extend(_pair_records(calls["sides"], x, y))
+            seen.append(repr(balance).encode())
+            return train_adam(mlp, x, y, cfg, balance)
 
         def recording_score(model, target, scaler):
             ranked = score(model, target, scaler)
@@ -268,14 +264,13 @@ class TestReportBytesGuard:
             return ranked
 
         monkeypatch.setattr(screening, "pair_arrays", recording_pair_arrays)
-        monkeypatch.setattr(ref_nn, "oversample", recording_oversample)
         monkeypatch.setattr(ref_nn, "train_adam", recording_train_adam)
         monkeypatch.setattr(screening, "score_library", recording_score)
         _, metrics = per_target_protocol(targets[0],
                                          TrainConfig(epochs=1, batch_size=64, rng_seed=3))
         seen.append(metrics.as_dict())
         assert _digest(seen) == \
-            "3d316d37d8970c06f8d4b50ff761b40a2a28dc59d330be8fefdd639207aee106"
+            "9117fd83cca7cca3063d4244d84af4919484cc74824d6488ab1a50c0536b626c"
 
     def test_score_library_entries(self, bench):
         targets, (_, _, scaler) = bench
@@ -402,6 +397,38 @@ class TestPerTargetProtocol:
         cfg = TrainConfig(epochs=1, learning_rate=0.0, rng_seed=3, val_fraction=0.0)
         _, metrics = per_target_protocol(t, cfg)
         assert abs(metrics.auc - 0.5) < 0.35
+
+    def test_validation_rows_are_not_training_rows(self, monkeypatch):
+        # Early stopping must watch rows that the net never trains on, so the
+        # training side is oversampled only after the validation rows are out.
+        t = _target(np.random.default_rng(4), n_act=10, n_dec=100)
+        rows = {"train": set(), "val": set()}
+        inside = []
+        train_adam, loss_and_grads, forward_batch = (
+            ref_nn.train_adam, ref_nn.loss_and_grads, ref_nn.forward_batch)
+
+        def recording_train_adam(*args, **kwargs):
+            inside.append(True)
+            try:
+                return train_adam(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def recording_loss_and_grads(mlp, x, y):
+            rows["train"].update(map(np.ndarray.tobytes, x))
+            return loss_and_grads(mlp, x, y)
+
+        def recording_forward_batch(mlp, x):
+            if inside:  # inside train_adam, only the validation rows go forward
+                rows["val"].update(map(np.ndarray.tobytes, x))
+            return forward_batch(mlp, x)
+
+        monkeypatch.setattr(ref_nn, "train_adam", recording_train_adam)
+        monkeypatch.setattr(ref_nn, "loss_and_grads", recording_loss_and_grads)
+        monkeypatch.setattr(ref_nn, "forward_batch", recording_forward_batch)
+        per_target_protocol(t, TrainConfig(epochs=2, batch_size=32, rng_seed=1))
+        assert rows["train"] and rows["val"]
+        assert not rows["val"] & rows["train"]
 
     def test_tiny_target_split_error(self):
         rng = np.random.default_rng(12)
