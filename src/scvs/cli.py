@@ -17,7 +17,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -65,9 +65,10 @@ _SPLIT, _TRAIN = SplitSpec(), TrainConfig()  # the library's defaults
 
 @dataclass
 class RunConfig:
-    """Resolved run parameters, embedded in the train log and the per-target
-    report for provenance (an SC model file records its own); K and the LFSR
-    polynomials are constants (``mpe.DEFAULT_K``, ``sc_core.MAXIMAL_TAPS``)."""
+    """Resolved run parameters.  The train log records the split and
+    training settings, the per-target report the training settings (an SC
+    model file records its own); K and the LFSR polynomials are constants
+    (``mpe.DEFAULT_K``, ``sc_core.MAXIMAL_TAPS``)."""
 
     width: int = _setting(sc_core.DEFAULT_WIDTH, *_SC)
     stream_len: int = _setting(sc_nn.DEFAULT_STREAM_LEN, *_SC)
@@ -101,6 +102,10 @@ class RunConfig:
         return (sc_nn.generator(self.width, 0, self.seed1),
                 sc_nn.generator(self.width, 1, self.seed2))
 
+    def recorded(self, names) -> dict:
+        """The settings ``names``, as an output records them."""
+        return {name: getattr(self, name) for name in names}
+
     def split_spec(self) -> SplitSpec:
         return SplitSpec(self.active_fraction, self.decoy_fraction, self.split_seed)
 
@@ -110,6 +115,10 @@ class RunConfig:
             batch_size=self.batch_size, rng_seed=self.train_seed,
             val_fraction=self.val_fraction, patience=self.patience)
 
+
+# The settings that split_spec and train_config read.
+_SPLIT_SETTINGS = ("active_fraction", "decoy_fraction", "split_seed")
+_TRAIN_SETTINGS = ("learning_rate", "epochs", "batch_size", "train_seed", "val_fraction", "patience")
 
 _ENV_PATH_KEYS = {"data_dir": "SCVS_DATA_DIR", "models_dir": "SCVS_MODELS_DIR",
                   "reports_dir": "SCVS_REPORTS_DIR"}
@@ -269,7 +278,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     ref_nn.save_mlp(mlp, out)
     scaler.save(_output(args.scaler_out, cfg.models_dir))
     log_doc = {
-        "config": asdict(cfg),
+        "config": cfg.recorded(_SPLIT_SETTINGS + _TRAIN_SETTINGS),
         "arch": args.arch,
         "shape": shape,
         "activation": args.activation,
@@ -413,13 +422,14 @@ def cmd_compare(args, cfg: RunConfig) -> int:
         "published_per_target_rows": screening.PUBLISHED_PER_TARGET_ROWS,
         "reproducibility_note": screening.REPRODUCIBILITY_NOTE,
     }
-    ref_nn.write_json(out_doc, _output(args.out, cfg.reports_dir))
+    out = _output(args.out, cfg.reports_dir)
+    ref_nn.write_json(out_doc, out)
     if args.csv:
         ref_nn.write_csv(_output(args.csv, cfg.reports_dir), [
             ["target", "auc_a", "auc_b", "delta"],
             *([row["target_id"], row["auc_a"], row["auc_b"], row["delta"]]
               for row in per_target)])
-    print(f"compared {len(per_target)} shared targets; -> {args.out}")
+    print(f"compared {len(per_target)} shared targets; -> {out}")
     return EXIT_OK
 
 
@@ -439,7 +449,7 @@ def cmd_per_target(args, cfg: RunConfig) -> int:
         raise ValidationError("per-target protocol failed on every target")
     aggregate = screening.aggregate_metrics(rows)
     report = {
-        "config": asdict(cfg),
+        "config": cfg.recorded(_TRAIN_SETTINGS),
         "arch": args.arch,
         "targets": {tid: m.as_dict() for tid, m in rows.items()},
         "failed_targets": failures,
@@ -448,10 +458,10 @@ def cmd_per_target(args, cfg: RunConfig) -> int:
         "published_per_target_rows": screening.PUBLISHED_PER_TARGET_ROWS,
         "reproducibility_note": screening.REPRODUCIBILITY_NOTE,
     }
-    ref_nn.write_json(report, _output(args.out, cfg.reports_dir))
+    out = _output(args.out, cfg.reports_dir)
+    ref_nn.write_json(report, out)
     print(f"per-target protocol on {len(rows)} targets: AUC "
-          f"{report['aggregate']['auc_mean']} +/- {report['aggregate']['auc_std']}; "
-          f"-> {args.out}")
+          f"{report['aggregate']['auc_mean']} +/- {report['aggregate']['auc_std']}; -> {out}")
     return EXIT_OK
 
 

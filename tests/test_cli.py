@@ -893,6 +893,39 @@ class TestPerTarget:
         assert "sw64-published" in doc["published_per_target_rows"]
 
 
+class TestRecordedSettings:
+    def test_train_log_and_per_target_report_record_what_they_read(
+            self, workspace, tmp_path, monkeypatch, capsys):
+        # The train log records the split and training settings, the
+        # per-target report the training settings, a --config file's
+        # included; neither records the SC settings or the base directories.
+        ws, manifest = workspace
+        for env in ("SCVS_DATA_DIR", "SCVS_MODELS_DIR", "SCVS_REPORTS_DIR"):
+            monkeypatch.delenv(env, raising=False)
+        monkeypatch.setenv("SCVS_MODELS_DIR", str(tmp_path))
+        monkeypatch.setenv("SCVS_REPORTS_DIR", str(tmp_path))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("learning_rate = 0.002\npatience = 3\nval_fraction = 0.2\nwidth = 10\n")
+        data = ["--manifest", manifest, "--cache", ws / "cache.csv", "--arch", "12",
+                "--epochs", "2"]
+        assert run("--config", cfg, "train", *data, "--split-seed", "9", "--out", "m.json",
+                   "--scaler-out", "s.json", "--log-out", "log.json") == 0
+        assert run("--config", cfg, "per-target", *data, "--out", "pt.json") == 0
+        defaults = RunConfig()
+        training = {"learning_rate": 0.002, "epochs": 2, "batch_size": defaults.batch_size,
+                    "train_seed": defaults.train_seed, "val_fraction": 0.2, "patience": 3}
+        assert json.loads((tmp_path / "log.json").read_text())["config"] == {
+            "active_fraction": defaults.active_fraction,
+            "decoy_fraction": defaults.decoy_fraction, "split_seed": 9, **training}
+        assert json.loads((tmp_path / "pt.json").read_text())["config"] == training
+        # compare and per-target print the path they wrote, resolved
+        assert run("compare", "--report-a", tmp_path / "pt.json",
+                   "--report-b", tmp_path / "pt.json", "--out", "c.json") == 0
+        printed = capsys.readouterr().out
+        assert f"-> {tmp_path / 'pt.json'}\n" in printed
+        assert f"-> {tmp_path / 'c.json'}\n" in printed
+
+
 class TestConfig:
     def test_config_file_flag_override_and_env(self, workspace, tmp_path, monkeypatch):
         ws, _ = workspace
@@ -1142,7 +1175,7 @@ WALKTHROUGH_SHA256 = {
     "hw_report.json":
         "dca20f7e0a0b076732f62b5145549d8c1d367c3003e2ec2ec73bc86968c632b7",
     "pt.json":
-        "9521b205b6d55923e88bdfe9acf6514980945160a21965a72eb928b81b67cdd5",
+        "bddfeea5ba449dd3e0d7ab3421c3d87aa1bc3ae2a0d95c5010d88ce156fc5154",
     "relu48.json":
         "2393bf9e0f00c24b387eb28c74df0a9f92cea48256ea8b182f55a842e69589e9",
     "scaler.json":
@@ -1154,7 +1187,7 @@ WALKTHROUGH_SHA256 = {
     "sw_report.json":
         "01058865caec7586fe6509ccefc09521fb86694b467cbebddb8ad183779b4af7",
     "train_log.json":
-        "b9a1cc1d0fce9623488a1cf92547ccb79324ca9f9c38a690789a7d32f660c549",
+        "539f663585f9c01ab67a1e1710be33c62ff5fcfe765ec464fc3259e397f70c62",
 }
 
 
