@@ -755,6 +755,33 @@ class TestGeneratorPhase:
             fixed_point_reference(net, rows).tobytes()
 
 
+    @pytest.mark.parametrize("width", [4, 5, 6])
+    def test_engine_equals_gate_level_at_every_phase(self, width):
+        # R1 keeps seed 41 and R2 takes every nonzero state, so the sweep
+        # meets each relative phase of the pair once, at n = period.
+        rng = np.random.default_rng(width)
+        mlp = ref_nn.init_mlp([3, 2, 1], "relu", seed=width)
+        mlp.biases = [rng.normal(0, 0.2, b.shape) for b in mlp.biases]
+        mlp.trained = True
+        rows = rng.uniform(-1, 1, (4, 3))
+        period = (1 << width) - 1
+        g1 = sc_nn.generator(width, 0, 41)
+        net = quantize_weights(mlp, width=width, stream_len=period, lfsr1=g1,
+                               lfsr2=sc_nn.generator(width, 1, 1), calib=rows)
+        assert all(l.bias_q is not None for l in net.layers)
+        distinct = set()
+        for seed in range(1, period + 1):
+            phased = ScNetwork(net.layers, g1, sc_nn.generator(width, 1, seed),
+                               stream_len=period, width=width)
+            sim = phased.simulator()
+            got = sim.infer_many(rows)
+            want, saturations = sc_nn.gate_level_scores(phased, rows)
+            assert got.tobytes() == want.tobytes(), seed
+            assert sim.saturation_count == saturations, seed
+            distinct.add(got.tobytes())
+        assert len(distinct) > 1  # the phase does move the scores
+
+
 class TestOutputScale:
     # The fixed-point reference differs from the float score times
     # ``output_scale`` only by rounding weights and inputs to words and by
