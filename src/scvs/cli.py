@@ -461,7 +461,8 @@ def cmd_per_target(args, cfg: RunConfig) -> int:
     out = _output(args.out, cfg.reports_dir)
     ref_nn.write_json(report, out)
     print(f"per-target protocol on {len(rows)} targets: AUC "
-          f"{report['aggregate']['auc_mean']} +/- {report['aggregate']['auc_std']}; -> {out}")
+          f"{report['aggregate']['auc_mean']} +/- {report['aggregate']['auc_std']}; "
+          f"-> {out}")
     return EXIT_OK
 
 
