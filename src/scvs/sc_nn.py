@@ -406,10 +406,13 @@ class _PrefixTables(NamedTuple):
 
     ``packs`` and ``prefix`` hold, for every 64-bit block q and input line i
     at row ``q * fan_in + i``, each neuron's weight-stream bits and the
-    number of ones before the block; ``ones`` is each weight stream's total
-    (fan_in, fan_out) and ``offset`` the per-neuron constant of the APC:
-    fan_in*n - 2*sum(ones), plus the bias line's product.  ``acc`` is the
-    integer type that sums the layer's d over its lines (``_sum_dtype``).
+    number of ones before the block, in the count type of the stream length
+    (``_count_dtype``: 2 bytes while n < 2^15), so a weight costs n/8 bytes
+    of stream bits plus 2 per block; ``ones`` is each weight stream's total
+    (fan_in, fan_out), in the same type, and ``offset`` the per-neuron
+    constant of the APC: fan_in*n - 2*sum(ones), plus the bias line's
+    product.  ``acc`` is the integer type that sums the layer's d over its
+    lines (``_sum_dtype``); every sum widens to it before it is scaled.
     """
 
     packs: np.ndarray
@@ -426,6 +429,13 @@ def _sum_dtype(n_inputs: int, n: int) -> type:
     return np.int32 if 4 * n_inputs * n < 1 << 31 else np.int64
 
 
+def _count_dtype(n: int) -> type:
+    """The narrowest signed type that holds every count of ones of an n-bit
+    stream, 0..n: int16 while n < 2^15, int32 beyond (and int64 from 2^31,
+    as the stream length has no upper bound)."""
+    return np.int16 if n < 1 << 15 else np.int32 if n < 1 << 31 else np.int64
+
+
 def _prefix_tables(order: np.ndarray, w_window: WordSequence, weights: np.ndarray,
                    bias: np.ndarray | None) -> _PrefixTables:
     """Prefix-popcount tables of one layer for its (fan_out, fan_in) weights
@@ -439,34 +449,43 @@ def _prefix_tables(order: np.ndarray, w_window: WordSequence, weights: np.ndarra
     running sum over u of the block's bits binned by ``first``.  The bias
     line is all ones (r = n, so d = c), and its product 2c - n, with c the
     ones of the bias word's stream, goes into ``offset``; it has no rows.
+
+    One (blocks, distinct words) array is built: the binned bits, summed in
+    place into every stream's blocks.  Their popcounts, uint8, are summed in
+    place in the count type into the ones before each block; each per-line
+    table is taken from these.
     """
     n = len(order)
     fan_out, fan_in = weights.shape
     values, inverse = np.unique(weights, return_inverse=True)
     first = np.searchsorted(values, w_window.words[order], side="right")
     t = np.arange(n)
-    # one block more than r = n can address, so the gather never runs off the end
-    bins = np.zeros((n // 64 + 1, len(values) + 1), dtype=np.uint64)
-    np.add.at(bins, (t >> 6, first), np.uint64(1) << (t & 63).astype(np.uint64))
-    packs = np.cumsum(bins[:, :-1], axis=1, dtype=np.uint64)
-    counts = np.bitwise_count(packs).astype(np.int32)
-    totals = np.cumsum(counts, axis=0, dtype=np.int32)
+    # one block more than r = n can address, so the gather never runs off the
+    # end; the last column, the bits above every distinct word, is never taken
+    packs = np.zeros((n // 64 + 1, len(values) + 1), dtype=np.uint64)
+    np.add.at(packs, (t >> 6, first), np.uint64(1) << (t & 63).astype(np.uint64))
+    np.cumsum(packs, axis=1, out=packs)
+    # row q: the ones before block q; the row after the last block: the totals
+    prefix = np.zeros((len(packs) + 1, packs.shape[1]), dtype=_count_dtype(n))
+    prefix[1:] = np.bitwise_count(packs)
+    np.cumsum(prefix, axis=0, out=prefix)
     lines = inverse.reshape(weights.shape).T.reshape(-1)
-    ones = totals[-1, lines].reshape(fan_in, fan_out)
+    ones = prefix[-1, lines].reshape(fan_in, fan_out)
     offset = fan_in * n - 2 * ones.sum(axis=0, dtype=np.int64)
     if bias is not None:
         # c = #{t: B_t < bias word}
-        offset += 2 * np.searchsorted(np.sort(w_window.words), bias) - n
+        offset += 2 * _rank(w_window)[bias + (1 << (w_window.width - 1))] - n
     return _PrefixTables(np.take(packs, lines, axis=1).reshape(-1, fan_out),
-                         np.take(totals - counts, lines, axis=1).reshape(-1, fan_out), ones,
+                         np.take(prefix[:-1], lines, axis=1).reshape(-1, fan_out), ones,
                          offset, _sum_dtype(fan_in + (bias is not None), n))
 
 
 def _ones_inside(tables: _PrefixTables, r: np.ndarray, lines: np.ndarray) -> np.ndarray:
     """Ones d (len(lines), ..., fan_out) of every neuron's weight stream on
     each of the input ``lines`` inside the first r bits, for that line's
-    prefix lengths ``r`` (len(lines), ...).  Line-major, so a sum over the
-    lines adds whole contiguous blocks."""
+    prefix lengths ``r`` (len(lines), ...), in the tables' count type (2
+    bytes while n < 2^15); a caller widens them to ``acc`` as it sums them.
+    Line-major, so a sum over the lines adds whole contiguous blocks."""
     rows = (r >> 6) * len(tables.ones) + lines.reshape((-1,) + (1,) * (r.ndim - 1))
     partial = np.take(tables.packs, rows, axis=0)
     partial &= ((np.uint64(1) << (r & 63).astype(np.uint64)) - np.uint64(1))[..., None]
@@ -477,8 +496,9 @@ def _ones_inside(tables: _PrefixTables, r: np.ndarray, lines: np.ndarray) -> np.
 
 # Bit-true inference runs a batch in chunks of about this many (row, line,
 # neuron) counts gathered in its widest layer (``_row_work``): 128 rows of 25
-# varying lines into 48 neurons, whose uint64 temporaries stay near 1.2 MB,
-# and never fewer than one row.
+# varying lines into 48 neurons, whose temporaries, 8 + 2 + 1 bytes per
+# gathered count (the masked block, its 16-bit count and the popcount), stay
+# near 1.7 MB, and never fewer than one row.
 INFER_CHUNK_WORDS = 128 * 25 * 48
 
 

@@ -539,6 +539,60 @@ class TestPrefixEngineEdges:
                                   (257, 4095, np.int32), (1 << 29, 1, np.int64)):
             assert sc_nn._sum_dtype(n_inputs, n) is want, (n_inputs, n)
 
+    def test_count_dtype_rule(self):
+        # A count of ones lies in 0..n: int16 holds it up to n = 2^15 - 1,
+        # int32 from 2^15 and int64 from 2^31, without a stream that long.
+        for n, want in ((1, np.int16), ((1 << 15) - 1, np.int16), (1 << 15, np.int32),
+                        ((1 << 31) - 1, np.int32), (1 << 31, np.int64)):
+            assert sc_nn._count_dtype(n) is want, n
+            assert np.iinfo(want).max >= n
+
+    @pytest.mark.parametrize("n, counts", [((1 << 15) - 1, np.int16), (1 << 15, np.int32)])
+    def test_both_count_types_at_width_16(self, n, counts):
+        # Either side of the 2-byte count limit.  Layer 1's first weight is
+        # the largest word, 2^15 - 1, above every word of the layer's window
+        # at n = 2^15, so its stream is all ones and its counts reach n.
+        base = _fixed_net(16, n, seed=16)
+        top = base.layers[1]
+        weights = top.weights_q.copy()
+        weights[0, 0] = (1 << 15) - 1
+        net = ScNetwork([base.layers[0], ScLayer(top.fan_in, 1, top.norm_shift, 1.0, weights,
+                                                 top.bias_q)],
+                        base.lfsr1, base.lfsr2, stream_len=n, width=16)
+        X = np.random.default_rng(16).uniform(-1, 1, (4, 3))
+        X[0], X[1] = -1.0, 1.0
+        sim = net.simulator()
+        assert [t.prefix.dtype for t in sim._tables] == [counts, counts]
+        want, saturations = sc_nn.gate_level_scores(net, X)
+        np.testing.assert_array_equal(sim.infer_many(X), want)
+        assert sim.saturation_count == saturations > 0
+
+    def test_table_bytes_of_the_widest_paper_net(self):
+        # 24-256-1 at width 12 and n = 4095: every (block, line, neuron)
+        # holds 8 bytes of stream bits and a 2-byte count of the ones before
+        # the block, over n // 64 + 1 blocks; the bias lines have no rows.
+        _, net = _random_net(ref_nn.ARCH_SHAPES["256"], 23, np.random.default_rng(8))
+        assert (net.width, net.stream_len) == (12, N)
+        tables = net.simulator()._tables
+        for layer, t in zip(net.layers, tables):
+            assert t.packs.nbytes + t.prefix.nbytes == \
+                (N // 64 + 1) * layer.fan_in * layer.fan_out * (8 + 2)
+        assert sum(t.packs.nbytes + t.prefix.nbytes for t in tables) <= 4.1e6
+
+    def test_table_build_holds_one_working_array(self):
+        # Besides the tables it returns, building a layer holds one uint64
+        # (blocks, distinct words) array and its 2-byte counts, little else.
+        _, net = _random_net(ref_nn.ARCH_SHAPES["256"], 23, np.random.default_rng(8))
+        cells = max((N // 64 + 1) * (len(np.unique(l.weights_q)) + 1) for l in net.layers)
+        tracemalloc.start()
+        try:
+            tables = net.simulator()._tables
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for t in tables for a in (t.packs, t.prefix, t.ones, t.offset))
+        assert peak - kept < 12 * cells
+
     @pytest.mark.parametrize("width", [4, 5, 6])
     def test_every_product_count_is_the_xnor_popcount(self, width):
         # Every input word and the bias word against every weight word, at
