@@ -62,50 +62,41 @@ class TrainConfig:
 
 
 class Mlp:
-    """Weights, biases and the hidden activation choice of one network."""
+    """The hidden activation and the per-layer weight matrices and bias
+    vectors of one network: layer l maps ``shape[l]`` inputs to
+    ``shape[l + 1]`` outputs, and the last layer has one output."""
 
-    def __init__(self, shape, activation: str = "tanh", weights=None, biases=None,
-                 trained: bool = False):
-        shape = list(int(s) for s in shape)
-        if len(shape) < 2 or shape[-1] != 1:
-            raise ValueError(f"shape must end in a single output neuron, got {shape}")
+    def __init__(self, activation: str, weights, biases):
         if activation not in ("tanh", "relu"):
             raise ValueError(f"activation must be tanh or relu, got {activation!r}")
-        self.shape = shape
         self.activation = activation
-        self.trained = trained
-        if weights is None:
-            self.weights = [np.zeros((o, i)) for i, o in zip(shape[:-1], shape[1:])]
-            self.biases = [np.zeros(o) for o in shape[1:]]
-        else:
-            self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-            self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-            for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-                if w.shape != (shape[l + 1], shape[l]) or b.shape != (shape[l + 1],):
-                    raise ValueError(f"layer {l} arrays do not match shape {shape}")
+        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        shape = self.shape
+        for l, (w, b) in enumerate(zip(self.weights, self.biases, strict=True)):
+            if w.shape != (shape[l + 1], shape[l]) or b.shape != (shape[l + 1],):
+                raise ValueError(f"layer {l} arrays do not match shape {shape}")
+        if shape[-1] != 1:
+            raise ValueError(f"shape must end in a single output neuron, got {shape}")
+
+    @property
+    def shape(self) -> list:
+        """The first layer's inputs, then every layer's outputs."""
+        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "Mlp":
-        return Mlp(self.shape, self.activation,
-                   [w.copy() for w in self.weights], [b.copy() for b in self.biases],
-                   trained=self.trained)
-
 
 def init_mlp(shape, activation: str = "tanh", seed: int = 0) -> Mlp:
     """Seeded uniform init: He-style fan-in scaling for ReLU, Xavier for tanh."""
     rng = np.random.default_rng(seed)
-    mlp = Mlp(shape, activation)
-    for l, (fi, fo) in enumerate(zip(shape[:-1], shape[1:])):
-        if activation == "relu":
-            bound = np.sqrt(6.0 / fi)
-        else:
-            bound = np.sqrt(6.0 / (fi + fo))
-        mlp.weights[l] = rng.uniform(-bound, bound, size=(fo, fi))
-        mlp.biases[l] = np.zeros(fo)
-    return mlp
+    weights = []
+    for fi, fo in zip(shape[:-1], shape[1:]):
+        bound = np.sqrt(6.0 / fi) if activation == "relu" else np.sqrt(6.0 / (fi + fo))
+        weights.append(rng.uniform(-bound, bound, size=(fo, fi)))
+    return Mlp(activation, weights, [np.zeros(fo) for fo in shape[1:]])
 
 
 def _phi(x: np.ndarray, activation: str) -> np.ndarray:
@@ -208,7 +199,7 @@ def train_adam(mlp: Mlp, x, y, cfg: TrainConfig, balance: bool = False):
     flat = np.concatenate([p.ravel() for p in params])
     parts = np.split(flat, np.cumsum([p.size for p in params])[:-1])
     views = [part.reshape(p.shape) for part, p in zip(parts, params)]
-    mlp = Mlp(mlp.shape, mlp.activation, views[0::2], views[1::2])
+    mlp = Mlp(mlp.activation, views[0::2], views[1::2])
     m, v = np.zeros_like(flat), np.zeros_like(flat)
     t = 0
     history = {"train_loss": [], "val_loss": [], "stopped_epoch": None}
@@ -250,7 +241,6 @@ def train_adam(mlp: Mlp, x, y, cfg: TrainConfig, balance: bool = False):
 
     if best_state is not None:
         flat[:] = best_state
-    mlp.trained = True
     return mlp, history
 
 
@@ -314,7 +304,7 @@ def save_mlp(mlp: Mlp, path) -> None:
         }
         for w, b in zip(mlp.weights, mlp.biases)
     ]
-    write_model(path, "mlp", layers, activation=mlp.activation, trained=mlp.trained)
+    write_model(path, "mlp", layers, activation=mlp.activation)
 
 
 def write_json(doc, path) -> None:
@@ -417,12 +407,8 @@ def build_mlp(doc, path) -> Mlp:
     the place in it."""
     layers = model_layers(doc, path, "mlp", "float-network", {"activation": str},
                           {"fan_in": int, "fan_out": int, "weights": list, "bias": list})
-    if "trained" in doc:  # optional: a file without it holds a trained net
-        require_fields(doc, {"trained": bool}, path)
-    shape = [layers[0][1]["fan_in"]] + [l["fan_out"] for _, l in layers]
     weights = [placed(path, where, np.reshape, json_array(l, "weights", np.float64, path, where),
                       (l["fan_out"], l["fan_in"]))
                for where, l in layers]
     biases = [json_array(l, "bias", np.float64, path, where) for where, l in layers]
-    return placed(path, "", Mlp, shape, doc["activation"], weights, biases,
-                  doc.get("trained", True))
+    return placed(path, "", Mlp, doc["activation"], weights, biases)

@@ -351,8 +351,6 @@ def quantize_weights(mlp: Mlp, width: int = sc.DEFAULT_WIDTH,
     within ``GAIN_CAP``, the normalization the hardware needs to fit the
     bit-stream resolution.
     """
-    if not mlp.trained:
-        raise ValueError("refusing to quantize an untrained network")
     if mlp.activation != "relu":
         raise ValueError(
             "hardware model needs ReLU hidden layers; retrain the reference net with ReLU"

@@ -120,7 +120,6 @@ def criterion_6_network_parity(nets_per_shape: int = 20, inputs_per_net: int = 1
         errs = []
         for k in range(nets_per_shape):
             mlp = ref_nn.init_mlp(shape, "relu", seed=7000 + k)
-            mlp.trained = True
             net = quantize_weights(mlp, calib=rng.uniform(-1, 1, (128, 24)))
             x = rng.uniform(-1, 1, (inputs_per_net, 24))
             with pytest.MonkeyPatch.context() as mp:  # 32 rows per chunk

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import re
+import reprlib
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -182,6 +183,30 @@ class TestQuantize:
                    "--out", tmp_path / "hw.json") == 1
         assert "ReLU" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trained", [True, False])
+    def test_old_trained_key_changes_no_byte(self, workspace, tmp_path, monkeypatch, trained):
+        # float model files once held a "trained" flag; it is read like any
+        # other key the reader does not ask for.  Both nets are named alike,
+        # relative to their own models dir, so the reports may match byte for byte.
+        ws, manifest = workspace
+        doc = json.loads((ws / "relu48.json").read_text())
+        out = {}
+        for name, model in (("plain", doc), ("marked", {**doc, "trained": trained})):
+            models = tmp_path / name
+            models.mkdir()
+            ref_nn.write_json(model, models / "relu48.json")
+            monkeypatch.setenv("SCVS_MODELS_DIR", str(models))
+            assert run("quantize", "--model", "relu48.json", "--calib", ws / "feats.csv",
+                       "--out", "hw48.json") == 0
+            for kind in ("relu48", "hw48"):
+                assert run("evaluate", "--model", f"{kind}.json", "--manifest", manifest,
+                           "--cache", ws / "cache.csv", "--scaler", ws / "scaler.json",
+                           "--report", models / f"r-{kind}.json") == 0
+            out[name] = [(models / f).read_bytes()
+                         for f in ("relu48.json", "hw48.json", "r-relu48.json", "r-hw48.json")]
+        assert (ws / "relu48.json").read_bytes() == out["plain"][0] != out["marked"][0]
+        assert out["marked"][1:] == out["plain"][1:]
+
     def test_dequantized_weights_near_originals(self, workspace):
         ws, _ = workspace
         mlp = cli.load_model(ws / "relu48.json")
@@ -247,7 +272,6 @@ class TestEvaluate:
                                                           kind):
         ws, manifest = workspace
         mlp = ref_nn.init_mlp([12, 4, 1], "relu", seed=0)
-        mlp.trained = True
         model = tmp_path / "m12.json"
         if kind == "mlp":
             ref_nn.save_mlp(mlp, model)
@@ -631,7 +655,6 @@ WRONG_TYPES = [
     ("hw48.json", ("layers", 0, "weights", 0), 10 ** 30),
     ("relu48.json", ("layers", 0, "fan_in"), "x"),
     ("relu48.json", ("layers", 0, "weights", 0), None),
-    ("relu48.json", ("trained",), "no"),
     ("manifest.json", ("targets", 0, "target_id"), 5),
     ("manifest.json", ("targets", 0, "target_id"), [1]),
     ("manifest.json", ("targets", 0, "actives"), 5),
@@ -664,6 +687,10 @@ FLOAT_MODEL_VALUES = [
     (("activation",), "sigmoid", "activation must be tanh or relu, got 'sigmoid'"),
     (("layers", 0, "fan_out"), 47,
      "layer 0 cannot reshape array of size 1152 into shape (47,24)"),
+    # layer 1 itself is whole, but takes 47 inputs where layer 0 gives 48
+    (("layers", 1), {"fan_in": 47, "fan_out": 24, "weights": [0.0] * (24 * 47),
+                     "bias": [0.0] * 24},
+     "layer 1 arrays do not match shape [24, 48, 24, 1]"),
 ]
 
 
@@ -679,7 +706,8 @@ class TestWrongFieldTypes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("path,value,message", FLOAT_MODEL_VALUES, ids=[
-        f"{'.'.join(map(str, path))}={value!r}" for path, value, _ in FLOAT_MODEL_VALUES])
+        f"{'.'.join(map(str, path))}={reprlib.repr(value)}"
+        for path, value, _ in FLOAT_MODEL_VALUES])
     def test_float_model_value_exit_1_names_file_and_place(self, workspace, tmp_path, capsys,
                                                            path, value, message):
         code, bad = _evaluate_edited(workspace, tmp_path, "relu48.json", path, value)
@@ -1177,7 +1205,7 @@ WALKTHROUGH_SHA256 = {
     "pt.json":
         "bddfeea5ba449dd3e0d7ab3421c3d87aa1bc3ae2a0d95c5010d88ce156fc5154",
     "relu48.json":
-        "2393bf9e0f00c24b387eb28c74df0a9f92cea48256ea8b182f55a842e69589e9",
+        "f08c7d96f72e61db0a8c6f284d5f5cd8036491d87491c3f9c419503920d704bb",
     "scaler.json":
         "669b8b499325893c0b602192a1c094500b38e2bbead0c77890422d7a69d29631",
     "scatter.csv":

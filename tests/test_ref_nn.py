@@ -1,6 +1,7 @@
 """Reference network tests: forward oracles, Adam training, gradient checks,
 oversampling."""
 
+import copy
 import hashlib
 import json
 
@@ -28,6 +29,12 @@ def _pairwise_auc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def _zero_net(shape):
+    # A ReLU net of ``shape`` whose weights and biases are all zero.
+    return Mlp("relu", [np.zeros((o, i)) for i, o in zip(shape[:-1], shape[1:])],
+               [np.zeros(o) for o in shape[1:]])
+
+
 def _toy_separable(n=200, seed=0):
     # Two well-separated 2D blobs, zero-padded up to the 24-wide input.
     rng = np.random.default_rng(seed)
@@ -41,15 +48,41 @@ def _toy_separable(n=200, seed=0):
     return x, y
 
 
+class TestConstructor:
+    def test_shape_read_from_arrays(self):
+        mlp = _zero_net([24, 12, 6, 1])
+        assert mlp.shape == [24, 12, 6, 1] and mlp.n_layers == 3
+
+    def test_layer_that_skips_previous_outputs_named(self):
+        weights = [np.zeros((4, 3)), np.zeros((1, 5))]
+        with pytest.raises(ValueError, match=r"^layer 1 arrays do not match shape \[3, 4, 1\]$"):
+            Mlp("relu", weights, [np.zeros(4), np.zeros(1)])
+
+    def test_bias_of_wrong_length_named(self):
+        with pytest.raises(ValueError, match=r"^layer 0 arrays do not match shape \[3, 4, 1\]$"):
+            Mlp("relu", [np.zeros((4, 3)), np.zeros((1, 4))], [np.zeros(3), np.zeros(1)])
+
+    def test_last_layer_must_have_one_output(self):
+        with pytest.raises(ValueError, match=r"single output neuron, got \[3, 2\]"):
+            Mlp("relu", [np.zeros((2, 3))], [np.zeros(2)])
+
+    def test_one_bias_per_layer(self):
+        with pytest.raises(ValueError):
+            Mlp("relu", [np.zeros((4, 3)), np.zeros((1, 4))], [np.zeros(4)])
+
+    def test_activation_checked(self):
+        with pytest.raises(ValueError, match="activation must be tanh or relu, got 'sigmoid'"):
+            Mlp("sigmoid", [np.zeros((1, 3))], [np.zeros(1)])
+
+
 class TestForward:
     def test_zero_net_outputs_zero(self):
-        mlp = Mlp([24, 12, 6, 1], "relu")
+        mlp = _zero_net([24, 12, 6, 1])
         assert forward_batch(mlp, np.random.default_rng(0).uniform(-1, 1, 24))[0] == 0.0
 
     def test_constructed_absolute_value(self):
-        mlp = Mlp([1, 2, 1], "relu",
-                  weights=[np.array([[1.0], [-1.0]]), np.array([[1.0, 1.0]])],
-                  biases=[np.zeros(2), np.zeros(1)])
+        mlp = Mlp("relu", [np.array([[1.0], [-1.0]]), np.array([[1.0, 1.0]])],
+                  [np.zeros(2), np.zeros(1)])
         for x in (-1.3, -0.2, 0.0, 0.7, 2.5):
             assert forward_batch(mlp, [x])[0] == pytest.approx(abs(x))
 
@@ -126,6 +159,15 @@ class TestTraining:
         for w0, w1 in zip(before, trained.weights):
             np.testing.assert_array_equal(w0, w1)
 
+    def test_trained_arrays_are_views_of_one_vector(self):
+        # one Adam step updates every layer only while the net's arrays stay
+        # views of the flat parameter vector
+        trained, _ = train_adam(init_mlp([24, 4, 1], "relu", seed=3), *_toy_separable(40),
+                                TrainConfig(epochs=1, val_fraction=0.0))
+        base = trained.weights[0].base
+        assert base is not None and base.ndim == 1
+        assert all(p.base is base for p in trained.weights + trained.biases)
+
     def test_single_step_matches_hand_computed_adam(self):
         x, y = np.linspace(-1, 1, 24)[None, :], np.array([1.0])
         mlp = init_mlp([24, 4, 1], "relu", seed=5)
@@ -136,7 +178,7 @@ class TestTraining:
             z = forward_batch(m, x)[0]
             return float(np.maximum(z, 0) - z * y[0] + np.log1p(np.exp(-np.abs(z))))
 
-        expect = mlp.copy()
+        expect = copy.deepcopy(mlp)
         eps = 1e-6
         for arrs in (expect.weights, expect.biases):
             for p in arrs:
@@ -223,7 +265,7 @@ class TestGradientCheck:
             assert gradient_check(mlp, x, int(rng.integers(2))) < 1e-4
 
     def test_zero_net_agrees_at_zero(self):
-        mlp = Mlp([4, 3, 1], "relu")
+        mlp = _zero_net([4, 3, 1])
         assert gradient_check(mlp, np.ones(4), 0) < 1e-6
 
     def test_corrupted_gradient_detected(self, monkeypatch):
@@ -240,7 +282,7 @@ class TestGradientCheck:
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
-            gradient_check(Mlp([2, 1], "relu"), [0, 0], 0, epsilon=1e-8)
+            gradient_check(_zero_net([2, 1]), [0, 0], 0, epsilon=1e-8)
 
 
 class TestOversample:
@@ -269,13 +311,12 @@ class TestOversample:
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         mlp = init_mlp([24, 12, 6, 1], "tanh", seed=9)
-        mlp.trained = True
         path = tmp_path / "m.json"
         ref_nn.save_mlp(mlp, path)
         loaded = cli.load_model(path)
         x = np.linspace(-1, 1, 24)
         assert forward_batch(loaded, x)[0] == pytest.approx(forward_batch(mlp, x)[0], abs=1e-15)
-        assert loaded.activation == "tanh" and loaded.trained
+        assert loaded.activation == "tanh" and loaded.shape == [24, 12, 6, 1]
 
     def test_save_byte_deterministic(self, tmp_path):
         mlp = init_mlp([24, 12, 6, 1], "relu", seed=13)

@@ -32,12 +32,10 @@ N = 4095
 HALF = 2048
 
 
-def _mlp_from(weights, biases=None, activation="relu", trained=True):
-    shape = [weights[0].shape[1]] + [w.shape[0] for w in weights]
+def _mlp_from(weights, biases=None, activation="relu"):
     if biases is None:
         biases = [np.zeros(w.shape[0]) for w in weights]
-    m = ref_nn.Mlp(shape, activation, weights, biases, trained=trained)
-    return m
+    return ref_nn.Mlp(activation, weights, biases)
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +70,6 @@ class TestQuantize:
         assert net.layers[0].scale == 1.0
         assert not net.layers[0].weights_q.any()
 
-    def test_untrained_rejected(self):
-        mlp = _mlp_from([np.ones((1, 2))], trained=False)
-        with pytest.raises(ValueError, match="untrained"):
-            quantize_weights(mlp)
-
     def test_tanh_rejected(self):
         mlp = _mlp_from([np.ones((1, 2))], activation="tanh")
         with pytest.raises(ValueError, match="ReLU"):
@@ -91,7 +84,6 @@ class TestQuantize:
     def test_calibration_never_exceeds_bound_or_gain_cap(self):
         rng = np.random.default_rng(0)
         mlp = ref_nn.init_mlp([24, 12, 6, 1], "relu", seed=5)
-        mlp.trained = True
         net = quantize_weights(mlp, calib=rng.uniform(-1, 1, (64, 24)))
         for layer in net.layers:
             gain = N / ((1 << layer.norm_shift) * HALF)
@@ -169,7 +161,6 @@ def _rows_per_chunk(net, X, rows):
 
 def _random_net(shape, seed, calib_rng):
     mlp = ref_nn.init_mlp(shape, "relu", seed=seed)
-    mlp.trained = True
     return mlp, quantize_weights(mlp, calib=calib_rng.uniform(-1, 1, (64, 24)))
 
 
@@ -510,7 +501,6 @@ class TestPrefixEngineEdges:
         rng = np.random.default_rng(24)
         mlp = ref_nn.init_mlp(ref_nn.ARCH_SHAPES["256"], "relu", seed=256)
         mlp.biases = [rng.uniform(-0.5, 0.5, b.shape) for b in mlp.biases]
-        mlp.trained = True
         net = quantize_weights(mlp, width=8, stream_len=100, use_bias=use_bias,
                                calib=rng.uniform(-0.5, 0.5, (16, 24)))
         X = rng.uniform(-1, 1, (5, 24))
@@ -656,7 +646,6 @@ def _sc_digest(arch, width):
     rng = np.random.default_rng(width * 1000 + int(arch))
     mlp = ref_nn.init_mlp(ref_nn.ARCH_SHAPES[arch], "relu", seed=int(arch))
     mlp.biases = [rng.uniform(-0.5, 0.5, b.shape) for b in mlp.biases]
-    mlp.trained = True
     calib, X = rng.uniform(-1, 1, (32, 24)), rng.uniform(-1, 1, (24, 24))
     X[0], X[1] = -1.0, 1.0
     for n in (period, period // 3):
@@ -709,7 +698,6 @@ class TestOtherWidths:
     def test_full_stack_at_width_8(self):
         rng = np.random.default_rng(59)
         mlp = ref_nn.init_mlp([24, 12, 6, 1], "relu", seed=61)
-        mlp.trained = True
         net = quantize_weights(mlp, width=8, stream_len=255,
                                calib=rng.uniform(-1, 1, (64, 24)))
         assert net.lfsr1.period == 255 and net.lfsr2.period == 255
@@ -722,7 +710,6 @@ class TestPartialWindow:
     def test_short_stream_network_still_tracks_reference(self):
         rng = np.random.default_rng(47)
         mlp = ref_nn.init_mlp([24, 12, 6, 1], "relu", seed=51)
-        mlp.trained = True
         net = quantize_weights(mlp, stream_len=1023,
                                calib=rng.uniform(-1, 1, (64, 24)))
         X = rng.uniform(-1, 1, (30, 24))
@@ -747,7 +734,6 @@ def _relu_net_with_biases(seed=3):
     rng = np.random.default_rng(seed)
     mlp = ref_nn.init_mlp([24, 12, 6, 1], "relu", seed=seed)
     mlp.biases = [rng.normal(0, 0.2, b.shape) for b in mlp.biases]
-    mlp.trained = True
     return mlp, rng.uniform(-1, 1, (40, 24))
 
 
@@ -816,7 +802,6 @@ class TestGeneratorPhase:
         rng = np.random.default_rng(width)
         mlp = ref_nn.init_mlp([3, 2, 1], "relu", seed=width)
         mlp.biases = [rng.normal(0, 0.2, b.shape) for b in mlp.biases]
-        mlp.trained = True
         rows = rng.uniform(-1, 1, (4, 3))
         period = (1 << width) - 1
         g1 = sc_nn.generator(width, 0, 41)

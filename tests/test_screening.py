@@ -275,7 +275,6 @@ class TestReportBytesGuard:
     def test_score_library_entries(self, bench):
         targets, (_, _, scaler) = bench
         mlp = ref_nn.init_mlp(ref_nn.ARCH_SHAPES["48"], "relu", seed=1)
-        mlp.trained = True  # quantize refuses an untrained net; the weights stay seeded
         hw = quantize_weights(mlp)
         for model, want in (
                 (mlp, "5f6e9f6defe17d6c78c9a61a175326eded24715fc06bb8fe5ddccf4c21a1e39a"),
