@@ -191,9 +191,14 @@ def load_manifest(path: Path) -> list:
     entries = ref_nn.require_fields(doc, {"targets": object}, path)["targets"]
     if not isinstance(entries, list):
         raise ValidationError(f"{path}: targets must be a list of target entries")
+    seen = set()
     for i, e in enumerate(entries):
         ref_nn.require_fields(e, {"target_id": str, "crystal_ligand": str, "actives": str,
                                   "decoys": str}, path, f"manifest entry {i} ")
+        if e["target_id"] in seen:
+            raise ValidationError(f"{path}: manifest entry {i} repeats target_id "
+                                  f"{e['target_id']!r}")
+        seen.add(e["target_id"])
     return entries
 
 
@@ -232,8 +237,7 @@ def load_model(path: Path):
 
 
 def cmd_descriptors(args, cfg: RunConfig) -> int:
-    errors = []
-    entries = []
+    errors, entries, written = [], [], set()
     for name in args.inputs:
         path = _resolve(name, cfg.data_dir)
         try:
@@ -242,10 +246,13 @@ def cmd_descriptors(args, cfg: RunConfig) -> int:
             errors.append(str(exc))
             continue
         for mol_id, v in zip(table.ids, mpe.mpe_vectors(table)):
+            if mol_id in written:  # a cache holds each id once
+                v = ValueError(f"molecule {mol_id!r}: id already written")
             if isinstance(v, ValueError):
                 errors.append(f"{path}: {v}")
             else:
                 entries.append((mol_id, v))
+                written.add(mol_id)
     out = _output(args.out, cfg.data_dir)
     mpe.write_descriptor_cache(out, entries)
     print(f"wrote {len(entries)} descriptor rows to {out}")

@@ -56,8 +56,8 @@ class CorrelationViolation(ValueError):
 # 192nd of the 4095 by calibration MAE, so the choice is still open.
 DEFAULT_SEEDS = (41, 1987)
 
-# Default stream length: one period of a 12-bit generator.
-DEFAULT_STREAM_LEN = 4095
+# Default stream length: one period of a generator of the default width.
+DEFAULT_STREAM_LEN = (1 << sc.DEFAULT_WIDTH) - 1
 
 # Largest per-layer decoded gain n / (2^shift * 2^(b-1)) that shift
 # calibration may pick.  Calibration lowers the shift of a layer whose words

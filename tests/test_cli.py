@@ -96,6 +96,39 @@ class TestDescriptors:
         assert err.count(str(mols)) == 1 and err.count("huge") == 1
         assert "Traceback" not in err
 
+    def test_id_repeated_across_files_written_once(self, tmp_path, capsys):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text("molecule_id,element,x,y,z,charge\n"
+                         "m1,C,0,0,0,0.4\nm1,O,1.2,0,0,-0.4\n")
+        second.write_text("molecule_id,element,x,y,z,charge\n"
+                          "m1,N,0,0,0,0.9\nm1,O,2.5,0,0,-0.9\n"
+                          "m2,C,0,0,0,0.3\nm2,O,1.1,0,0,-0.3\n")
+        alone, out = tmp_path / "alone.csv", tmp_path / "cache.csv"
+        assert run("descriptors", first, "--out", alone) == 0
+        assert run("descriptors", second, "--out", tmp_path / "second.csv") == 0
+        capsys.readouterr()
+        assert run("descriptors", first, second, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {second}: molecule 'm1': id already written\n"
+        cache = mpe.read_descriptor_cache(out)
+        assert list(cache) == ["m1", "m2"]
+        np.testing.assert_array_equal(cache["m1"], mpe.read_descriptor_cache(alone)["m1"])
+        np.testing.assert_array_equal(
+            cache["m2"], mpe.read_descriptor_cache(tmp_path / "second.csv")["m2"])
+
+    def test_mol2_blocks_of_one_name_written_once(self, tmp_path, capsys):
+        mols = tmp_path / "twice.mol2"
+        mols.write_text((DATA / "fixture.mol2").read_text().replace("salt_pair", "ethanol_frag"))
+        out, whole = tmp_path / "cache.csv", tmp_path / "whole.csv"
+        assert run("descriptors", DATA / "fixture.mol2", "--out", whole) == 0
+        capsys.readouterr()
+        assert run("descriptors", mols, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {mols}: molecule 'ethanol_frag': id already written\n"
+        cache = mpe.read_descriptor_cache(out)
+        assert list(cache) == ["ethanol_frag"]
+        np.testing.assert_array_equal(cache["ethanol_frag"],
+                                      mpe.read_descriptor_cache(whole)["ethanol_frag"])
+
     def test_parse_error_names_file_once(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("molecule_id,element,x,y,z,charge\nm1,C,0,0,0,abc\n")
@@ -264,6 +297,35 @@ class TestLoadModel:
         assert isinstance(cli.load_model(ws / "hw48.json"), sc_nn.ScNetwork)
         assert isinstance(cli.load_model(ws / "relu48.json"), ref_nn.Mlp)
         assert paths == [ws / "hw48.json", ws / "relu48.json"]
+
+
+class TestRepeatedTargetId:
+    @pytest.mark.parametrize("command", ["evaluate", "train", "per-target"])
+    def test_exit_1_before_any_molecule_is_read(self, workspace, tmp_path, capsys, monkeypatch,
+                                                command):
+        ws, manifest = workspace
+        doc = json.loads(manifest.read_text())
+        doc["targets"].append({**doc["targets"][1], "actives": doc["targets"][2]["actives"]})
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        out.mkdir()
+        args = {
+            "evaluate": ["--model", ws / "relu48.json", "--scaler", ws / "scaler.json",
+                         "--report", out / "r.json", "--csv", out / "r.csv"],
+            "train": ["--arch", "12", "--activation", "relu", "--out", out / "m.json",
+                      "--scaler-out", out / "s.json", "--log-out", out / "l.json",
+                      "--features-out", out / "f.csv", "--epochs", "1"],
+            "per-target": ["--arch", "12", "--epochs", "1", "--out", out / "pt.json"],
+        }[command]
+        parsed = []
+        real = mpe.parse_molecules
+        monkeypatch.setattr(mpe, "parse_molecules", lambda p: parsed.append(p) or real(p))
+        assert run(command, "--manifest", bad, "--cache", ws / "cache.csv", *args) == 1
+        tid = doc["targets"][1]["target_id"]
+        assert capsys.readouterr().err == \
+            f"error: {bad}: manifest entry 3 repeats target_id {tid!r}\n"
+        assert parsed == [] and list(out.iterdir()) == []
 
 
 class TestEvaluate:
