@@ -320,7 +320,12 @@ class TestRepeatedTargetId:
         }[command]
         parsed = []
         real = mpe.parse_molecules
-        monkeypatch.setattr(mpe, "parse_molecules", lambda p: parsed.append(p) or real(p))
+
+        def parse_molecules(path):
+            parsed.append(path)
+            return real(path)
+
+        monkeypatch.setattr(mpe, "parse_molecules", parse_molecules)
         assert run(command, "--manifest", bad, "--cache", ws / "cache.csv", *args) == 1
         tid = doc["targets"][1]["target_id"]
         assert capsys.readouterr().err == \
@@ -753,6 +758,7 @@ FLOAT_MODEL_VALUES = [
     (("layers", 1), {"fan_in": 47, "fan_out": 24, "weights": [0.0] * (24 * 47),
                      "bias": [0.0] * 24},
      "layer 1 arrays do not match shape [24, 48, 24, 1]"),
+    (("layers", 1, "bias"), [0.0] * 23, "layer 1 arrays do not match shape [24, 48, 24, 1]"),
 ]
 
 
