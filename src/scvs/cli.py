@@ -355,9 +355,8 @@ def _evaluate_targets(model, targets, scaler):
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     path = _resolve(args.model, cfg.models_dir)
     model = load_model(path)
-    width = model.input_width if isinstance(model, sc_nn.ScNetwork) else model.shape[0]
-    if width != 24:
-        raise ValidationError(f"{path}: the model takes {width} inputs; "
+    if model.shape[0] != 24:
+        raise ValidationError(f"{path}: the model takes {model.shape[0]} inputs; "
                               f"a descriptor pair has 24")
     scaler = FeatureScaler.load(_require_file(_resolve(args.scaler, cfg.models_dir)))
     targets, failures = _command_targets(args, cfg)

@@ -61,10 +61,31 @@ class TrainConfig:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
+def network_shape(layers) -> list:
+    """The shape of a network from the list of its layers' ``(fan_in,
+    fan_out)`` pairs: the first layer's inputs, then every layer's outputs.
+    The rule that both the float and the hardware network keep, each message
+    naming the layer: at least one layer, every width >= 1, each layer takes
+    the previous layer's outputs, and the last layer has one output."""
+    if not layers:
+        raise ValueError("a network needs at least one layer")
+    shape = [layers[0][0]]
+    for l, (fan_in, fan_out) in enumerate(layers):
+        if fan_in < 1 or fan_out < 1:
+            raise ValueError(f"layer {l} fan_in and fan_out must be >= 1, "
+                             f"got {fan_in} and {fan_out}")
+        if fan_in != shape[-1]:
+            raise ValueError(f"layer {l} fan_in {fan_in} != layer {l - 1} fan_out {shape[-1]}")
+        shape.append(fan_out)
+    if shape[-1] != 1:
+        raise ValueError(f"shape must end in a single output neuron, got {shape}")
+    return shape
+
+
 class Mlp:
     """The hidden activation and the per-layer weight matrices and bias
     vectors of one network: layer l maps ``shape[l]`` inputs to
-    ``shape[l + 1]`` outputs, and the last layer has one output."""
+    ``shape[l + 1]`` outputs, and the shape keeps ``network_shape``'s rule."""
 
     def __init__(self, activation: str, weights, biases):
         if activation not in ("tanh", "relu"):
@@ -72,17 +93,10 @@ class Mlp:
         self.activation = activation
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        shape = self.shape
+        self.shape = network_shape([w.shape[::-1] for w in self.weights])
         for l, (w, b) in enumerate(zip(self.weights, self.biases, strict=True)):
-            if w.shape != (shape[l + 1], shape[l]) or b.shape != (shape[l + 1],):
-                raise ValueError(f"layer {l} arrays do not match shape {shape}")
-        if shape[-1] != 1:
-            raise ValueError(f"shape must end in a single output neuron, got {shape}")
-
-    @property
-    def shape(self) -> list:
-        """The first layer's inputs, then every layer's outputs."""
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+            if b.shape != (w.shape[0],):
+                raise ValueError(f"layer {l} bias must hold {w.shape[0]} values, got {b.shape}")
 
     @property
     def n_layers(self) -> int:

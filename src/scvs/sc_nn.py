@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import sc_core as sc
+from . import ref_nn, sc_core as sc
 from .ref_nn import Mlp, json_array, model_layers, placed, require_fields, write_model
 from .sc_core import BitStream, GateKind, Lfsr, WordSequence
 
@@ -94,9 +94,6 @@ class ScLayer:
                  weights_q: np.ndarray, bias_q: np.ndarray | None):
         self.fan_in = int(fan_in)
         self.fan_out = int(fan_out)
-        if self.fan_in < 1 or self.fan_out < 1:
-            raise ValueError(f"fan_in and fan_out must be >= 1, "
-                             f"got {self.fan_in} and {self.fan_out}")
         self.norm_shift = int(norm_shift)
         self.scale = float(scale)
         self.weights_q = np.asarray(weights_q, dtype=np.int32).reshape(fan_out, fan_in)
@@ -113,15 +110,12 @@ class ScLayer:
 
 
 class ScNetwork:
-    """Layer stack plus the two LFSR configurations of the hardware model."""
+    """Layer stack plus the two LFSR configurations of the hardware model;
+    ``shape`` keeps ``ref_nn.network_shape``'s rule."""
 
     def __init__(self, layers, lfsr1: Lfsr, lfsr2: Lfsr,
                  stream_len: int = DEFAULT_STREAM_LEN, width: int = sc.DEFAULT_WIDTH):
-        if not layers or layers[-1].fan_out != 1:
-            raise ValueError("network must end in a single output neuron")
-        for a, b in zip(layers[:-1], layers[1:]):
-            if a.fan_out != b.fan_in:
-                raise ValueError(f"layer shapes do not chain: {a.fan_out} -> {b.fan_in}")
+        self.shape = ref_nn.network_shape([(l.fan_in, l.fan_out) for l in layers])
         sc.check_width(width)
         if (lfsr1.taps, lfsr1.seed) == (lfsr2.taps, lfsr2.seed):
             raise ValueError("lfsr1 and lfsr2 must differ in polynomial or seed")
@@ -140,10 +134,6 @@ class ScNetwork:
         self.stream_len = int(stream_len)
         self.width = int(width)
         self._engine = None  # (rank, prefix tables) of the bit-true simulator
-
-    @property
-    def input_width(self) -> int:
-        return self.layers[0].fan_in
 
     @property
     def output_scale(self) -> float:
@@ -203,8 +193,8 @@ def _values(rank: np.ndarray, words) -> np.ndarray:
 
 def _input_rows(net: "ScNetwork", x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != net.input_width:
-        raise ValueError(f"input width {x.shape[1]} != {net.input_width}")
+    if x.shape[1] != net.shape[0]:
+        raise ValueError(f"input width {x.shape[1]} != {net.shape[0]}")
     return x
 
 

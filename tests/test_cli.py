@@ -757,8 +757,8 @@ FLOAT_MODEL_VALUES = [
     # layer 1 itself is whole, but takes 47 inputs where layer 0 gives 48
     (("layers", 1), {"fan_in": 47, "fan_out": 24, "weights": [0.0] * (24 * 47),
                      "bias": [0.0] * 24},
-     "layer 1 arrays do not match shape [24, 48, 24, 1]"),
-    (("layers", 1, "bias"), [0.0] * 23, "layer 1 arrays do not match shape [24, 48, 24, 1]"),
+     "layer 1 fan_in 47 != layer 0 fan_out 48"),
+    (("layers", 1, "bias"), [0.0] * 23, "layer 1 bias must hold 24 values, got (23,)"),
 ]
 
 
