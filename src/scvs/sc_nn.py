@@ -98,8 +98,9 @@ class ScLayer:
         self.scale = float(scale)
         self.weights_q = np.asarray(weights_q, dtype=np.int32).reshape(fan_out, fan_in)
         self.bias_q = None if bias_q is None else np.asarray(bias_q, dtype=np.int32).reshape(fan_out)
-        if self.norm_shift < 0:
-            raise ValueError("norm_shift must be >= 0")
+        # an APC fits an int64, so a shift of 63 already floors it to 0 or -1
+        if not 0 <= self.norm_shift <= 63:
+            raise ValueError(f"norm_shift must be in [0, 63], got {self.norm_shift}")
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError("scale must be positive and finite")
 
@@ -623,7 +624,8 @@ def save_sc_network(net: ScNetwork, path) -> None:
 def build_sc_network(doc, path) -> ScNetwork:
     """The hardware network that the model document ``doc``, read from
     ``path``, holds; a constructor's range error names the file and the place
-    in it (``layer i ``, ``lfsr1 ``)."""
+    in it (``layer i ``, ``lfsr1 ``).  Each generator must run its width's
+    tabled polynomial, ``sc_core.MAXIMAL_TAPS[width][i]``."""
     entries = model_layers(
         doc, path, "sc_network", "hardware-network",
         {"width": int, "stream_len": int, "lfsr1": dict, "lfsr2": dict},
@@ -641,4 +643,8 @@ def build_sc_network(doc, path) -> ScNetwork:
     lfsr1, lfsr2 = (placed(path, where, Lfsr, doc["width"],
                            tuple(json_array(g, "taps", np.int64, path, where).tolist()), g["seed"])
                     for where, g in gens)
+    for (where, _), lfsr, tabled in zip(gens, (lfsr1, lfsr2), sc.MAXIMAL_TAPS[doc["width"]]):
+        if lfsr.taps != tabled:
+            raise ValueError(f"{path}: {where}taps must be the tabled polynomial {list(tabled)} "
+                             f"of width {lfsr.width}, got {list(lfsr.taps)}")
     return placed(path, "", ScNetwork, layers, lfsr1, lfsr2, doc["stream_len"], doc["width"])

@@ -240,6 +240,24 @@ class TestQuantize:
         assert (ws / "relu48.json").read_bytes() == out["plain"][0] != out["marked"][0]
         assert out["marked"][1:] == out["plain"][1:]
 
+    def test_zero_width_layer_exit_1_names_file_and_layer(self, workspace, tmp_path, capsys):
+        # layer 1 has no neurons, and layer 2 takes its none: every array is
+        # whole, but the net would score every compound by layer 2's bias
+        ws, manifest = workspace
+        doc = json.loads((ws / "relu48.json").read_text())
+        doc["layers"][1].update(fan_out=0, weights=[], bias=[])
+        doc["layers"][2].update(fan_in=0, weights=[])
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps(doc))
+        message = f"error: {bad}: layer 1 fan_in and fan_out must be >= 1, got 48 and 0\n"
+        assert run("quantize", "--model", bad, "--calib", ws / "feats.csv",
+                   "--out", tmp_path / "hw.json") == 1
+        assert capsys.readouterr().err == message and not (tmp_path / "hw.json").exists()
+        assert run("evaluate", "--model", bad, "--manifest", manifest,
+                   "--cache", ws / "cache.csv", "--scaler", ws / "scaler.json",
+                   "--report", tmp_path / "r.json") == 1
+        assert capsys.readouterr().err == message and not (tmp_path / "r.json").exists()
+
     def test_dequantized_weights_near_originals(self, workspace):
         ws, _ = workspace
         mlp = cli.load_model(ws / "relu48.json")
@@ -759,6 +777,9 @@ FLOAT_MODEL_VALUES = [
                      "bias": [0.0] * 24},
      "layer 1 fan_in 47 != layer 0 fan_out 48"),
     (("layers", 1, "bias"), [0.0] * 23, "layer 1 bias must hold 24 values, got (23,)"),
+    # a whole hidden layer of no neurons
+    (("layers", 1), {"fan_in": 48, "fan_out": 0, "weights": [], "bias": []},
+     "layer 1 fan_in and fan_out must be >= 1, got 48 and 0"),
 ]
 
 
@@ -797,12 +818,23 @@ RANGE_ERRORS = [
     (("layers", 1, "bias", 2), -2049, "layer 1 bias words exceed 12-bit range"),
     (("layers", 0, "weights", 0), 2048, "layer 0 weight words exceed 12-bit range"),
     (("layers", 0, "fan_in"), -1, "layer 0 fan_in and fan_out must be >= 1"),
+    (("layers", 0), {"fan_in": 24, "fan_out": 0, "norm_shift": 0, "scale": 1.0,
+                     "weights": [], "bias": []},
+     "layer 0 fan_in and fan_out must be >= 1, got 24 and 0"),
+    # layer 1 itself is whole, but takes 47 inputs where layer 0 gives 48
+    (("layers", 1), {"fan_in": 47, "fan_out": 24, "norm_shift": 4, "scale": 1.0,
+                     "weights": [0] * (24 * 47), "bias": [0] * 24},
+     "layer 1 fan_in 47 != layer 0 fan_out 48"),
+    (("layers", 0, "norm_shift"), -1, "layer 0 norm_shift must be in [0, 63], got -1"),
+    (("layers", 0, "norm_shift"), 1100, "layer 0 norm_shift must be in [0, 63], got 1100"),
+    (("lfsr1", "taps"), [12, 1],
+     "lfsr1 taps must be the tabled polynomial [12, 11, 10, 4] of width 12, got [12, 1]"),
 ]
 
 
 class TestModelRangeErrors:
     @pytest.mark.parametrize("path,value,message", RANGE_ERRORS, ids=[
-        f"{'.'.join(map(str, path))}={value!r}" for path, value, _ in RANGE_ERRORS])
+        f"{'.'.join(map(str, path))}={reprlib.repr(value)}" for path, value, _ in RANGE_ERRORS])
     def test_exit_1_names_file_and_place(self, workspace, tmp_path, capsys, path, value,
                                          message):
         code, bad = _evaluate_edited(workspace, tmp_path, "hw48.json", path, value)
@@ -827,6 +859,21 @@ class TestModelRangeErrors:
                    "--report", tmp_path / "r.json") == 1
         err = capsys.readouterr().err
         assert err == f"error: {bad}: SC width {width} outside [4, 16]\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_swapped_generators_exit_1_names_file(self, workspace, tmp_path, capsys):
+        # each polynomial is maximal, but each generator runs the other's
+        ws, manifest = workspace
+        doc = json.loads((ws / "hw48.json").read_text())
+        doc["lfsr1"]["taps"], doc["lfsr2"]["taps"] = doc["lfsr2"]["taps"], doc["lfsr1"]["taps"]
+        bad = tmp_path / "hw.json"
+        bad.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", bad, "--manifest", manifest,
+                   "--cache", ws / "cache.csv", "--scaler", ws / "scaler.json",
+                   "--report", tmp_path / "r.json") == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: lfsr1 taps must be the tabled polynomial [12, 11, 10, 4] "
+            f"of width 12, got [12, 6, 4, 1]\n")
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("model", ["hw48.json", "relu48.json"])

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from scvs import cli, ref_nn
+from scvs import cli, ref_nn, sc_nn
 from scvs.ref_nn import (
     Mlp,
     TrainConfig,
@@ -60,6 +60,25 @@ class TestConstructor:
     def test_one_bias_per_layer(self):
         with pytest.raises(ValueError):
             Mlp("relu", [np.zeros((4, 3)), np.zeros((1, 4))], [np.zeros(4)])
+
+    # (fan_in, fan_out) of each layer of a shape that breaks the rule, and
+    # the message both networks give for it
+    BAD_SHAPES = [
+        ([], "a network needs at least one layer"),
+        ([(3, 0), (0, 1)], "layer 0 fan_in and fan_out must be >= 1, got 3 and 0"),
+        ([(3, 4), (5, 1)], "layer 1 fan_in 5 != layer 0 fan_out 4"),
+        ([(3, 2)], "shape must end in a single output neuron, got [3, 2]"),
+    ]
+
+    @pytest.mark.parametrize("pairs,message", BAD_SHAPES,
+                             ids=["no-layers", "zero-width", "broken-chain", "two-outputs"])
+    def test_float_and_hardware_nets_keep_one_shape_rule(self, pairs, message):
+        with pytest.raises(ValueError) as float_error:
+            Mlp("relu", [np.zeros((o, i)) for i, o in pairs], [np.zeros(o) for _, o in pairs])
+        layers = [sc_nn.ScLayer(i, o, 0, 1.0, np.zeros((o, i)), None) for i, o in pairs]
+        with pytest.raises(ValueError) as hardware_error:
+            sc_nn.ScNetwork(layers, sc_nn.default_lfsr1(), sc_nn.default_lfsr2())
+        assert str(float_error.value) == str(hardware_error.value) == message
 
 
 class TestForward:
